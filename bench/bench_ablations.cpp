@@ -1,4 +1,4 @@
-// E18 — ablations over the design choices DESIGN.md calls out:
+// E18 — ablations over the main design choices:
 //  (a) fingerprint ACD vs exact-oracle ACD (same pipeline, same charges,
 //      does estimate noise change the outcome?);
 //  (b) the deviation codec vs naive fixed-width fingerprints (bandwidth

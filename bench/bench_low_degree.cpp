@@ -4,8 +4,8 @@
 // (Delta = O(log n): direct palette bitmaps; Delta = polylog(n): the
 // ACD + shatter pipeline). Expected shape: slow polyloglog growth — orders
 // of magnitude below the O(log^2 n) prior cluster-graph bound.
-// Substitution note (DESIGN.md #4): shattered components are finished by
-// the randomized deg+1-list finisher; measured rounds reflect it.
+// Substitution note: shattered components are finished by the randomized
+// deg+1-list finisher; measured rounds reflect it.
 #include <cmath>
 
 #include "util.hpp"

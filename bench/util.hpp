@@ -1,9 +1,8 @@
 // Shared helpers for the experiment harness: instance builders, pipeline
 // runners, fixed-width table printing, and the timed-measurement harness
 // (warmup + repetitions, ns/op, JSON emission) behind BENCH_pipeline.json.
-// Each bench binary regenerates one experiment row-set from DESIGN.md's
-// experiment index and prints the paper-claimed shape next to the measured
-// series.
+// Each bench binary regenerates one experiment row-set and prints the
+// paper-claimed shape next to the measured series.
 #pragma once
 
 #include <algorithm>
@@ -95,9 +94,9 @@ inline RunOutput run_pipeline(const graph::Graph& h,
   return out;
 }
 
-// Calibrated pipeline parameters for benches (EXPERIMENTS.md records
-// these): oracle ACD + unmeasured bits by default so large n stays fast;
-// the bandwidth-audit and ablation benches flip both switches on.
+// Calibrated pipeline parameters for benches: oracle ACD + unmeasured bits
+// by default so large n stays fast; the bandwidth-audit and ablation
+// benches flip both switches on.
 inline color::Params bench_params(int n, std::uint64_t seed,
                                   bool full_stack = false) {
   auto p = color::Params::defaults_for(n, seed);

@@ -1,6 +1,8 @@
 #include "acd/acd.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <string>
 
 #include "common/mathutil.hpp"
@@ -12,6 +14,181 @@ namespace ccg::acd {
 
 namespace {
 
+// Oracle buddy test for one edge {u, v} against u's stamps (stamp[w] == u
+// iff w in N(u)): |N(u) ∪ N(v)| <= limit iff |N(u) ∩ N(v)| >= need with
+// need = deg u + deg v - limit. N(v) is scanned in blocks with independent
+// accumulators and one exit check per block, which stops as soon as the
+// count reaches `need` (Yes) or cannot reach it even if every remaining
+// entry matched (No). A check per element serializes the scan on its
+// branch; a block keeps the loads independent.
+bool shares_at_least(graph::NeighborSpan nv, const int* stamp, int u,
+                     std::int64_t need) {
+  constexpr std::size_t kBlock = 32;
+  const std::size_t d = nv.size();
+  if (need <= 0) return true;
+  if (need > static_cast<std::int64_t>(d)) return false;
+  std::int64_t common = 0;
+  std::size_t i = 0;
+  for (; i + kBlock <= d; i += kBlock) {
+    int c0 = 0, c1 = 0, c2 = 0, c3 = 0;
+    for (std::size_t j = i; j < i + kBlock; j += 4) {
+      c0 += stamp[nv[j]] == u;
+      c1 += stamp[nv[j + 1]] == u;
+      c2 += stamp[nv[j + 2]] == u;
+      c3 += stamp[nv[j + 3]] == u;
+    }
+    common += c0 + c1 + c2 + c3;
+    if (common >= need ||
+        common + static_cast<std::int64_t>(d - i - kBlock) < need) {
+      return common >= need;
+    }
+  }
+  for (; i < d; ++i) common += stamp[nv[i]] == u;
+  return common >= need;
+}
+
+// Per-row prefix sums over H's rows: off[u + 1] - off[u] = weight(u), one
+// parallel pass with per-row disjoint writes, then one sequential sum.
+template <class Weight>
+void row_prefix(const graph::Graph& h, exec::ParallelRound* par,
+                Weight&& weight, std::vector<std::int64_t>* off) {
+  const int n = h.n();
+  off->resize(static_cast<std::size_t>(n) + 1);
+  (*off)[0] = 0;
+  exec::shards_or_inline(par, n, [&](int, std::int64_t b, std::int64_t e) {
+    for (std::int64_t u = b; u < e; ++u) {
+      (*off)[static_cast<std::size_t>(u) + 1] = weight(static_cast<int>(u));
+    }
+  });
+  for (std::size_t u = 0; u < static_cast<std::size_t>(n); ++u) {
+    (*off)[u + 1] += (*off)[u];
+  }
+}
+
+// First row of part p when the rows split into `parts` consecutive runs of
+// about equal weight (off: row_prefix output). Part p owns rows
+// [part_begin(p), part_begin(p + 1)); the last part ends at n.
+int part_begin(const std::vector<std::int64_t>& off, int parts,
+               std::int64_t p) {
+  const auto rows = static_cast<int>(off.size()) - 1;
+  if (p >= parts) return rows;
+  return static_cast<int>(std::lower_bound(off.begin(), off.end() - 1,
+                                           off.back() * p / parts) -
+                          off.begin());
+}
+
+// Oracle buddy flags: the flag of upper-triangle slot {u, v} is 1 iff both
+// endpoints pass the high-degree filter and |N(u) ∪ N(v)| <= limit. Only
+// rows of high vertices do work: row u stamps N(u) and scans N(v) for each
+// high upper neighbor v. Rows are sharded by a prefix sum of that work,
+// each worker keeping a private stamp array; every slot is written by the
+// one shard owning its row, so the flags are partition-independent.
+void oracle_buddy_flags(const graph::Graph& h, exec::ParallelRound* par,
+                        std::int64_t limit, AcdScratch& s) {
+  const auto nu = static_cast<std::size_t>(h.n());
+  row_prefix(
+      h, par,
+      [&](int u) {
+        if (!s.high[static_cast<std::size_t>(u)]) return std::int64_t{0};
+        std::int64_t work = h.degree(u);
+        for (const int v : h.upper_neighbors(u)) {
+          if (s.high[static_cast<std::size_t>(v)]) work += h.degree(v);
+        }
+        return work;
+      },
+      &s.work_off);
+  const int parts = par ? par->workers() : 1;
+  if (s.stamps.size() < static_cast<std::size_t>(parts)) {
+    s.stamps.resize(static_cast<std::size_t>(parts));
+  }
+  exec::shards_or_inline(par, parts, [&](int w, std::int64_t b,
+                                         std::int64_t e) {
+    auto& stamp = s.stamps[static_cast<std::size_t>(w)];
+    stamp.assign(nu, -1);
+    const int row_end = part_begin(s.work_off, parts, e);
+    for (int u = part_begin(s.work_off, parts, b); u < row_end; ++u) {
+      const auto up = h.upper_neighbors(u);
+      char* flag = s.buddy.data() + s.slot_off[static_cast<std::size_t>(u)];
+      const bool high_u = s.high[static_cast<std::size_t>(u)];
+      if (high_u) {
+        for (const int x : h.neighbors(u)) {
+          stamp[static_cast<std::size_t>(x)] = u;
+        }
+      }
+      for (std::size_t j = 0; j < up.size(); ++j) {
+        const int v = up[j];
+        flag[j] = high_u && s.high[static_cast<std::size_t>(v)] &&
+                  shares_at_least(h.neighbors(v), stamp.data(), u,
+                                  h.degree(u) + h.degree(v) - limit);
+      }
+    }
+  });
+}
+
+// Buddy graph as a flat CSR, built from the slot flags on the round engine.
+// The rows split into parts of about equal slot count; part p counts its
+// buddy edges per endpoint into a private array, a per-vertex prefix over
+// the parts turns the counts into write cursors, and part p then fills its
+// entries. Parts own ascending row runs and walk them in order, so every
+// buddy list comes out ascending, the order of a sequential fill over
+// h.edges(), for any number of parts.
+void build_buddy_csr(const graph::Graph& h, exec::ParallelRound* par,
+                     AcdScratch& s) {
+  const int n = h.n();
+  const auto nu = static_cast<std::size_t>(n);
+  const int parts = par ? par->workers() : 1;
+  if (s.cursors.size() < static_cast<std::size_t>(parts)) {
+    s.cursors.resize(static_cast<std::size_t>(parts));
+  }
+  const auto for_each_buddy_edge = [&](std::int64_t p, auto&& fn) {
+    const int row_end = part_begin(s.slot_off, parts, p + 1);
+    for (int u = part_begin(s.slot_off, parts, p); u < row_end; ++u) {
+      const auto up = h.upper_neighbors(u);
+      const char* flag =
+          s.buddy.data() + s.slot_off[static_cast<std::size_t>(u)];
+      for (std::size_t j = 0; j < up.size(); ++j) {
+        if (flag[j]) fn(u, up[j]);
+      }
+    }
+  };
+  exec::shards_or_inline(par, parts, [&](int, std::int64_t b,
+                                         std::int64_t e) {
+    for (std::int64_t p = b; p < e; ++p) {
+      auto& count = s.cursors[static_cast<std::size_t>(p)];
+      count.assign(nu, 0);
+      for_each_buddy_edge(p, [&](int u, int v) {
+        ++count[static_cast<std::size_t>(u)];
+        ++count[static_cast<std::size_t>(v)];
+      });
+    }
+  });
+  s.buddy_off.resize(nu + 1);
+  s.buddy_off[0] = 0;
+  for (std::size_t v = 0; v < nu; ++v) {
+    int at = s.buddy_off[v];
+    for (int p = 0; p < parts; ++p) {
+      int& c = s.cursors[static_cast<std::size_t>(p)][v];
+      const int count = c;
+      c = at;
+      at += count;
+    }
+    s.buddy_off[v + 1] = at;
+  }
+  s.buddy_adj.resize(static_cast<std::size_t>(s.buddy_off[nu]));
+  exec::shards_or_inline(par, parts, [&](int, std::int64_t b,
+                                         std::int64_t e) {
+    for (std::int64_t p = b; p < e; ++p) {
+      auto& cur = s.cursors[static_cast<std::size_t>(p)];
+      for_each_buddy_edge(p, [&](int u, int v) {
+        s.buddy_adj[static_cast<std::size_t>(
+            cur[static_cast<std::size_t>(u)]++)] = v;
+        s.buddy_adj[static_cast<std::size_t>(
+            cur[static_cast<std::size_t>(v)]++)] = u;
+      });
+    }
+  });
+}
+
 void attempt(cluster::Runtime& rt, const AcdParams& params,
              StreamCtx& streams, AcdResult& res, AcdScratch& s) {
   const auto& h = rt.h();
@@ -20,8 +197,7 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
   // Buddy-predicate slack. The paper cascades xi' = 2 xi / c (Lemma 5.8)
   // purely for the union-bound bookkeeping; operationally a single xi at
   // the eps scale realizes the same predicate, and planted instances need
-  // (2 e_v + 2 a_v) <= ~xi * Delta to be detected (calibration note in
-  // EXPERIMENTS.md).
+  // (2 e_v + 2 a_v) <= ~xi * Delta to be detected.
   const double xi = params.xi > 0 ? params.xi : params.eps;
 
   sketch::CountOptions opt;
@@ -29,10 +205,27 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
   opt.measure_bits = params.measure_bits;
 
   res.reset(n);
+  // Upper-triangle slots: row u's slots are [slot_off[u], slot_off[u + 1]),
+  // one per neighbor above u, numbered in h.edges() order.
+  row_prefix(
+      h, params.par,
+      [&h](int u) {
+        return static_cast<std::int64_t>(h.upper_neighbors(u).size());
+      },
+      &s.slot_off);
+  s.buddy.resize(static_cast<std::size_t>(h.m()));
 
-  auto& union_est = s.union_est;  // per h.edges() entry
-  const auto edges = h.edges();
+  // High-degree filter (Lemma 5.8): low-degree vertices answer No.
+  const auto mark_high = [&] {
+    s.high.assign(static_cast<std::size_t>(n), 0);
+    for (int v = 0; v < n; ++v) {
+      s.high[static_cast<std::size_t>(v)] =
+          res.degree_est[static_cast<std::size_t>(v)] >=
+          (1.0 - 2.0 * xi) * delta;
+    }
+  };
 
+  // Steps 1-2 leave one buddy flag per upper-triangle slot in s.buddy.
   if (params.use_fingerprints) {
     // Step 1: degree estimates. The sampling draws from per-(round,
     // vertex) counter streams — sharded by params.par with bit-identical
@@ -45,6 +238,7 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
     sketch::neighborhood_counts_into(
         rt, s.raw, [](int, int) { return true; }, opt, &s.counts);
     res.degree_est = s.counts.estimate;
+    mark_high();
     // Step 2: joint-neighborhood estimates from a fresh sampling (the
     // paper samples new variables for the union step).
     streams.bump();
@@ -52,96 +246,31 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
                                            params.par, &s.raw);
     sketch::neighborhood_counts_into(
         rt, s.raw, [](int, int) { return true; }, opt, &s.counts);
-    sketch::edge_union_estimates_into(rt, s.counts, opt, &union_est);
+    sketch::edge_union_estimates_into(rt, s.counts, opt, &s.union_est);
+    std::size_t e = 0;
+    for (int u = 0; u < n; ++u) {
+      for (const int v : h.upper_neighbors(u)) {
+        s.buddy[e] = s.high[static_cast<std::size_t>(u)] &&
+                     s.high[static_cast<std::size_t>(v)] &&
+                     s.union_est[e] <= (1.0 + xi) * delta;
+        ++e;
+      }
+    }
   } else {
-    // Oracle mode: exact values, identical round charges.
+    // Oracle mode: exact values, identical round charges. The union is an
+    // integer, so union <= (1 + xi) Delta iff it is <= the floor.
     for (int v = 0; v < n; ++v) {
       res.degree_est[static_cast<std::size_t>(v)] = h.degree(v);
     }
     rt.charge(1, 2 * params.t + 16);
-    // |N(u) ∪ N(v)| per edge. edges() is grouped by u, so stamping N(u)
-    // once per row and probing N(v) against the stamps costs
-    // O(deg u + sum_v deg v) per row instead of a sorted merge per edge —
-    // the dominant cost of the whole pipeline at Delta ~ n^Omega(1).
-    // Sharded over edge ranges by the round engine when one is supplied:
-    // each worker keeps a private stamp array (a shard that starts
-    // mid-row simply re-stamps that row), and union_est slots are
-    // per-edge disjoint, so the result is partition-independent.
-    union_est.resize(edges.size());
-    const auto stamp_rows = [&](std::vector<int>& stamp, std::int64_t b,
-                                std::int64_t e) {
-      int cur_u = -1;
-      for (std::int64_t idx = b; idx < e; ++idx) {
-        const auto& [u, v] = edges[static_cast<std::size_t>(idx)];
-        if (u != cur_u) {
-          cur_u = u;
-          for (const int w : h.neighbors(u)) {
-            stamp[static_cast<std::size_t>(w)] = u;
-          }
-        }
-        int common = 0;
-        for (const int w : h.neighbors(v)) {
-          common += (stamp[static_cast<std::size_t>(w)] == u);
-        }
-        union_est[static_cast<std::size_t>(idx)] =
-            h.degree(u) + h.degree(v) - common;
-      }
-    };
-    const auto workers =
-        static_cast<std::size_t>(params.par ? params.par->workers() : 1);
-    if (s.stamps.size() < workers) s.stamps.resize(workers);
-    exec::shards_or_inline(
-        params.par, static_cast<std::int64_t>(edges.size()),
-        [&](int w, std::int64_t b, std::int64_t e) {
-          auto& stamp = s.stamps[static_cast<std::size_t>(w)];
-          stamp.assign(static_cast<std::size_t>(n), -1);
-          stamp_rows(stamp, b, e);
-        });
+    mark_high();
+    oracle_buddy_flags(
+        h, params.par,
+        static_cast<std::int64_t>(std::floor((1.0 + xi) * delta)), s);
     rt.charge(3, 2 * params.t + 16);
   }
 
-  // High-degree filter (Lemma 5.8): low-degree vertices answer No.
-  s.high.assign(static_cast<std::size_t>(n), 0);
-  for (int v = 0; v < n; ++v) {
-    s.high[static_cast<std::size_t>(v)] =
-        res.degree_est[static_cast<std::size_t>(v)] >=
-        (1.0 - 2.0 * xi) * delta;
-  }
-
-  // Buddy edges, stored as a flat CSR built by count -> prefix-sum ->
-  // fill. The predicate is evaluated twice per edge, which is far cheaper
-  // than the doubling reallocations of a per-vertex vector-of-vectors —
-  // and leaves the whole build allocation-free on warm scratch.
-  const auto is_buddy = [&](std::size_t e) {
-    const auto& [u, v] = edges[e];
-    return s.high[static_cast<std::size_t>(u)] &&
-           s.high[static_cast<std::size_t>(v)] &&
-           union_est[e] <= (1.0 + xi) * delta;
-  };
-  s.buddy_deg.assign(static_cast<std::size_t>(n), 0);
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    if (is_buddy(e)) {
-      ++s.buddy_deg[static_cast<std::size_t>(edges[e].first)];
-      ++s.buddy_deg[static_cast<std::size_t>(edges[e].second)];
-    }
-  }
-  s.buddy_off.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (int v = 0; v < n; ++v) {
-    s.buddy_off[static_cast<std::size_t>(v) + 1] =
-        s.buddy_off[static_cast<std::size_t>(v)] +
-        s.buddy_deg[static_cast<std::size_t>(v)];
-  }
-  s.buddy_cur.assign(s.buddy_off.begin(), s.buddy_off.end() - 1);
-  s.buddy_adj.resize(static_cast<std::size_t>(s.buddy_off.back()));
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    if (is_buddy(e)) {
-      const auto& [u, v] = edges[e];
-      s.buddy_adj[static_cast<std::size_t>(
-          s.buddy_cur[static_cast<std::size_t>(u)]++)] = v;
-      s.buddy_adj[static_cast<std::size_t>(
-          s.buddy_cur[static_cast<std::size_t>(v)]++)] = u;
-    }
-  }
+  build_buddy_csr(h, params.par, s);
   const auto buddies = [&](int v) {
     return std::make_pair(s.buddy_off[static_cast<std::size_t>(v)],
                           s.buddy_off[static_cast<std::size_t>(v) + 1]);
@@ -153,9 +282,9 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
   rt.charge(1, 2 * params.t + 16);
   s.candidate.assign(static_cast<std::size_t>(n), 0);
   for (int v = 0; v < n; ++v) {
+    const auto [b, e] = buddies(v);
     s.candidate[static_cast<std::size_t>(v)] =
-        static_cast<double>(s.buddy_deg[static_cast<std::size_t>(v)]) >=
-        (1.0 - 2.0 * xi) * delta;
+        static_cast<double>(e - b) >= (1.0 - 2.0 * xi) * delta;
   }
 
   // Step 4: connected components of the candidate-restricted buddy graph
@@ -222,7 +351,11 @@ void compute_acd(cluster::Runtime& rt, const AcdParams& params,
   const int delta = rt.delta();
   const int max_size =
       static_cast<int>((1.0 + 3.0 * params.eps) * delta) + 1;
-  for (int tries = 0; tries < 3; ++tries) {
+  // A fingerprint attempt draws fresh samples, so a merge can clear on
+  // retry. An oracle attempt draws nothing and ignores t: it would only
+  // repeat itself.
+  const int attempts = params.use_fingerprints ? 3 : 1;
+  for (int tries = 0; tries < attempts; ++tries) {
     attempt(rt, params, streams, *out, *scratch);
     bool ok = true;
     for (int id = 0; id < out->num_cliques; ++id) {
@@ -235,8 +368,11 @@ void compute_acd(cluster::Runtime& rt, const AcdParams& params,
     }
     if (ok) return;
   }
-  CCG_CHECK_MSG(false, "ACD failed 3 attempts: merged almost-cliques; "
-                       "raise AcdParams::t");
+  CCG_CHECK_MSG(!params.use_fingerprints,
+                "ACD failed 3 attempts: merged almost-cliques; "
+                "raise AcdParams::t");
+  CCG_CHECK_MSG(false, "oracle ACD merged almost-cliques past (1 + 3 eps) "
+                       "Delta; lower AcdParams::eps");
 }
 
 AcdResult compute_acd(cluster::Runtime& rt, const AcdParams& params,

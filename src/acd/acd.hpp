@@ -15,10 +15,11 @@
 //
 // An exact oracle mode computes the same decomposition from true degrees
 // and true joint-neighborhood sizes while charging identical rounds; the
-// pipeline uses it at large scale (DESIGN.md substitution #1, ablation E18
-// quantifies the difference).
+// pipeline uses it at large scale (ablation E18 quantifies the
+// difference).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "cluster/runtime.hpp"
@@ -37,9 +38,10 @@ struct AcdParams {
   int t = 96;          // fingerprint width for all estimates
   bool use_fingerprints = true;  // false -> exact oracle mode (same cost)
   bool measure_bits = true;
-  // Optional round engine: parallelizes the oracle union-size stamp loop
-  // (the pipeline's dominant per-edge cost) over CSR rows. Results are
-  // identical with or without it.
+  // Optional round engine: parallelizes the fingerprint sampling, the
+  // oracle buddy test (the pipeline's dominant per-edge cost) and the
+  // buddy-graph build over CSR rows. Results are identical with or
+  // without it.
   exec::ParallelRound* par = nullptr;
 };
 
@@ -64,11 +66,18 @@ struct AcdResult {
 
 // Grow-only working storage for compute_acd/annotate_dense. Owned by the
 // caller (color::State keeps one per arena) so back-to-back jobs on warm
-// state run the whole decomposition without heap traffic.
+// state run the whole decomposition without heap traffic. A "slot" is one
+// upper-triangle entry of H's CSR rows, i.e. one edge in h.edges() order.
 struct AcdScratch {
-  std::vector<double> union_est;        // per h.edges() entry
+  std::vector<double> union_est;        // fingerprint |N(u) ∪ N(v)| per slot
+  std::vector<char> buddy;              // buddy flag per slot
   std::vector<char> high, candidate;    // per vertex
-  std::vector<std::vector<int>> stamps; // oracle stamp array per worker
+  // Per-row prefix sums: slots (row u owns [slot_off[u], slot_off[u+1]))
+  // and oracle scan work, the two ways rows are sharded.
+  std::vector<std::int64_t> slot_off, work_off;
+  std::vector<std::vector<int>> stamps;   // oracle stamp array per worker
+  std::vector<std::vector<int>> cursors;  // buddy-CSR counts, then cursors,
+                                          // per vertex and row part
   // Fingerprint mode: raw per-vertex samples and the aggregated counts
   // (estimates + per-vertex maxima). Both rebind in place, so warm
   // fingerprint decompositions skip the per-vertex buffer rebuilds.
@@ -77,7 +86,7 @@ struct AcdScratch {
   // Buddy graph as flat CSR (count -> prefix-sum -> fill): replaces the
   // vector-of-vectors whose doubling reallocations dominated the old
   // per-job allocation count.
-  std::vector<int> buddy_deg, buddy_off, buddy_cur, buddy_adj;
+  std::vector<int> buddy_off, buddy_adj;
   std::vector<int> comp, bfs;           // component collection + queue
 };
 

@@ -173,15 +173,8 @@ void fingerprint_matching_into(State& st, int clique_id,
   const auto szu = static_cast<std::size_t>(sz);
   const auto ktu = static_cast<std::size_t>(k_trials);
 
-  auto& sc = st.scratch;
   auto& par = *st.par;
-  auto& fp = sc.fp;
-  sc.ensure_vertices(n);
-
-  // Vertex -> position in members via the epoch-stamped candidate table
-  // (the paper derives local ids from prefix sums in O(1) rounds).
-  sc.begin_round();
-  for (int i = 0; i < sz; ++i) sc.propose_at(members[static_cast<std::size_t>(i)], i);
+  auto& fp = st.scratch.fp;
 
   // Step 2 (parallel shards): every member fills its row of k_trials
   // geometric draws from its private counter-based stream; rows are
@@ -211,23 +204,6 @@ void fingerprint_matching_into(State& st, int clique_id,
   }
   if (charge) st.rt->charge(3, std::max(1, sketch::encoded_bits(yk)));
 
-  // Per-vertex in-clique neighborhood maxima Y_v (parallel shards): row i
-  // is written by exactly one shard against the frozen local-id table.
-  fp.yv.resize(szu * ktu);
-  par.shards(sz, [&](int, std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) {
-      int* row = fp.yv.data() + static_cast<std::size_t>(i) * ktu;
-      std::fill(row, row + k_trials, -1);
-      const int v = members[static_cast<std::size_t>(i)];
-      for (const int u : h.neighbors(v)) {
-        const int li = sc.candidate(u);
-        if (li == TrialScratch::kNone) continue;
-        const int* xu = fp.x.data() + static_cast<std::size_t>(li) * ktu;
-        for (int t = 0; t < k_trials; ++t) row[t] = std::max(row[t], xu[t]);
-      }
-    }
-  });
-
   // Steps 3-4: local ids via prefix sums (O(1) rounds) and trial filtering
   // via O(k_trials)-bit aggregated bitmaps. Unique-maximum detection is
   // per-trial disjoint (parallel shards over trials).
@@ -248,6 +224,19 @@ void fingerprint_matching_into(State& st, int clique_id,
     }
   });
 
+  // A_i = {v != u_i : Y_v != Y_K}, where Y_v is the maximum over v's
+  // in-clique neighbors, holds the members that detect an anti-edge to
+  // u_i. Conditions (b) and steps 7-9 read it only on trials with a unique
+  // maximum u_i: there Y_K = X_{u_i} and every other member drew strictly
+  // less, so Y_v == Y_K exactly when u_i is a neighbor of v. Membership in
+  // A_i is therefore non-adjacency to u_i, one O(1) has_edge test on u_i's
+  // bitset row, and the |K| x deg x k_trials pass that built every Y_v is
+  // not needed (the ledger never charged it separately).
+  const auto detects_anti_edge = [&](int ui, int i) {
+    return i != ui && !h.has_edge(members[static_cast<std::size_t>(ui)],
+                                  members[static_cast<std::size_t>(i)]);
+  };
+
   // Conditions (b)-(c) are sequential by nature: a trial's eligibility
   // depends on which members earlier trials consumed as unique maxima.
   fp.used_as_max.assign(szu, 0);
@@ -257,17 +246,10 @@ void fingerprint_matching_into(State& st, int clique_id,
     const int ui = fp.argmax[static_cast<std::size_t>(t)];
     // Condition (c): u_i must not have been a unique maximum before.
     if (ui < 0 || fp.used_as_max[static_cast<std::size_t>(ui)]) continue;
-    // A_i: members (other than u_i) whose neighborhood max differs from
-    // the clique max — each detects an anti-edge to u_i. Condition (b)
-    // needs A_i non-empty.
+    // Condition (b): A_i must be non-empty.
     bool any_anti = false;
     for (int i = 0; i < sz && !any_anti; ++i) {
-      if (i == ui) continue;
-      if (fp.yv[static_cast<std::size_t>(i) * ktu +
-                static_cast<std::size_t>(t)] !=
-          yk.maxima[static_cast<std::size_t>(t)]) {
-        any_anti = true;
-      }
+      any_anti = detects_anti_edge(ui, i);
     }
     if (!any_anti) continue;
     fp.used_as_max[static_cast<std::size_t>(ui)] = 1;
@@ -294,12 +276,7 @@ void fingerprint_matching_into(State& st, int clique_id,
       int best = -1;
       std::uint64_t best_h = 0;
       for (int i = 0; i < sz; ++i) {
-        if (i == ui) continue;
-        if (fp.yv[static_cast<std::size_t>(i) * ktu +
-                  static_cast<std::size_t>(t)] ==
-            yk.maxima[static_cast<std::size_t>(t)]) {
-          continue;  // no anti-edge detected to u_i
-        }
+        if (!detects_anti_edge(ui, i)) continue;
         const auto hi = hash(static_cast<std::uint64_t>(i));
         if (best < 0 || hi < best_h || (hi == best_h && i < best)) {
           best = i;

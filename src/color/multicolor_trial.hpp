@@ -4,9 +4,9 @@
 // O(gamma^-1 log* n) rounds by trying exponentially growing pseudo-random
 // color sets: a vertex adopts a tried color iff it is free among colored
 // neighbors AND absent from every active neighbor's tried set. Color sets
-// are derived from O(log n)-bit seeds (DESIGN.md substitution #3 for the
-// paper's representative-set families), so one round moves O(log n) bits
-// plus an x-bit response bitmap.
+// are derived from O(log n)-bit seeds (substituting the paper's
+// representative-set families), so one round moves O(log n) bits plus an
+// x-bit response bitmap.
 #pragma once
 
 #include <functional>

@@ -6,8 +6,7 @@
 // Those values only leave the asymptotic regime at astronomical n, so every
 // formula is kept symbolic here with laptop-scale calibrated defaults; the
 // *shape* of each phase (what is constant, what scales with log* n, what
-// depends on d) is unchanged. DESIGN.md substitution #1, EXPERIMENTS.md
-// records the calibration used per experiment.
+// depends on d) is unchanged.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +49,7 @@ struct Params {
   int mct_max_rounds = 64;    // MultiColorTrial budget (O(γ^-1 log* n))
   // true: MultiColorTrial draws from genuine representative-set families
   // (Definition C.5 / Lemma C.6); false: seeded-PRG color sets with the
-  // same O(log n)-bit broadcast (DESIGN.md substitution #3).
+  // same O(log n)-bit broadcast.
   bool use_representative_sets = false;
 
   // --- colorful matching ---
@@ -60,8 +59,8 @@ struct Params {
   // --- put-aside sets / donation (Section 7) ---
   // |P_K| = max(2, putaside_factor*ell), capped by r_K. The paper sets
   // |P_K| = r_K = 250*ell; at laptop scale |P_K| must stay well below |K|
-  // for the independent-sampling step of Lemma 4.18 (DESIGN.md
-  // substitution #1). The reserved-color slack argument only needs
+  // for the independent-sampling step of Lemma 4.18. The reserved-color
+  // slack argument only needs
   // |P_K| >= 1 per cabal plus r_K >> e_v, both preserved.
   double putaside_factor = 1.0;
   double ls_factor = 1.0;    // ell_s = max(4, ls_factor*ell) (paper: ell^3)
@@ -80,7 +79,7 @@ struct Params {
   enum class Finisher { kRandomizedList, kLinial, kGhaffariKuhn };
   Finisher finisher = Finisher::kRandomizedList;
 
-  // --- Ghaffari-Kuhn knobs (Section 9.4; calibrated, DESIGN.md sub. #1) ---
+  // --- Ghaffari-Kuhn knobs (Section 9.4; calibrated) ---
   int gk_chunk_cap = 6;       // K <= cap chunks per recursion level
   double gk_round_eps = 0.5;  // eps per rounding step (paper Theta(1/(Qb)))
   int gk_s_cap = 8;           // cap on the defective schedule s_i

@@ -315,9 +315,8 @@ bool donate_for_cabal(const State& st, int k, const std::vector<int>& put,
   const int r = static_cast<int>(unmatched.size());
   const int b = st.params.block_size(st.h().n());
   const int ell_s = st.params.ell_s(st.h().n());
-  // Calibrated per-donor-set floor (paper: beta > 2*ell_s; see DESIGN.md
-  // substitution #1): enough donors that k samples w.h.p. dodge external
-  // conflicts.
+  // Calibrated per-donor-set floor (paper: beta > 2*ell_s): enough donors
+  // that k samples w.h.p. dodge external conflicts.
   const int s_min = std::max(
       2, std::min(ell_s, static_cast<int>(q_k.size()) / std::max(1, 2 * r)));
   const std::int64_t num_blocks = n_colors / b + 2;

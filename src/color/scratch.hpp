@@ -324,14 +324,13 @@ class TrialScratch {
   std::vector<int> fb_todo;
   std::vector<int> fb_next;
 
-  // Fingerprint-matching scratch (Algorithm 7): flat |K| x k_trials
-  // matrices plus the per-trial and per-member flag arrays that replaced
-  // the seed's unordered_map/unordered_set temporaries. Owned here so one
-  // State runs any number of fingerprint matchings allocation-free in
-  // steady state.
+  // Fingerprint-matching scratch (Algorithm 7): the flat |K| x k_trials
+  // draw matrix plus the per-trial and per-member flag arrays that
+  // replaced the seed's unordered_map/unordered_set temporaries. Owned
+  // here so one State runs any number of fingerprint matchings
+  // allocation-free in steady state.
   struct FingerprintScratch {
     std::vector<int> x;         // member x trial geometric draws (flat)
-    std::vector<int> yv;        // member x trial neighborhood maxima (flat)
     std::vector<int> argmax;    // per-trial unique-max member, or -1
     std::vector<int> trial_u;   // per-trial surviving u_i, or -1
     std::vector<int> trial_w;   // per-trial sampled anti-neighbor, or -1

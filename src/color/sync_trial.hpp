@@ -2,12 +2,12 @@
 //
 // Inside one almost-clique, the participating set S is enumerated with
 // prefix sums on a clique BFS tree (Lemma 3.3); the leader draws an
-// O(log n)-bit seed defining a pseudorandom permutation pi of [|S|]
-// (DESIGN.md substitution #2), and the i-th vertex tries the pi(i)-th
-// color of L(K) \ [r_K] fetched through the clique-palette query
-// (Lemma 4.8). Colors are distinct inside K by construction, so a vertex
-// is rejected only by external neighbors; w.h.p. at most O(max{e_K, ell})
-// members stay uncolored, even under adversarial external randomness.
+// O(log n)-bit seed defining a pseudorandom permutation pi of [|S|], and
+// the i-th vertex tries the pi(i)-th color of L(K) \ [r_K] fetched through
+// the clique-palette query (Lemma 4.8). Colors are distinct inside K by
+// construction, so a vertex is rejected only by external neighbors; w.h.p.
+// at most O(max{e_K, ell}) members stay uncolored, even under adversarial
+// external randomness.
 #pragma once
 
 #include <span>

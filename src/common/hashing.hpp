@@ -8,12 +8,11 @@
 // * FeistelPermutation — pseudorandom permutation of [n] keyed by an
 //                      O(log n)-bit seed; substitutes the paper's
 //                      pseudorandom permutation family in the synchronized
-//                      color trial (Lemma 4.13 / Appendix D.9). See
-//                      DESIGN.md substitution #2.
+//                      color trial (Lemma 4.13 / Appendix D.9).
 // * PseudorandomColorSet — seed-derived color subsets standing in for
 //                      representative sets (Definition C.5) inside
 //                      MultiColorTrial: an O(log n)-bit seed describes up
-//                      to Theta(log n) colors. DESIGN.md substitution #3.
+//                      to Theta(log n) colors.
 #pragma once
 
 #include <cstdint>

@@ -13,7 +13,7 @@
 // per-iteration defect increase by 2 W_v / s_i, and the geometric schedule
 // sum_i 2/s_i <= delta bounds the total.
 //
-// Calibration (DESIGN.md substitution #1): the paper's schedule
+// Calibration: the paper's schedule
 // s_i = 2^(t-i+2)/delta makes the fixpoint color count (s_0 tau)^2 explode
 // at laptop scale, so s_i is capped by Params::gk_s_cap; tests measure the
 // achieved defect against the delta target directly.

@@ -154,9 +154,7 @@ std::vector<std::pair<int, int>> Graph::edges() const {
   std::vector<std::pair<int, int>> out;
   out.reserve(static_cast<std::size_t>(m_));
   for (int u = 0; u < n(); ++u) {
-    for (const int v : neighbors(u)) {
-      if (u < v) out.emplace_back(u, v);
-    }
+    for (const int v : upper_neighbors(u)) out.emplace_back(u, v);
   }
   return out;
 }

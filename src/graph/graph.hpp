@@ -10,6 +10,7 @@
 // O(log deg) binary search otherwise.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -56,6 +57,14 @@ class Graph {
     CCG_ASSERT(finalized_);
     return static_cast<int>(offsets_[static_cast<std::size_t>(v) + 1] -
                             offsets_[static_cast<std::size_t>(v)]);
+  }
+  // v's neighbors above v: the tail of its sorted row. Walking every
+  // row's upper part visits each edge once, in edges() order, without
+  // materializing the edge list.
+  NeighborSpan upper_neighbors(int v) const {
+    const auto row = neighbors(v);
+    return row.subspan(static_cast<std::size_t>(
+        std::upper_bound(row.begin(), row.end(), v) - row.begin()));
   }
   bool has_edge(int u, int v) const;
 

@@ -143,7 +143,7 @@ void learn_colors(State& st, const std::vector<int>& S,
 
 // Random trials from the learned lists: used both for Shattering
 // (O(loglog n) rounds) and for finishing the shattered components
-// (randomized (deg+1)-list coloring; DESIGN.md substitution #4).
+// (randomized (deg+1)-list coloring).
 // Prunes *S in place down to the vertices still uncolored after `rounds`.
 void list_trial_rounds(State& st, std::vector<int>* S_ptr,
                        VertexLists& lists, int rounds, double activation) {
@@ -205,8 +205,8 @@ int next_prime(int x) {
   return x;
 }
 
-// Deterministic finisher for the shattered components (ablation for
-// DESIGN.md substitution #4): the classic Linial color reduction.
+// Deterministic finisher for the shattered components (ablation for the
+// randomized finisher): the classic Linial color reduction.
 //
 //  1. Component-local ids 1..N via BFS enumeration (Lemma 3.3).
 //  2. Repeat: view each current color as a degree-d polynomial over

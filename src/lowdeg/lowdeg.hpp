@@ -16,7 +16,7 @@
 // randomized (deg+1)-list coloring rounds — the paper derandomizes this
 // step with Ghaffari-Kuhn local rounding (Lemma 9.1) to strengthen the
 // success probability; the simulation runs the randomized finisher and
-// reports measured rounds (DESIGN.md substitution #4).
+// reports measured rounds.
 #pragma once
 
 #include "color/pipeline.hpp"

@@ -148,20 +148,21 @@ void edge_union_estimates_into(cluster::Runtime& rt,
                                const CountOptions& opt,
                                std::vector<double>* out) {
   const auto& h = rt.h();
-  const auto edges = h.edges();
-  out->resize(edges.size());
+  out->resize(static_cast<std::size_t>(h.m()));
   int max_bits = 0;
   Fingerprint joint;  // one buffer reused across every edge
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    const auto& [u, v] = edges[e];
+  std::size_t e = 0;  // upper-triangle walk: h.edges() order
+  for (int u = 0; u < h.n(); ++u) {
     const auto& mu = neighborhood.maxima[static_cast<std::size_t>(u)].maxima;
-    joint.maxima.assign(mu.begin(), mu.end());
-    combine_into(joint, neighborhood.maxima[static_cast<std::size_t>(v)]);
-    if (opt.measure_bits) {
-      max_bits = std::max(max_bits,
-                          joint.empty_set() ? 1 : encoded_bits(joint));
+    for (const int v : h.upper_neighbors(u)) {
+      joint.maxima.assign(mu.begin(), mu.end());
+      combine_into(joint, neighborhood.maxima[static_cast<std::size_t>(v)]);
+      if (opt.measure_bits) {
+        max_bits = std::max(max_bits,
+                            joint.empty_set() ? 1 : encoded_bits(joint));
+      }
+      (*out)[e++] = estimate_count(joint);
     }
-    (*out)[e] = estimate_count(joint);
   }
   if (opt.charge) {
     // Endpoint machines of each link exchange their cluster's fingerprint

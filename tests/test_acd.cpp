@@ -1,11 +1,16 @@
 // Tests: almost-clique decomposition (Section 5.4, Prop 4.3, Def 4.2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "acd/acd.hpp"
 #include "cluster/cluster_graph.hpp"
 #include "cluster/runtime.hpp"
+#include "exec/parallel_round.hpp"
 #include "graph/generators.hpp"
 
 namespace ccg::acd {
@@ -140,6 +145,186 @@ TEST(Acd, AnnotateDenseClassifiesCabals) {
   info = annotate_dense(rt, res, /*ell=*/2.0, 64, false, rng);
   for (int k = 0; k < res.num_cliques; ++k) {
     EXPECT_FALSE(info.is_cabal[k]);
+  }
+}
+
+// C_n(±1..k): vertex i is adjacent to i±1, ..., i±k (mod n), so Delta =
+// 2k, and an edge between vertices at distance d has |N(u) ∪ N(v)| =
+// 2k + 1 + d.
+graph::Graph circulant_band(int n, int k) {
+  graph::Graph g(n);
+  for (int i = 0; i < n; ++i) {
+    for (int d = 1; d <= k; ++d) g.add_edge(i, (i + d) % n);
+  }
+  g.finalize();
+  return g;
+}
+
+TEST(Acd, OracleFailsAfterOneDeterministicAttempt) {
+  // At eps 0.3 every vertex of C_256(±1..32) is a dense candidate and the
+  // buddy graph is one 256-vertex component, past the (1 + 3 eps) Delta
+  // size cap of 122. The oracle draws nothing, so a retry would repeat
+  // the same merge: it fails after one attempt's 8 H-rounds.
+  const auto g = circulant_band(256, 32);
+  const auto cg = cluster::ClusterGraph::singleton(g);
+  net::Ledger ledger(cg.default_bandwidth());
+  cluster::Runtime rt(cg, ledger);
+  ASSERT_EQ(rt.delta(), 64);
+  AcdParams params;
+  params.eps = 0.3;
+  params.use_fingerprints = false;
+  Rng rng(3);
+  try {
+    compute_acd(rt, params, rng);
+    FAIL() << "merged oracle decomposition accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("AcdParams::eps"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(ledger.h_rounds(), 8);
+}
+
+// The oracle decomposition by its definition: explicit set unions per
+// edge, the high-degree filter, the buddy-degree threshold and the
+// components of the candidate-restricted buddy graph, numbered by their
+// smallest vertex.
+struct ReferenceAcd {
+  std::vector<std::vector<int>> buddies;  // sorted, per vertex
+  std::vector<int> clique_of;
+  std::vector<std::vector<int>> members;
+  int boundary_buddies = 0;   // buddy edges with union == floor((1+xi)D)
+  int boundary_rejects = 0;   // high-high edges with union == that + 1
+};
+
+ReferenceAcd reference_oracle_acd(const graph::Graph& g, double xi) {
+  const int n = g.n();
+  const int delta = g.max_degree();
+  const auto limit = static_cast<int>(std::floor((1.0 + xi) * delta));
+  ReferenceAcd ref;
+  ref.buddies.resize(n);
+  std::vector<bool> high(n);
+  for (int v = 0; v < n; ++v) high[v] = g.degree(v) >= (1.0 - 2.0 * xi) * delta;
+  for (const auto& [u, v] : g.edges()) {
+    std::set<int> uni(g.neighbors(u).begin(), g.neighbors(u).end());
+    uni.insert(g.neighbors(v).begin(), g.neighbors(v).end());
+    const int size = static_cast<int>(uni.size());
+    if (!high[u] || !high[v]) continue;
+    ref.boundary_rejects += size == limit + 1;
+    if (size > (1.0 + xi) * delta) continue;
+    ref.boundary_buddies += size == limit;
+    ref.buddies[u].push_back(v);
+    ref.buddies[v].push_back(u);
+  }
+  for (auto& b : ref.buddies) std::sort(b.begin(), b.end());
+  std::vector<bool> candidate(n);
+  for (int v = 0; v < n; ++v) {
+    candidate[v] = ref.buddies[v].size() >= (1.0 - 2.0 * xi) * delta;
+  }
+  ref.clique_of.assign(n, -1);
+  std::vector<bool> seen(n, false);
+  for (int src = 0; src < n; ++src) {
+    if (!candidate[src] || seen[src]) continue;
+    std::vector<int> comp{src};
+    seen[src] = true;
+    for (std::size_t i = 0; i < comp.size(); ++i) {
+      for (const int u : ref.buddies[comp[i]]) {
+        if (candidate[u] && !seen[u]) {
+          seen[u] = true;
+          comp.push_back(u);
+        }
+      }
+    }
+    if (static_cast<int>(comp.size()) < std::max(2, delta / 2)) continue;
+    std::sort(comp.begin(), comp.end());
+    for (const int v : comp) {
+      ref.clique_of[v] = static_cast<int>(ref.members.size());
+    }
+    ref.members.push_back(comp);
+  }
+  return ref;
+}
+
+// Dense rows first: an almost-clique on vertices [0, 48) plus a sparse
+// tail, so nearly all of the oracle's row work sits in the first rows.
+graph::Graph hub_rows_graph() {
+  Rng rng(17);
+  const int n = 400, hubs = 48;
+  graph::Graph g(n);
+  for (int u = 0; u < hubs; ++u) {
+    for (int v = u + 1; v < hubs; ++v) {
+      if ((u + v) % 11 != 0) g.add_edge(u, v);  // a few anti-edges
+    }
+    for (int j = 0; j < 3; ++j) {
+      g.add_edge(u, hubs + 3 * u + j);  // private external neighbors
+    }
+  }
+  for (int v = hubs; v < n; ++v) {
+    const int u = hubs + static_cast<int>(rng.next_below(n - hubs));
+    if (u > v + 150) g.add_edge(v, u);  // sparse, duplicate-free tail
+  }
+  g.finalize();
+  return g;
+}
+
+TEST(Acd, OracleMatchesSetUnionReference) {
+  Rng rng(91);
+  graph::PlantedSpec spec;
+  spec.delta = 40;
+  spec.num_cliques = 3;
+  spec.anti_deg = 2;
+  spec.external_deg = 4;
+  spec.num_sparse = 60;
+  spec.sparse_avg_deg = 12.0;
+  const auto planted = graph::make_planted_acd(spec, rng);
+  struct Case {
+    const char* name;
+    graph::Graph g;
+    double eps;
+  };
+  // C_36(±1..10) at eps 0.3: floor(1.3 * 20) = 26 = 21 + d for d = 5, so
+  // distance-5 edges sit exactly on the buddy bound and distance-6 edges
+  // one past it.
+  const std::vector<Case> cases = {
+      {"planted", planted.g, 0.2},
+      {"boundary", circulant_band(36, 10), 0.3},
+      {"hub rows", hub_rows_graph(), 0.2},
+  };
+  for (const auto& c : cases) {
+    const auto ref = reference_oracle_acd(c.g, c.eps);
+    if (std::string(c.name) == "boundary") {
+      EXPECT_GT(ref.boundary_buddies, 0);
+      EXPECT_GT(ref.boundary_rejects, 0);
+    }
+    ASSERT_FALSE(ref.members.empty()) << c.name;
+    const auto cg = cluster::ClusterGraph::singleton(c.g);
+    for (const int threads : {1, 2, 8}) {
+      const std::string label =
+          std::string(c.name) + " threads=" + std::to_string(threads);
+      net::Ledger ledger(cg.default_bandwidth());
+      cluster::Runtime rt(cg, ledger);
+      exec::ParallelRound par(threads);
+      AcdParams params;
+      params.eps = c.eps;
+      params.use_fingerprints = false;
+      params.par = &par;
+      StreamCtx streams(5);
+      AcdScratch scratch;
+      AcdResult res;
+      compute_acd(rt, params, streams, &res, &scratch);
+      for (int v = 0; v < c.g.n(); ++v) {
+        const std::vector<int> got(
+            scratch.buddy_adj.begin() + scratch.buddy_off[v],
+            scratch.buddy_adj.begin() + scratch.buddy_off[v + 1]);
+        ASSERT_EQ(got, ref.buddies[v]) << label << " vertex " << v;
+      }
+      EXPECT_EQ(res.clique_of, ref.clique_of) << label;
+      ASSERT_EQ(res.num_cliques, static_cast<int>(ref.members.size()))
+          << label;
+      for (int k = 0; k < res.num_cliques; ++k) {
+        EXPECT_EQ(res.members[k], ref.members[k]) << label << " clique " << k;
+      }
+    }
   }
 }
 

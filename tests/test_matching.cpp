@@ -2,10 +2,13 @@
 // (Section 6, Algorithm 7).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 
 #include "color/matching.hpp"
+#include "common/hashing.hpp"
 #include "helpers.hpp"
 
 namespace ccg::color {
@@ -114,6 +117,126 @@ TEST(FingerprintMatching, EmptyOnTrueClique) {
                                               31, 8.0);
   const auto pairs = fingerprint_matching(*f->st, 0);
   EXPECT_TRUE(pairs.empty());
+}
+
+// Algorithm 7 as the paper states it, kept as a brute-force reference for
+// fingerprint_matching_into: every member's in-clique neighborhood maxima
+// Y_v are built explicitly, and A_i = {v != u_i : Y_v != Y_K}. Sequential
+// and uncharged, it draws the same (round, entity) streams as the library
+// routine, so both must return the same pairs on identical states.
+std::vector<std::pair<int, int>> reference_yv_matching(
+    State& st, const std::vector<int>& members) {
+  const auto& h = st.h();
+  const int sz = static_cast<int>(members.size());
+  if (sz < 2) return {};
+  const int k = std::max(
+      8, static_cast<int>(std::lround(st.params.cabal_matching_kfactor *
+                                      std::log2(std::max(4, h.n())))));
+  std::vector<std::vector<int>> x(sz, std::vector<int>(k));
+  st.bump_trial_round();
+  for (int i = 0; i < sz; ++i) {
+    Rng rng = st.trial_rng(static_cast<std::uint64_t>(members[i]));
+    for (int t = 0; t < k; ++t) x[i][t] = rng.next_geometric_half();
+  }
+  std::vector<int> yk(k, sketch::kEmpty);
+  for (int i = 0; i < sz; ++i) {
+    for (int t = 0; t < k; ++t) yk[t] = std::max(yk[t], x[i][t]);
+  }
+  std::map<int, int> local;
+  for (int i = 0; i < sz; ++i) local[members[i]] = i;
+  std::vector<std::vector<int>> yv(sz, std::vector<int>(k, -1));
+  for (int i = 0; i < sz; ++i) {
+    for (const int u : h.neighbors(members[i])) {
+      const auto it = local.find(u);
+      if (it == local.end()) continue;
+      for (int t = 0; t < k; ++t) {
+        yv[i][t] = std::max(yv[i][t], x[it->second][t]);
+      }
+    }
+  }
+  std::vector<int> trial_u(k, -1);
+  std::vector<bool> used_as_max(sz, false);
+  for (int t = 0; t < k; ++t) {
+    int count = 0, ui = -1;
+    for (int i = 0; i < sz; ++i) {
+      if (x[i][t] == yk[t]) {
+        ++count;
+        ui = i;
+      }
+    }
+    if (count != 1 || used_as_max[ui]) continue;
+    bool any_anti = false;
+    for (int i = 0; i < sz; ++i) any_anti |= i != ui && yv[i][t] != yk[t];
+    if (!any_anti) continue;
+    used_as_max[ui] = true;
+    trial_u[t] = ui;
+  }
+  std::vector<int> trial_w(k, -1);
+  st.bump_trial_round();
+  for (int t = 0; t < k; ++t) {
+    const int ui = trial_u[t];
+    if (ui < 0) continue;
+    Rng rng = st.trial_rng(static_cast<std::uint64_t>(t));
+    MinWiseHash hash(static_cast<std::uint64_t>(std::max(2, sz)), 0.5, rng);
+    std::uint64_t best_h = 0;
+    for (int i = 0; i < sz; ++i) {
+      if (i == ui || yv[i][t] == yk[t]) continue;
+      const auto hi = hash(static_cast<std::uint64_t>(i));
+      if (trial_w[t] < 0 || hi < best_h) {
+        trial_w[t] = i;
+        best_h = hi;
+      }
+    }
+  }
+  std::vector<bool> sampled_w(sz, false), w_seen(sz, false);
+  for (int t = 0; t < k; ++t) {
+    if (trial_w[t] >= 0) sampled_w[trial_w[t]] = true;
+  }
+  std::vector<std::pair<int, int>> pairs;
+  for (int t = 0; t < k; ++t) {
+    const int ui = trial_u[t], wi = trial_w[t];
+    if (ui < 0 || wi < 0 || sampled_w[ui] || w_seen[wi]) continue;
+    w_seen[wi] = true;
+    pairs.emplace_back(members[ui], members[wi]);
+  }
+  return pairs;
+}
+
+TEST(FingerprintMatching, MatchesYvReference) {
+  // On a unique-maximum trial, Y_v == Y_K iff v is adjacent to u_i: the
+  // adjacency test must pick exactly the pairs the Y_v matrix picks, for
+  // whole cliques and member subsets, at every worker count.
+  std::size_t total_pairs = 0;
+  for (const int anti : {1, 2, 4}) {
+    for (const int threads : {1, 4}) {
+      for (const bool use_subset : {false, true}) {
+        color::Params params;
+        params.seed = 31 + anti;
+        const auto spec = cabal_spec(100, anti, 4);
+        auto lib = ccg::testing::make_planted_fixture(spec, params, 41 + anti,
+                                                      8.0, threads);
+        auto ref = ccg::testing::make_planted_fixture(spec, params, 41 + anti,
+                                                      8.0, threads);
+        for (int k = 0; k < 3; ++k) {
+          std::vector<int> members = lib->st->dc.acd.members[k];
+          if (use_subset) {
+            std::vector<int> sub;
+            for (std::size_t i = 0; i < members.size(); ++i) {
+              if (i % 3 != 0) sub.push_back(members[i]);
+            }
+            members = sub;
+          }
+          const auto got = fingerprint_matching(
+              *lib->st, k, use_subset ? &members : nullptr);
+          const auto want = reference_yv_matching(*ref->st, members);
+          EXPECT_EQ(got, want) << "anti=" << anti << " threads=" << threads
+                               << " subset=" << use_subset << " clique " << k;
+          total_pairs += want.size();
+        }
+      }
+    }
+  }
+  EXPECT_GT(total_pairs, 0u);
 }
 
 TEST(MatchingDeterminism, BitIdenticalAcrossThreadCounts) {
