@@ -243,22 +243,26 @@ int main(int argc, char** argv) {
                                       warmup, reps));
   }
 
-  // Totals per thread count (min estimator, matching the schema-v1 total).
-  std::vector<double> total_by_threads(kThreadCounts.size(), 0.0);
-  std::vector<double> total_mean_by_threads(kThreadCounts.size(), 0.0);
+  // Totals per thread count: sums over instances of each estimator (min,
+  // matching the schema-v1 total, then the quartiles and the mean).
+  std::vector<bench::TimedStats> totals(kThreadCounts.size());
   for (const auto& r : rows) {
     std::vector<std::string> cells = {r.name, bench::fmt(r.n),
                                       bench::fmt(r.delta),
                                       bench::fmt(r.h_rounds)};
     for (std::size_t t = 0; t < kThreadCounts.size(); ++t) {
-      total_by_threads[t] += r.by_threads[t].stats.min_ns;
-      total_mean_by_threads[t] += r.by_threads[t].stats.mean_ns;
-      cells.push_back(bench::fmt(r.by_threads[t].stats.min_ns / 1e6));
+      const auto& st = r.by_threads[t].stats;
+      totals[t].min_ns += st.min_ns;
+      totals[t].p25_ns += st.p25_ns;
+      totals[t].median_ns += st.median_ns;
+      totals[t].p75_ns += st.p75_ns;
+      totals[t].mean_ns += st.mean_ns;
+      cells.push_back(bench::fmt(st.min_ns / 1e6));
     }
     bench::row(cells);
   }
-  const double total_wall_ns = total_by_threads.front();
-  const double total_mean_ns = total_mean_by_threads.front();
+  const double total_wall_ns = totals.front().min_ns;
+  const double total_mean_ns = totals.front().mean_ns;
 
   const auto micro = run_try_color_micro(warmup, reps);
   bench::row({"try_color_round", "2000", "-", "-",
@@ -334,9 +338,12 @@ int main(int argc, char** argv) {
   for (std::size_t t = 0; t < kThreadCounts.size(); ++t) {
     j.begin_object();
     j.key("threads").value(kThreadCounts[t]);
-    j.key("total_wall_ns").value(total_by_threads[t]);
-    j.key("total_mean_ns").value(total_mean_by_threads[t]);
-    j.key("speedup_vs_t1").value(total_wall_ns / total_by_threads[t]);
+    j.key("total_wall_ns").value(totals[t].min_ns);
+    j.key("total_p25_ns").value(totals[t].p25_ns);
+    j.key("total_median_ns").value(totals[t].median_ns);
+    j.key("total_p75_ns").value(totals[t].p75_ns);
+    j.key("total_mean_ns").value(totals[t].mean_ns);
+    j.key("speedup_vs_t1").value(total_wall_ns / totals[t].min_ns);
     j.end_object();
   }
   j.end_array();
@@ -359,7 +366,7 @@ int main(int argc, char** argv) {
               total_wall_ns / 1e6);
   for (std::size_t t = 1; t < kThreadCounts.size(); ++t) {
     std::printf(", t=%d %.2fx", kThreadCounts[t],
-                total_wall_ns / total_by_threads[t]);
+                total_wall_ns / totals[t].min_ns);
   }
   if (baseline_ns > 0) {
     std::printf("; baseline %.1f ms, speedup %.2fx", baseline_ns / 1e6,

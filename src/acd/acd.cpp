@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 
+#include "common/bits.hpp"
 #include "common/mathutil.hpp"
 #include "exec/parallel_round.hpp"
 #include "graph/stats.hpp"
@@ -14,36 +16,40 @@ namespace ccg::acd {
 
 namespace {
 
-// Oracle buddy test for one edge {u, v} against u's stamps (stamp[w] == u
-// iff w in N(u)): |N(u) ∪ N(v)| <= limit iff |N(u) ∩ N(v)| >= need with
-// need = deg u + deg v - limit. N(v) is scanned in blocks with independent
-// accumulators and one exit check per block, which stops as soon as the
-// count reaches `need` (Yes) or cannot reach it even if every remaining
-// entry matched (No). A check per element serializes the scan on its
-// branch; a block keeps the loads independent.
-bool shares_at_least(graph::NeighborSpan nv, const int* stamp, int u,
-                     std::int64_t need) {
-  constexpr std::size_t kBlock = 32;
-  const std::size_t d = nv.size();
+// Oracle buddy test for one edge {u, v}: |N(u) ∪ N(v)| <= limit iff
+// |N(u) ∩ N(v)| >= need with need = deg u + deg v - limit. `row` is N(u)
+// as a dense bitset and `nv` is N(v) packed, so each packed word adds
+// popcount(row[word] & mask) to the intersection. The words are summed in
+// blocks with independent accumulators and one exit check per block,
+// which stops as soon as the count reaches `need` (Yes) or cannot reach
+// it even if every unseen neighbor of v matched (No). A check per word
+// serializes the scan on its branch; a block keeps the loads independent.
+bool shares_at_least(const std::uint64_t* row,
+                     std::span<const NeighborWord> nv, std::int64_t need) {
+  constexpr std::size_t kBlock = 8;
+  const std::size_t words = nv.size();
+  const std::int64_t deg = words == 0 ? 0 : nv[words - 1].upto;
   if (need <= 0) return true;
-  if (need > static_cast<std::int64_t>(d)) return false;
+  if (need > deg) return false;
+  const auto common_in = [&](std::size_t j) {
+    return bits::popcount64(row[nv[j].word] & nv[j].mask);
+  };
   std::int64_t common = 0;
   std::size_t i = 0;
-  for (; i + kBlock <= d; i += kBlock) {
+  for (; i + kBlock <= words; i += kBlock) {
     int c0 = 0, c1 = 0, c2 = 0, c3 = 0;
     for (std::size_t j = i; j < i + kBlock; j += 4) {
-      c0 += stamp[nv[j]] == u;
-      c1 += stamp[nv[j + 1]] == u;
-      c2 += stamp[nv[j + 2]] == u;
-      c3 += stamp[nv[j + 3]] == u;
+      c0 += common_in(j);
+      c1 += common_in(j + 1);
+      c2 += common_in(j + 2);
+      c3 += common_in(j + 3);
     }
     common += c0 + c1 + c2 + c3;
-    if (common >= need ||
-        common + static_cast<std::int64_t>(d - i - kBlock) < need) {
+    if (common >= need || common + (deg - nv[i + kBlock - 1].upto) < need) {
       return common >= need;
     }
   }
-  for (; i < d; ++i) common += stamp[nv[i]] == u;
+  for (; i < words; ++i) common += common_in(i);
   return common >= need;
 }
 
@@ -77,51 +83,109 @@ int part_begin(const std::vector<std::int64_t>& off, int parts,
                           off.begin());
 }
 
+// Runs fn(worker, u) for every row u, the rows split into one run per
+// worker of about equal weight (off: row_prefix output).
+template <class Fn>
+void for_rows_by_weight(exec::ParallelRound* par,
+                        const std::vector<std::int64_t>& off, Fn&& fn) {
+  const int parts = par ? par->workers() : 1;
+  exec::shards_or_inline(par, parts, [&](int w, std::int64_t b,
+                                         std::int64_t e) {
+    const int row_end = part_begin(off, parts, e);
+    for (int u = part_begin(off, parts, b); u < row_end; ++u) fn(w, u);
+  });
+}
+
+// Packs N(v) of every high vertex into one NeighborWord per 64-bit word it
+// occupies: a per-row word count, then one fill sharded by those counts.
+// CSR rows are sorted, so a row's words come out ascending and the
+// neighbors sharing a word are adjacent.
+void pack_high_rows(const graph::Graph& h, exec::ParallelRound* par,
+                    AcdScratch& s) {
+  row_prefix(
+      h, par,
+      [&](int v) {
+        if (!s.high[static_cast<std::size_t>(v)]) return std::int64_t{0};
+        std::int64_t words = 0;
+        int last = -1;
+        for (const int w : h.neighbors(v)) {
+          words += (w >> 6) != last;
+          last = w >> 6;
+        }
+        return words;
+      },
+      &s.word_off);
+  s.packed.resize(static_cast<std::size_t>(s.word_off.back()));
+  for_rows_by_weight(par, s.word_off, [&](int, int v) {
+    if (!s.high[static_cast<std::size_t>(v)]) return;
+    const auto nv = h.neighbors(v);
+    NeighborWord* out =
+        s.packed.data() + s.word_off[static_cast<std::size_t>(v)];
+    for (std::size_t i = 0; i < nv.size();) {
+      const int word = nv[i] >> 6;
+      std::uint64_t mask = 0;
+      for (; i < nv.size() && (nv[i] >> 6) == word; ++i) {
+        mask |= std::uint64_t{1} << (nv[i] & 63);
+      }
+      *out++ = {mask, word, static_cast<std::int32_t>(i)};
+    }
+  });
+}
+
 // Oracle buddy flags: the flag of upper-triangle slot {u, v} is 1 iff both
 // endpoints pass the high-degree filter and |N(u) ∪ N(v)| <= limit. Only
-// rows of high vertices do work: row u stamps N(u) and scans N(v) for each
-// high upper neighbor v. Rows are sharded by a prefix sum of that work,
-// each worker keeping a private stamp array; every slot is written by the
-// one shard owning its row, so the flags are partition-independent.
+// rows of high vertices do work: row u loads its packed words into the
+// worker's dense bitset, tests each high upper neighbor v against it and
+// clears the words again. Rows are sharded by a prefix sum of the packed
+// words they read; every slot is written by the one shard owning its row,
+// so the flags are partition-independent.
 void oracle_buddy_flags(const graph::Graph& h, exec::ParallelRound* par,
                         std::int64_t limit, AcdScratch& s) {
-  const auto nu = static_cast<std::size_t>(h.n());
+  pack_high_rows(h, par, s);
+  const auto packed_row = [&s](int v) {
+    const auto b = s.word_off[static_cast<std::size_t>(v)];
+    return std::span<const NeighborWord>(
+        s.packed.data() + b,
+        static_cast<std::size_t>(s.word_off[static_cast<std::size_t>(v) + 1] -
+                                 b));
+  };
   row_prefix(
       h, par,
       [&](int u) {
-        if (!s.high[static_cast<std::size_t>(u)]) return std::int64_t{0};
-        std::int64_t work = h.degree(u);
+        // Low vertices pack no words, so they add no work.
+        auto work = static_cast<std::int64_t>(packed_row(u).size());
+        if (work == 0) return work;
         for (const int v : h.upper_neighbors(u)) {
-          if (s.high[static_cast<std::size_t>(v)]) work += h.degree(v);
+          work += static_cast<std::int64_t>(packed_row(v).size());
         }
         return work;
       },
       &s.work_off);
   const int parts = par ? par->workers() : 1;
-  if (s.stamps.size() < static_cast<std::size_t>(parts)) {
-    s.stamps.resize(static_cast<std::size_t>(parts));
+  if (s.row_bits.size() < static_cast<std::size_t>(parts)) {
+    s.row_bits.resize(static_cast<std::size_t>(parts));
   }
-  exec::shards_or_inline(par, parts, [&](int w, std::int64_t b,
-                                         std::int64_t e) {
-    auto& stamp = s.stamps[static_cast<std::size_t>(w)];
-    stamp.assign(nu, -1);
-    const int row_end = part_begin(s.work_off, parts, e);
-    for (int u = part_begin(s.work_off, parts, b); u < row_end; ++u) {
-      const auto up = h.upper_neighbors(u);
-      char* flag = s.buddy.data() + s.slot_off[static_cast<std::size_t>(u)];
-      const bool high_u = s.high[static_cast<std::size_t>(u)];
-      if (high_u) {
-        for (const int x : h.neighbors(u)) {
-          stamp[static_cast<std::size_t>(x)] = u;
-        }
-      }
-      for (std::size_t j = 0; j < up.size(); ++j) {
-        const int v = up[j];
-        flag[j] = high_u && s.high[static_cast<std::size_t>(v)] &&
-                  shares_at_least(h.neighbors(v), stamp.data(), u,
-                                  h.degree(u) + h.degree(v) - limit);
-      }
+  for (int w = 0; w < parts; ++w) {
+    s.row_bits[static_cast<std::size_t>(w)].assign(
+        (static_cast<std::size_t>(h.n()) + 63) / 64, 0);
+  }
+  for_rows_by_weight(par, s.work_off, [&](int w, int u) {
+    const auto up = h.upper_neighbors(u);
+    char* flag = s.buddy.data() + s.slot_off[static_cast<std::size_t>(u)];
+    if (!s.high[static_cast<std::size_t>(u)]) {
+      std::fill(flag, flag + up.size(), 0);
+      return;
     }
+    std::uint64_t* row = s.row_bits[static_cast<std::size_t>(w)].data();
+    const auto nu = packed_row(u);
+    for (const auto& x : nu) row[x.word] = x.mask;
+    for (std::size_t j = 0; j < up.size(); ++j) {
+      const int v = up[j];
+      flag[j] = s.high[static_cast<std::size_t>(v)] &&
+                shares_at_least(row, packed_row(v),
+                                h.degree(u) + h.degree(v) - limit);
+    }
+    for (const auto& x : nu) row[x.word] = 0;
   });
 }
 

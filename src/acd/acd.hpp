@@ -39,9 +39,9 @@ struct AcdParams {
   bool use_fingerprints = true;  // false -> exact oracle mode (same cost)
   bool measure_bits = true;
   // Optional round engine: parallelizes the fingerprint sampling, the
-  // oracle buddy test (the pipeline's dominant per-edge cost) and the
-  // buddy-graph build over CSR rows. Results are identical with or
-  // without it.
+  // oracle's row packing and buddy test (the decomposition's dominant
+  // per-edge cost) and the buddy-graph build over CSR rows. Results are
+  // identical with or without it.
   exec::ParallelRound* par = nullptr;
 };
 
@@ -64,6 +64,15 @@ struct AcdResult {
   }
 };
 
+// One 64-bit word of a packed neighborhood: the neighbors w of a vertex
+// with w / 64 == word are the set bits w % 64 of mask, and `upto` counts
+// the vertex's neighbors in this word and the words before it.
+struct NeighborWord {
+  std::uint64_t mask = 0;
+  std::int32_t word = 0;
+  std::int32_t upto = 0;
+};
+
 // Grow-only working storage for compute_acd/annotate_dense. Owned by the
 // caller (color::State keeps one per arena) so back-to-back jobs on warm
 // state run the whole decomposition without heap traffic. A "slot" is one
@@ -72,10 +81,16 @@ struct AcdScratch {
   std::vector<double> union_est;        // fingerprint |N(u) ∪ N(v)| per slot
   std::vector<char> buddy;              // buddy flag per slot
   std::vector<char> high, candidate;    // per vertex
-  // Per-row prefix sums: slots (row u owns [slot_off[u], slot_off[u+1]))
-  // and oracle scan work, the two ways rows are sharded.
-  std::vector<std::int64_t> slot_off, work_off;
-  std::vector<std::vector<int>> stamps;   // oracle stamp array per worker
+  // Per-row prefix sums: slots (row u owns [slot_off[u], slot_off[u+1])),
+  // packed words (row v owns [word_off[v], word_off[v+1]) of `packed`)
+  // and oracle scan work.
+  std::vector<std::int64_t> slot_off, word_off, work_off;
+  // Oracle mode: N(v) of every high vertex as one NeighborWord per 64-bit
+  // word it occupies (none for low vertices), and per worker a dense
+  // bitset of ceil(n / 64) words that holds the row being scanned and is
+  // all zero between rows.
+  std::vector<NeighborWord> packed;
+  std::vector<std::vector<std::uint64_t>> row_bits;
   std::vector<std::vector<int>> cursors;  // buddy-CSR counts, then cursors,
                                           // per vertex and row part
   // Fingerprint mode: raw per-vertex samples and the aggregated counts

@@ -1,11 +1,16 @@
-// Portable single-word bit primitives for the palette layer.
+// Portable single-word bit primitives for the palette layer and the
+// oracle ACD.
 //
 // The word-parallel color sets (color/color_set.hpp) reduce every
-// free-color scan to ctz/popcount over 64-bit words. GCC and clang map
-// these to single instructions via __builtin_ctzll/__builtin_popcountll;
-// other compilers (or -DCCG_BITS_FORCE_FALLBACK for testing) get the
-// plain-loop fallbacks below. The fallbacks are always compiled and unit
-// tested against the builtin path so they cannot rot.
+// free-color scan to ctz/popcount over 64-bit words, and the oracle buddy
+// test (acd/acd.cpp) intersects packed neighborhoods by popcount. GCC and
+// clang map these to __builtin_ctzll/__builtin_popcountll. The popcount
+// builtin is one instruction only where the target has one: libccg is
+// built with -mpopcnt where the compiler accepts it (CMakeLists.txt);
+// without it, GCC on x86-64 calls libgcc's __popcountdi2. Other compilers
+// (or -DCCG_BITS_FORCE_FALLBACK for testing) get the plain-loop fallbacks
+// below. The fallbacks are always compiled and unit tested against the
+// builtin path so they cannot rot.
 #pragma once
 
 #include <cstdint>

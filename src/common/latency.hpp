@@ -3,9 +3,9 @@
 // Two tools live here:
 //
 //  * TimedStats / timed(): the wall-clock measurement harness (explicit
-//    warmup + repetitions, min/mean/max, ns/op) every bench binary uses —
-//    moved out of bench/util.hpp so library code (the server's SLO
-//    report) and the benches share one implementation.
+//    warmup + repetitions, min/quartiles/mean/max, ns/op) every bench
+//    binary uses — moved out of bench/util.hpp so library code (the
+//    server's SLO report) and the benches share one implementation.
 //
 //  * LatencyHistogram: a lock-free log2-bucketed latency reservoir for
 //    the serving SLO metrics (p50/p95/p99 per job class). Each scheduler
@@ -24,7 +24,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 
+#include "common/assert.hpp"
 #include "common/thread_safety.hpp"
 
 namespace ccg {
@@ -33,9 +35,13 @@ namespace ccg {
 //
 // Wall-clock measurement with explicit warmup and repetition control. The
 // reported figure is the *minimum* over repetitions (least-noise estimator
-// for a deterministic workload); mean and max ride along for dispersion.
+// for a deterministic workload); the quartiles, mean and max ride along
+// for dispersion.
 struct TimedStats {
   double min_ns = 0;
+  double p25_ns = 0;
+  double median_ns = 0;
+  double p75_ns = 0;
   double mean_ns = 0;
   double max_ns = 0;
   int reps = 0;
@@ -46,25 +52,46 @@ struct TimedStats {
   }
 };
 
+// q-quantile of n >= 1 ascending samples, interpolated linearly between
+// the two nearest ranks.
+inline double sorted_quantile(const double* x, int n, double q) {
+  const double pos = q * static_cast<double>(n - 1);
+  const int lo = static_cast<int>(pos);
+  const int hi = std::min(lo + 1, n - 1);
+  return x[lo] + (pos - lo) * (x[hi] - x[lo]);
+}
+
+// The quartiles need every sample. They live in a fixed buffer, so timing
+// allocates nothing (the alloc-gated benches count allocations across a
+// timed() call), which caps the repetitions.
+inline constexpr int kTimedMaxReps = 64;
+
 template <class F>
 inline TimedStats timed(F&& fn, int warmup, int reps, std::int64_t ops = 1) {
+  CCG_CHECK_MSG(reps <= kTimedMaxReps,
+                "timed(): " << reps << " reps, at most " << kTimedMaxReps);
   using clock = std::chrono::steady_clock;
   for (int i = 0; i < warmup; ++i) fn();
   TimedStats st;
   st.reps = reps;
   st.ops = ops;
+  std::array<double, kTimedMaxReps> ns{};
   for (int i = 0; i < reps; ++i) {
     const auto t0 = clock::now();
     fn();
     const auto t1 = clock::now();
-    const double ns = static_cast<double>(
+    ns[i] = static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
             .count());
-    st.min_ns = (i == 0) ? ns : std::min(st.min_ns, ns);
-    st.max_ns = std::max(st.max_ns, ns);
-    st.mean_ns += ns;
   }
-  if (reps > 0) st.mean_ns /= reps;
+  if (reps <= 0) return st;
+  std::sort(ns.begin(), ns.begin() + reps);
+  st.min_ns = ns[0];
+  st.p25_ns = sorted_quantile(ns.data(), reps, 0.25);
+  st.median_ns = sorted_quantile(ns.data(), reps, 0.5);
+  st.p75_ns = sorted_quantile(ns.data(), reps, 0.75);
+  st.max_ns = ns[static_cast<std::size_t>(reps) - 1];
+  st.mean_ns = std::accumulate(ns.begin(), ns.begin() + reps, 0.0) / reps;
   return st;
 }
 

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -150,11 +151,21 @@ TEST(Acd, AnnotateDenseClassifiesCabals) {
 
 // C_n(±1..k): vertex i is adjacent to i±1, ..., i±k (mod n), so Delta =
 // 2k, and an edge between vertices at distance d has |N(u) ∪ N(v)| =
-// 2k + 1 + d.
-graph::Graph circulant_band(int n, int k) {
+// 2k + 1 + d (for n > 4k). With a nonzero seed, vertex i is relabelled by
+// a fixed random permutation, which keeps those sizes and scatters every
+// row over the 64-bit words of [0, n).
+graph::Graph circulant_band(int n, int k, std::uint64_t relabel_seed = 0) {
+  std::vector<int> label(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) label[i] = i;
+  if (relabel_seed != 0) {
+    Rng rng(relabel_seed);
+    for (int i = n - 1; i > 0; --i) {
+      std::swap(label[i], label[rng.next_below(i + 1)]);
+    }
+  }
   graph::Graph g(n);
   for (int i = 0; i < n; ++i) {
-    for (int d = 1; d <= k; ++d) g.add_edge(i, (i + d) % n);
+    for (int d = 1; d <= k; ++d) g.add_edge(label[i], label[(i + d) % n]);
   }
   g.finalize();
   return g;
@@ -281,22 +292,32 @@ TEST(Acd, OracleMatchesSetUnionReference) {
     const char* name;
     graph::Graph g;
     double eps;
+    bool on_bound = false;    // has edges on and one past the buddy bound
+    bool cliques = true;      // the decomposition is not empty
+    int min_row_words = 0;    // some packed row spans this many words
   };
   // C_36(±1..10) at eps 0.3: floor(1.3 * 20) = 26 = 21 + d for d = 5, so
   // distance-5 edges sit exactly on the buddy bound and distance-6 edges
   // one past it.
+  // The relabelled C_1100(±1..40) at eps 0.2 puts the bound at
+  // floor(1.2 * 80) = 96 = 81 + d for d = 15. Its rows scatter 80
+  // neighbors over ceil(1100 / 64) = 18 words (the last one partial), so
+  // the buddy test runs two full blocks of 8 words per row and exits on
+  // both sides of the bound. Buddy degrees are 30, below the candidate
+  // bar of 0.6 * 80, so no almost-clique forms.
   const std::vector<Case> cases = {
       {"planted", planted.g, 0.2},
-      {"boundary", circulant_band(36, 10), 0.3},
+      {"boundary", circulant_band(36, 10), 0.3, true},
       {"hub rows", hub_rows_graph(), 0.2},
+      {"relabelled band", circulant_band(1100, 40, 29), 0.2, true, false, 16},
   };
   for (const auto& c : cases) {
     const auto ref = reference_oracle_acd(c.g, c.eps);
-    if (std::string(c.name) == "boundary") {
-      EXPECT_GT(ref.boundary_buddies, 0);
-      EXPECT_GT(ref.boundary_rejects, 0);
+    if (c.on_bound) {
+      EXPECT_GT(ref.boundary_buddies, 0) << c.name;
+      EXPECT_GT(ref.boundary_rejects, 0) << c.name;
     }
-    ASSERT_FALSE(ref.members.empty()) << c.name;
+    ASSERT_EQ(ref.members.empty(), !c.cliques) << c.name;
     const auto cg = cluster::ClusterGraph::singleton(c.g);
     for (const int threads : {1, 2, 8}) {
       const std::string label =
@@ -312,6 +333,12 @@ TEST(Acd, OracleMatchesSetUnionReference) {
       AcdScratch scratch;
       AcdResult res;
       compute_acd(rt, params, streams, &res, &scratch);
+      std::int64_t widest = 0;
+      for (int v = 0; v < c.g.n(); ++v) {
+        widest = std::max(widest,
+                          scratch.word_off[v + 1] - scratch.word_off[v]);
+      }
+      EXPECT_GE(widest, c.min_row_words) << label;
       for (int v = 0; v < c.g.n(); ++v) {
         const std::vector<int> got(
             scratch.buddy_adj.begin() + scratch.buddy_off[v],

@@ -1,4 +1,4 @@
-// Unit tests: rng, bitstream, mathutil, hashing.
+// Unit tests: rng, bitstream, mathutil, hashing, the timed harness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +9,7 @@
 #include "common/bitstream.hpp"
 #include "common/hashing.hpp"
 #include "common/json.hpp"
+#include "common/latency.hpp"
 #include "common/mathutil.hpp"
 #include "common/rng.hpp"
 
@@ -197,6 +198,39 @@ TEST(Hashing, PseudorandomColorSetReproducible) {
     EXPECT_GE(c, 0);
     EXPECT_LT(c, 50);
   }
+}
+
+TEST(Timed, QuantilesInterpolateBetweenRanks) {
+  const double three[] = {1, 2, 3};
+  EXPECT_DOUBLE_EQ(sorted_quantile(three, 3, 0.25), 1.5);
+  EXPECT_DOUBLE_EQ(sorted_quantile(three, 3, 0.5), 2);
+  EXPECT_DOUBLE_EQ(sorted_quantile(three, 3, 0.75), 2.5);
+  const double four[] = {10, 20, 30, 40};
+  EXPECT_DOUBLE_EQ(sorted_quantile(four, 4, 0.25), 17.5);
+  EXPECT_DOUBLE_EQ(sorted_quantile(four, 4, 0.5), 25);
+  EXPECT_DOUBLE_EQ(sorted_quantile(four, 4, 1), 40);
+  const double one[] = {7};
+  EXPECT_DOUBLE_EQ(sorted_quantile(one, 1, 0.75), 7);
+}
+
+TEST(Timed, StatsAreOrderedAtEveryRepCount) {
+  for (const int reps : {1, 2, 3, kTimedMaxReps}) {
+    int calls = 0;
+    const auto st = timed([&] { ++calls; }, 2, reps);
+    EXPECT_EQ(calls, reps + 2);
+    EXPECT_EQ(st.reps, reps);
+    EXPECT_LE(st.min_ns, st.p25_ns) << reps;
+    EXPECT_LE(st.p25_ns, st.median_ns) << reps;
+    EXPECT_LE(st.median_ns, st.p75_ns) << reps;
+    EXPECT_LE(st.p75_ns, st.max_ns) << reps;
+    EXPECT_LE(st.min_ns, st.mean_ns) << reps;
+    EXPECT_LE(st.mean_ns, st.max_ns) << reps;
+  }
+  const auto none = timed([] {}, 0, 0);
+  EXPECT_EQ(none.min_ns, 0);
+  EXPECT_EQ(none.median_ns, 0);
+  EXPECT_EQ(none.max_ns, 0);
+  EXPECT_THROW(timed([] {}, 0, kTimedMaxReps + 1), ContractViolation);
 }
 
 TEST(JsonWriter, EscapesStringsToStrictJson) {
