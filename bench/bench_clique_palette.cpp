@@ -79,7 +79,7 @@ int main() {
       // scan the palette used to imply vs. the masked-popcount walk it
       // performs now. Accumulate into a sink so neither loop folds away.
       long long sink = 0;
-      const auto scan_stats = bench::timed(
+      const auto scan_stats = ccg::timed(
           [&] {
             for (const auto& [lo, hi] : ranges) {
               int free_cnt = 0;
@@ -90,7 +90,7 @@ int main() {
             }
           },
           1, 3, static_cast<std::int64_t>(ranges.size()));
-      const auto pal_stats = bench::timed(
+      const auto pal_stats = ccg::timed(
           [&] {
             for (const auto& [lo, hi] : ranges) {
               sink += pal.free_count(lo, hi);

@@ -28,7 +28,7 @@ const std::vector<int> kThreadCounts = {1, 2, 4, 8};
 
 struct ThreadRow {
   int threads = 0;
-  bench::TimedStats stats;
+  ccg::TimedStats stats;
 };
 
 struct InstanceRow {
@@ -38,7 +38,7 @@ struct InstanceRow {
   std::int64_t h_rounds = 0;
   std::vector<ThreadRow> by_threads;  // same order as kThreadCounts
 
-  const bench::TimedStats& at_one_thread() const {
+  const ccg::TimedStats& at_one_thread() const {
     return by_threads.front().stats;
   }
 };
@@ -61,7 +61,7 @@ InstanceRow run_timed_pipeline(const std::string& name, int n_target,
     color::Result last;
     ThreadRow tr;
     tr.threads = threads;
-    tr.stats = bench::timed(
+    tr.stats = ccg::timed(
         [&] {
           net::Ledger ledger(cg.default_bandwidth());
           cluster::Runtime rt(cg, ledger);
@@ -85,7 +85,7 @@ InstanceRow run_timed_pipeline(const std::string& name, int n_target,
   return row;
 }
 
-bench::TimedStats run_try_color_micro(int warmup, int reps) {
+ccg::TimedStats run_try_color_micro(int warmup, int reps) {
   Rng rng(6);
   const auto g = graph::gnm(2000, 20000, rng);
   const auto cg = cluster::ClusterGraph::singleton(g);
@@ -95,7 +95,7 @@ bench::TimedStats run_try_color_micro(int warmup, int reps) {
   for (int v = 0; v < g.n(); ++v) all[static_cast<std::size_t>(v)] = v;
   const auto sampler = color::uniform_sampler(g.max_degree() + 1, 0);
   constexpr int kRoundsPerRep = 20;
-  return bench::timed(
+  return ccg::timed(
       [&] {
         color::State st(rt, color::Params::defaults_for(g.n(), 7));
         for (int i = 0; i < kRoundsPerRep; ++i) {
@@ -108,7 +108,7 @@ bench::TimedStats run_try_color_micro(int warmup, int reps) {
 
 struct MicroRow {
   const char* name;
-  bench::TimedStats stats;
+  ccg::TimedStats stats;
 };
 
 // Palette-scan micro pair at the paper regime (Delta ~ 256): the former
@@ -150,7 +150,7 @@ void run_palette_micros(int warmup, int reps, std::vector<MicroRow>* out) {
   const auto ops = static_cast<std::int64_t>(kIters) * kPatterns;
   long long sink = 0;
   out->push_back(
-      {"first_free_scan", bench::timed(
+      {"first_free_scan", ccg::timed(
                               [&] {
                                 for (int i = 0; i < kIters; ++i) {
                                   for (int p = 0; p < kPatterns; ++p) {
@@ -166,7 +166,7 @@ void run_palette_micros(int warmup, int reps, std::vector<MicroRow>* out) {
                               },
                               warmup, reps, ops)});
   out->push_back({"first_free_colorset",
-                  bench::timed(
+                  ccg::timed(
                       [&] {
                         for (int i = 0; i < kIters; ++i) {
                           for (int p = 0; p < kPatterns; ++p) {
@@ -176,7 +176,7 @@ void run_palette_micros(int warmup, int reps, std::vector<MicroRow>* out) {
                       },
                       warmup, reps, ops)});
   out->push_back({"palette_intersect_scan",
-                  bench::timed(
+                  ccg::timed(
                       [&] {
                         for (int i = 0; i < kIters; ++i) {
                           for (int p = 0; p < kPatterns; ++p) {
@@ -193,7 +193,7 @@ void run_palette_micros(int warmup, int reps, std::vector<MicroRow>* out) {
                       },
                       warmup, reps, ops)});
   out->push_back({"palette_intersect_colorset",
-                  bench::timed(
+                  ccg::timed(
                       [&] {
                         for (int i = 0; i < kIters; ++i) {
                           for (int p = 0; p < kPatterns; ++p) {
@@ -245,7 +245,7 @@ int main(int argc, char** argv) {
 
   // Totals per thread count: sums over instances of each estimator (min,
   // matching the schema-v1 total, then the quartiles and the mean).
-  std::vector<bench::TimedStats> totals(kThreadCounts.size());
+  std::vector<ccg::TimedStats> totals(kThreadCounts.size());
   for (const auto& r : rows) {
     std::vector<std::string> cells = {r.name, bench::fmt(r.n),
                                       bench::fmt(r.delta),
@@ -276,9 +276,9 @@ int main(int argc, char** argv) {
   }
 
   const double baseline_ns =
-      bench::json_number_field(baseline_path, "total_wall_ns");
+      ccg::json_number_field(baseline_path, "total_wall_ns");
 
-  bench::JsonWriter j;
+  ccg::JsonWriter j;
   j.begin_object();
   j.key("bench").value("pipeline");
   j.key("schema_version").value(2);

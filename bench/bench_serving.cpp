@@ -1,17 +1,18 @@
-// Serving-mode benchmark: the persistent-server companion to
-// bench_throughput's batch numbers. Drives ccg::server end to end —
+// Serving benchmark: jobs/sec of the one job scheduler (server::Server,
+// behind both ccg_serve and ccg_batch). Drives ccg::server end to end —
 // requests through Server::handle_line, execution on the work-stealing
 // scheduler — at worker counts {1,2,8}, verifies the drained no-timing
 // report is byte-identical across the sweep, measures steady-state
-// allocations per job on a warm scheduler worker (the fast path must be
-// exactly 0 — the same reset-and-reuse contract bench_throughput pins,
-// now under the server scheduler), quantifies the cross-job caches
-// (result replay, dense-context preload), and emits per-job-class
-// latency quantiles (p50/p95/p99) plus jobs/sec into BENCH_serving.json.
+// allocations per job on a warm scheduler worker for the fast, auto and
+// low algorithms (fast must be exactly 0 — the reset-and-reuse contract
+// of svc::JobSlot, under the scheduler; auto and low stay within a small
+// budget), quantifies the cross-job caches (result replay, dense-context
+// preload), and emits per-job-class latency quantiles (p50/p95/p99) plus
+// jobs/sec into BENCH_serving.json.
 //
 // bench/check_regression.py gates this file: fast_steady_allocs_per_job
-// must be 0, per-class p95 latency and jobs/sec must stay within the
-// reference band.
+// must be 0, auto/low at most --max-steady-allocs, per-class p95 latency
+// and jobs/sec must stay within the reference band.
 //
 // Usage: bench_serving [out.json]
 //   out.json  default BENCH_serving.json (cwd; run from the repo root)
@@ -79,7 +80,7 @@ void submit_pass(server::Server& srv, int pass, int* lineno) {
 
 struct WorkerRow {
   int workers = 0;
-  bench::TimedStats stats;
+  ccg::TimedStats stats;
   double jobs_per_sec = 0;
   std::uint64_t steals = 0;
   std::uint64_t dense_captures = 0;
@@ -109,18 +110,20 @@ server::Task make_task(const std::string& id, const std::string& flags) {
   return t;
 }
 
-// Steady-state allocations per job on one warm scheduler worker: fast
-// jobs over a cached instance, result/dense caches off so every job
-// takes the real solve path. Two warmup passes (high-water marks), then
-// allocation and time deltas over `passes` measured passes — submit,
-// ring hop, steal check, cache-hit instance lookup, solve, histogram
-// record all included. Must be exactly 0 allocs/job.
+// Steady-state allocations per job on one warm scheduler worker: `count`
+// jobs of one recipe over a cached instance, result/dense caches off so
+// every job takes the real solve path. Two warmup passes (high-water
+// marks; see tests/test_svc_reuse.cpp for why two), then allocation and
+// time deltas over `passes` measured passes — submit, ring hop, steal
+// check, cache-hit instance lookup, solve, histogram record all
+// included.
 struct SteadyState {
   double allocs_per_job = 0;
   double ns_per_job = 0;
 };
 
-SteadyState measure_scheduler_steady(int passes) {
+SteadyState measure_scheduler_steady(const char* flags, int count,
+                                     int passes) {
   server::ServeCache cache{server::CacheBudgets{}};
   server::SchedulerOptions sopt;
   sopt.workers = 1;
@@ -132,10 +135,8 @@ SteadyState measure_scheduler_steady(int passes) {
   sched.start();
 
   std::vector<server::Task> tasks;
-  for (int i = 0; i < 8; ++i) {
-    tasks.push_back(make_task("s" + std::to_string(i),
-                              "--gen gnm --n 2000 --m 16000 --algo fast "
-                              "--seed 7"));
+  for (int i = 0; i < count; ++i) {
+    tasks.push_back(make_task("s" + std::to_string(i), flags));
   }
   const auto run_pass = [&] {
     for (auto& t : tasks) {
@@ -149,7 +150,7 @@ SteadyState measure_scheduler_steady(int passes) {
   run_pass();
   run_pass();
   const long long alloc0 = alloc_count();
-  const auto t = bench::timed(run_pass, 0, passes);
+  const auto t = ccg::timed(run_pass, 0, passes);
   const long long alloc1 = alloc_count();
   sched.stop();
   const double jobs =
@@ -193,7 +194,7 @@ ReplayStats measure_result_replay() {
   if (!sched.submit(&tasks[0])) std::exit(1);
   sched.drain();
   const auto before = sched.counters();
-  const auto t = bench::timed(
+  const auto t = ccg::timed(
       [&] {
         for (auto& task : tasks) {
           if (!sched.submit(&task)) {
@@ -239,7 +240,7 @@ double measure_dense_speedup() {
     // Prime: instance build (+ snapshot capture when enabled).
     if (!sched.submit(&tasks[0])) std::exit(1);
     sched.drain();
-    const auto t = bench::timed(
+    const auto t = ccg::timed(
         [&] {
           for (auto& task : tasks) {
             if (!sched.submit(&task)) std::exit(1);
@@ -267,8 +268,8 @@ int main(int argc, char** argv) {
   bench::header("BENCH / serving",
                 "persistent-server jobs/sec at workers in {1,2,8}; "
                 "byte-identical drained reports across the sweep; zero "
-                "allocs/job on the warm fast path under the scheduler; "
-                "per-class latency quantiles");
+                "allocs/job on the warm fast path under the scheduler, "
+                "auto/low within budget; per-class latency quantiles");
   std::printf("hardware threads: %d\n", hw_threads);
 
   // ---- worker sweep + report determinism + per-class latency ----
@@ -285,8 +286,8 @@ int main(int argc, char** argv) {
     int pass = 0, lineno = 0;
     WorkerRow row;
     row.workers = workers;
-    row.stats = bench::timed([&] { submit_pass(srv, pass++, &lineno); },
-                             warmup, reps, kJobsPerPass);
+    row.stats = ccg::timed([&] { submit_pass(srv, pass++, &lineno); },
+                           warmup, reps, kJobsPerPass);
     row.jobs_per_sec =
         static_cast<double>(kJobsPerPass) * 1e9 / row.stats.min_ns;
     const auto ctr = srv.scheduler().counters();
@@ -312,14 +313,40 @@ int main(int argc, char** argv) {
   std::printf("drained no-timing report: byte-identical across the sweep\n");
 
   // ---- warm-path allocations under the scheduler ----
-  const auto steady = measure_scheduler_steady(2);
+  const auto steady = measure_scheduler_steady(
+      "--gen gnm --n 2000 --m 16000 --algo fast --seed 7", 8, 2);
+  const auto auto_steady = measure_scheduler_steady(
+      "--gen planted --delta 150 --cliques 4 --ext 4 --anti 2 --oracle "
+      "--eps 0.2 --seed 7",
+      4, 1);
+  const auto low_steady = measure_scheduler_steady(
+      "--gen gnm --n 1200 --m 4000 --algo low --seed 7", 4, 1);
+  // The fast path must stay exactly allocation-free; the full auto and
+  // low pipelines tolerate a small fixed number of grow-only stragglers.
+  // check_regression.py --max-steady-allocs re-checks the JSON.
+  constexpr double kPipelineAllocBudget = 64;
   std::printf("fast path:  %.2f allocs/job, %.2f ms/job (must be 0 allocs)\n",
               steady.allocs_per_job, steady.ns_per_job / 1e6);
+  std::printf("auto path:  %.0f allocs/job, %.2f ms/job (budget %.0f)\n",
+              auto_steady.allocs_per_job, auto_steady.ns_per_job / 1e6,
+              kPipelineAllocBudget);
+  std::printf("low path:   %.0f allocs/job, %.2f ms/job (budget %.0f)\n",
+              low_steady.allocs_per_job, low_steady.ns_per_job / 1e6,
+              kPipelineAllocBudget);
   if (steady.allocs_per_job != 0) {
     std::fprintf(stderr,
                  "FATAL: warm fast path allocated under the scheduler "
                  "(%.3f allocs/job)\n",
                  steady.allocs_per_job);
+    return 1;
+  }
+  if (auto_steady.allocs_per_job > kPipelineAllocBudget ||
+      low_steady.allocs_per_job > kPipelineAllocBudget) {
+    std::fprintf(stderr,
+                 "FATAL: warm pipeline path over budget (auto %.1f, low "
+                 "%.1f > %.0f allocs/job)\n",
+                 auto_steady.allocs_per_job, low_steady.allocs_per_job,
+                 kPipelineAllocBudget);
     return 1;
   }
 
@@ -332,7 +359,7 @@ int main(int argc, char** argv) {
               dense_speedup);
 
   // ---- JSON ----
-  bench::JsonWriter j;
+  ccg::JsonWriter j;
   j.begin_object();
   j.key("bench").value("serving");
   j.key("schema_version").value(1);
@@ -383,6 +410,10 @@ int main(int argc, char** argv) {
   j.end_array();
   j.key("fast_steady_allocs_per_job").value(steady.allocs_per_job);
   j.key("fast_steady_ns_per_job").value(steady.ns_per_job);
+  j.key("auto_steady_allocs_per_job").value(auto_steady.allocs_per_job);
+  j.key("auto_steady_ns_per_job").value(auto_steady.ns_per_job);
+  j.key("low_steady_allocs_per_job").value(low_steady.allocs_per_job);
+  j.key("low_steady_ns_per_job").value(low_steady.ns_per_job);
   j.key("result_replay_jobs_per_sec").value(replay.jobs_per_sec);
   j.key("result_replay_hit_ratio").value(replay.hit_ratio);
   j.key("dense_preload_speedup").value(dense_speedup);

@@ -1,7 +1,9 @@
-// ccg_batch — batch coloring service CLI (src/svc/).
+// ccg_batch — batch coloring CLI.
 //
-// Reads a job manifest (see src/svc/manifest.hpp for the format), runs it
-// over the batch scheduler and prints the JSON report.
+// Reads a job manifest (see src/svc/manifest.hpp for the format), submits
+// its jobs to an in-process server (src/server/server.hpp: the same
+// scheduler and report writer as ccg_serve), drains it and prints the
+// JSON report.
 //
 //   ccg_batch --manifest jobs.txt
 //   ccg_batch --manifest - < jobs.txt            (stdin)
@@ -14,6 +16,7 @@
 // Exit codes: 0 = every job ok and none degraded; 1 = at least one job
 // failed; 2 = usage or manifest error; 3 = no failures but at least one
 // job was served by the degradation fallback. (Documented in API.md.)
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -24,6 +27,7 @@
 #include "ccg/ccg.hpp"
 #include "common/failpoint.hpp"
 #include "common/parse.hpp"
+#include "server/server.hpp"
 
 namespace {
 
@@ -127,13 +131,22 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  ccg::svc::BatchOptions opt;
-  opt.sched_workers = sched_workers;
-  opt.max_retries = max_retries;
-  opt.degrade = degrade;
-  opt.deadline_ms = deadline_ms;
-  const auto report = ccg::svc::run_batch(manifest, opt);
-  const auto json = ccg::svc::report_json(manifest, report, include_timing);
+  ccg::server::ServerOptions base;
+  base.workers = sched_workers;
+  base.max_retries = max_retries;
+  base.degrade = degrade;
+  base.deadline_ms = deadline_ms;
+  ccg::server::Server server(
+      ccg::server::manifest_server_options(manifest, base));
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < manifest.jobs.size(); ++i) {
+    // Unique ids and a depth of one slot per job: every job is accepted.
+    ccg::server::submit_manifest_job(server, manifest, i);
+  }
+  const auto agg = server.aggregate();
+  const std::chrono::duration<double> secs =
+      std::chrono::steady_clock::now() - t0;
+  const auto json = server.report_json(include_timing);
 
   if (out_path.empty()) {
     std::fputs(json.c_str(), stdout);
@@ -147,22 +160,18 @@ int main(int argc, char** argv) {
     f << json;
   }
 
-  int ok = 0;
-  for (const auto& jr : report.jobs) ok += jr.ok ? 1 : 0;
   if (!quiet) {
     std::fprintf(stderr,
-                 "ccg_batch: %d/%zu jobs ok, %d instance(s), "
-                 "%d scheduler worker(s), %.1f jobs/sec\n",
-                 ok, report.jobs.size(), report.num_instances,
-                 report.sched_workers, report.jobs_per_sec);
-    if (report.jobs_failed + report.jobs_retried + report.jobs_degraded >
-        0) {
+                 "ccg_batch: %d/%d jobs ok, %d scheduler worker(s), "
+                 "%.1f jobs/sec\n",
+                 agg.ok_jobs, agg.num_jobs, server.scheduler().workers(),
+                 secs.count() > 0 ? agg.num_jobs / secs.count() : 0.0);
+    if (agg.jobs_failed + agg.jobs_retried + agg.jobs_degraded > 0) {
       std::fprintf(stderr,
                    "ccg_batch: %d job(s) failed, %d retried, %d degraded\n",
-                   report.jobs_failed, report.jobs_retried,
-                   report.jobs_degraded);
+                   agg.jobs_failed, agg.jobs_retried, agg.jobs_degraded);
     }
   }
-  if (report.jobs_failed > 0) return 1;
-  return report.jobs_degraded > 0 ? 3 : 0;
+  if (agg.jobs_failed > 0) return 1;
+  return agg.jobs_degraded > 0 ? 3 : 0;
 }

@@ -33,9 +33,11 @@
 //   auto rc = solver.solve(
 //       ccg::Problem::recipe("--gen planted --delta 128 --cliques 4"), opt);
 //
-// Batch serving (manifests, scheduler workers, instance caching) lives in
-// ccg::svc (svc/manifest.hpp + svc/service.hpp) and runs every job
-// through the same Solver.
+// Serving sits on top of the facade: ccg::svc (svc/manifest.hpp +
+// svc/service.hpp) parses job manifests and runs each job through the
+// same Solver in a svc::JobSlot; ccg::server (server/server.hpp)
+// schedules and reports them, for ccg_serve's streamed requests and
+// ccg_batch's manifests alike.
 #pragma once
 
 #include "ccg/solver.hpp"
@@ -52,7 +54,8 @@
 //     run_virtual, gk:: (the Section 9 machinery)
 //   * cluster::ClusterGraph / VirtualGraph / Runtime, net::Ledger (the
 //     cost model), graph:: generators and DIMACS I/O
-//   * svc:: batch service, exec:: parallel round engine, sketch::/acd::
+//   * svc:: manifests and job slots, exec:: parallel round engine,
+//     sketch::/acd::
 #include "acd/acd.hpp"
 #include "baseline/baselines.hpp"
 #include "cluster/cluster_graph.hpp"

@@ -23,14 +23,15 @@
 // (color::color_high_degree, lowdeg::color_low_degree,
 // lowdeg::color_virtual_graph, ...) for every Options::threads value —
 // including across reuse of one Solver for unrelated problems in between
-// (pinned by tests/test_api.cpp). This is the serving contract of the
-// batch service (src/svc/), whose JobSlot is a thin adapter over Solver.
+// (pinned by tests/test_api.cpp). This is the serving contract of
+// svc::JobSlot (src/svc/), the thin adapter over Solver that runs every
+// scheduled job.
 //
 // Allocation contract: with Options::copy_colors = false and a reused
 // Outcome (the three-argument solve), warm Algo::kFast calls on
 // Problem::cluster instances at or below the session's high-water size
 // perform zero heap allocations (pinned by tests/test_svc_reuse.cpp and
-// enforced by bench/bench_throughput.cpp).
+// enforced by bench/bench_serving.cpp).
 #pragma once
 
 #include <cstdint>
@@ -149,8 +150,8 @@ class Problem {
     p.distance_ = k;
     return p;
   }
-  // A prebuilt virtual graph (the batch service builds these once per
-  // instance-cache entry and reuses them across jobs).
+  // A prebuilt virtual graph (svc::build_instance builds these once per
+  // instance-cache entry, and jobs reuse them).
   static Problem virtual_graph(const cluster::VirtualGraph& vg) {
     Problem p(Kind::kVirtualGraph);
     p.vg_ = &vg;

@@ -18,7 +18,7 @@
 // Allocation contract: storage grows monotonically to its high-water
 // capacity (`rebind` never shrinks), so a ColorSet owned by State /
 // WorkerScratch is allocation-free in steady state and safe on the warm
-// serving fast path (0 allocs/job, enforced by bench_throughput).
+// serving fast path (0 allocs/job, enforced by bench_serving).
 #pragma once
 
 #include <algorithm>

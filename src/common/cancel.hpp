@@ -4,9 +4,9 @@
 // flag (Solver::request_cancel, a future server's admission control) and
 // a wall-clock deadline (ccg::Options::deadline_ms). Library code never
 // polls it in hot inner loops; it is checked at the natural synchronized
-// points of the round model — phase boundaries, ParallelRound fork
-// entries, and ThreadPool::for_dynamic claim loops — which bounds the
-// reaction latency by one phase/round without any per-vertex cost.
+// points of the round model — phase boundaries and ParallelRound fork
+// entries — which bounds the reaction latency by one phase/round without
+// any per-vertex cost.
 //
 // Expiry surfaces as a CancelledError throw at the check point; the
 // ccg::Solver facade catches it and converts it to the structured

@@ -1,7 +1,7 @@
 // Minimal JSON emission/extraction shared by the bench harness and the
-// batch coloring service (src/svc/).
+// serving report (src/server/).
 //
-// JsonWriter is enough JSON for the BENCH files and batch reports:
+// JsonWriter is enough JSON for the BENCH files and serving reports:
 // objects, arrays, numbers, strings, null. Emits insertion-ordered keys,
 // 2-space indentation. json_number_field is the matching reader: it pulls
 // a single numeric field back out of such a file without dragging in a

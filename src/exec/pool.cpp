@@ -61,7 +61,6 @@ void ThreadPool::worker_loop(int w, std::uint64_t seen) {
     void* ctx = nullptr;
     std::int64_t total = 0;
     int workers = 0;
-    bool dynamic = false;
     {
       UniqueLock lock(mu_);
       // Explicit while-loop (not the predicate overload): the guarded
@@ -76,40 +75,18 @@ void ThreadPool::worker_loop(int w, std::uint64_t seen) {
       ctx = job_ctx_;
       total = total_;
       workers = workers_;
-      dynamic = dynamic_;
     }
-    if (dynamic) {
-      run_dynamic(w, fn, ctx, total);
-    } else {
-      const auto [begin, end] = shard_bounds(total, workers, w);
-      try {
-        if (begin < end) fn(ctx, w, begin, end);
-      } catch (...) {
-        errors_[static_cast<std::size_t>(w)] = std::current_exception();
-      }
+    const auto [begin, end] = shard_bounds(total, workers, w);
+    try {
+      if (begin < end) fn(ctx, w, begin, end);
+    } catch (...) {
+      errors_[static_cast<std::size_t>(w)] = std::current_exception();
     }
     {
       MutexLock lock(mu_);
       --pending_;
     }
     cv_done_.notify_one();
-  }
-}
-
-void ThreadPool::run_dynamic(int w, RawShardFn fn, void* ctx,
-                             std::int64_t total) {
-  // Claim one index at a time; on an exception stop claiming (remaining
-  // items go to the other workers) and surface it after the join like the
-  // static path does.
-  try {
-    for (;;) {
-      check_cancel(cancel_);
-      const std::int64_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= total) break;
-      fn(ctx, w, i, i + 1);
-    }
-  } catch (...) {
-    errors_[static_cast<std::size_t>(w)] = std::current_exception();
   }
 }
 
@@ -128,7 +105,6 @@ void ThreadPool::for_shards(std::int64_t total, RawShardFn fn, void* ctx) {
     job_ = fn;
     job_ctx_ = ctx;
     total_ = total;
-    dynamic_ = false;
     pending_ = workers_ - 1;
     ++generation_;
   }
@@ -144,42 +120,6 @@ void ThreadPool::for_shards(std::int64_t total, RawShardFn fn, void* ctx) {
     while (pending_ != 0) cv_done_.wait(lock);
     job_ = nullptr;
     job_ctx_ = nullptr;
-  }
-  for (const auto& err : errors_) {
-    if (err) std::rethrow_exception(err);
-  }
-}
-
-void ThreadPool::for_dynamic(std::int64_t total, RawShardFn fn, void* ctx) {
-  CCG_CHECK(total >= 0);
-  if (total == 0) return;
-  if (workers_ == 1) {
-    for (std::int64_t i = 0; i < total; ++i) {
-      check_cancel(cancel_);
-      fn(ctx, 0, i, i + 1);
-    }
-    return;
-  }
-  {
-    MutexLock lock(mu_);
-    CCG_CHECK_MSG(job_ == nullptr, "nested dispatch on one pool");
-    std::fill(errors_.begin(), errors_.end(), nullptr);
-    job_ = fn;
-    job_ctx_ = ctx;
-    total_ = total;
-    dynamic_ = true;
-    cursor_.store(0, std::memory_order_relaxed);
-    pending_ = workers_ - 1;
-    ++generation_;
-  }
-  cv_start_.notify_all();
-  run_dynamic(0, fn, ctx, total);
-  {
-    UniqueLock lock(mu_);
-    while (pending_ != 0) cv_done_.wait(lock);
-    job_ = nullptr;
-    job_ctx_ = nullptr;
-    dynamic_ = false;
   }
   for (const auto& err : errors_) {
     if (err) std::rethrow_exception(err);

@@ -1,14 +1,14 @@
 // Per-worker sharded run queues with steal-on-empty.
 //
-// ThreadPool::for_dynamic hands out a *fixed* index range through one
-// shared cursor — right for a batch whose size is known up front, wrong
-// for a server where jobs arrive while workers run. StealDeques is the
-// serving generalization: every worker owns a shard; producers push into
-// the shard a placement policy picks (the scheduler hashes the instance
-// key, so jobs sharing a prepared instance land on the same worker and
-// its Solver arena stays warm); an idle worker first drains its own shard
-// FIFO, then steals from the *back* of a victim's shard — the job least
-// likely to share cache state with the victim's current run.
+// The run queues of server::Scheduler, the one job scheduler behind
+// ccg_serve and ccg_batch. Jobs arrive while workers run, so there is no
+// fixed index range to split up front: every worker owns a shard;
+// producers push into the shard a placement policy picks (the scheduler
+// hashes the instance key, so jobs sharing a prepared instance land on
+// the same worker and its Solver arena stays warm); an idle worker first
+// drains its own shard FIFO, then steals from the *back* of a victim's
+// shard — the job least likely to share cache state with the victim's
+// current run.
 //
 // Shards are fixed-capacity rings sized once at construction: pushes and
 // pops move head/count indices under a per-shard mutex and never touch

@@ -15,9 +15,9 @@
 namespace ccg::graph {
 
 // Malformed or unreadable input. A *data* error, not a programming error:
-// callers that accept external files (the CLIs, the batch service's
-// prepare_instances) catch it and report a structured build failure
-// instead of treating it like an internal contract violation. `line()`
+// callers that accept external files (the CLIs, svc::build_instance)
+// catch it and report a structured build failure instead of treating it
+// like an internal contract violation. `line()`
 // is the 1-based input line (0 when no line applies, e.g. an unreadable
 // path); the message already includes it.
 class IoError : public std::runtime_error {

@@ -2,11 +2,11 @@
 //
 // Three things are worth remembering across jobs and clients:
 //
-//   * prepared instances (svc::Instance) — the batch service builds its
-//     instance cache per manifest; a server sees the same recipes again
-//     and again across requests, so instances live in an LRU keyed on
-//     JobSpec::key with single-flight building (concurrent misses on one
-//     key build once, everyone shares the result);
+//   * prepared instances (svc::Instance) — a server sees the same
+//     recipes again and again across jobs and requests (manifest repeats
+//     included), so instances live in an LRU keyed on JobSpec::key with
+//     single-flight building (concurrent misses on one key build once,
+//     everyone shares the result);
 //   * dense-context snapshots (color::DenseSnapshot) — the ACD build is
 //     the dominant prefix of a high-degree run and is a pure function of
 //     (instance, seed, eps, oracle); replaying a snapshot reproduces the

@@ -10,7 +10,7 @@
 //                         svc/manifest.hpp) minus --repeat — a request
 //                         names exactly one job.
 //   drain                 block until every accepted job has completed.
-//   report [notiming]     drain, then emit the batch report framed as
+//   report [notiming]     drain, then emit the report framed as
 //                         report-begin / <json> / report-end. `notiming`
 //                         omits every timing-dependent field; what
 //                         remains is byte-identical across worker

@@ -134,10 +134,8 @@ void Scheduler::execute(int w, Task* t) {
     if (auto hit = cache_->results.get(t->result_key)) {
       // Whole-result replay: the cached result came from an identical
       // (recipe, seed, algo) run, so every deterministic field already
-      // matches what running would produce. Only the submission identity
-      // is per-task.
+      // matches what running would produce.
       t->result = *hit;
-      t->result.index = t->job.index;
       t->result.wall_ns = 0;
       result_hits_.fetch_add(1, std::memory_order_relaxed);
       from_cache = true;

@@ -1,16 +1,16 @@
-// The serving scheduler: admission control + per-worker run queues with
-// work stealing + per-worker Solver arenas and SLO metrics.
+// The job scheduler: admission control + per-worker run queues with
+// work stealing + per-worker Solver arenas and SLO metrics. It is the
+// only one in the repo: ccg_serve feeds it streamed requests, and
+// ccg_batch feeds it a manifest through an in-process Server.
 //
-// The batch service schedules with ThreadPool::for_dynamic — a shared
-// cursor over a job list whose size is known up front. A server has no
-// such list: jobs arrive while workers run, so the scheduler generalizes
-// the shared cursor into per-worker deques (exec/steal.hpp). submit()
-// places a job on the shard its instance key hashes to — jobs sharing a
-// prepared instance gravitate to the same worker, whose JobSlot arena is
-// already warm for them — and an idle worker steals from the back of a
-// victim's shard. Placement and stealing only move *where and when* a
-// job runs; every job's seed is a pure function of (server seed, id), so
-// results are bit-identical for any worker count and steal schedule.
+// Jobs arrive while workers run, so work sits in per-worker deques
+// (exec/steal.hpp). submit() places a job on the shard its instance key
+// hashes to — jobs sharing a prepared instance gravitate to the same
+// worker, whose JobSlot arena is already warm for them — and an idle
+// worker steals from the back of a victim's shard. Placement and
+// stealing only move *where and when* a job runs; every job's seeds are
+// fixed before admission (Task::job), so results are bit-identical for
+// any worker count and steal schedule.
 //
 // Admission is a hard bound on in-flight jobs (queued + running):
 // submit() returns false ("shed") once `queue_depth` jobs are in flight,

@@ -1,5 +1,9 @@
 #include "server/server.hpp"
 
+#include <algorithm>
+
+#include "common/assert.hpp"
+
 namespace ccg::server {
 
 namespace {
@@ -64,32 +68,25 @@ bool Server::handle_line(const std::string& line, int lineno,
   }
   switch (req.kind) {
     case RequestKind::kJob: {
-      MutexLock lock(mu_);
-      if (tasks_.count(req.id) != 0) {
-        svc::parse_fail(lineno, "duplicate job id '" + req.id + "'");
-      }
-      auto task = std::make_unique<Task>();
-      task->id = req.id;
-      task->job = std::move(req.job);
       // The id takes over both roles the manifest index plays: the seed
       // stream entity (derive_serve_seed) and the retry-stream index
       // (low 31 bits of the hash — retries stay deterministic per id).
-      task->job.index =
-          static_cast<int>(id_hash(req.id) & 0x7FFFFFFFULL);
-      if (!task->job.explicit_seed) {
-        task->job.params_seed = derive_serve_seed(opt_.seed, req.id);
+      req.job.index = static_cast<int>(id_hash(req.id) & 0x7FFFFFFFULL);
+      if (!req.job.explicit_seed) {
+        req.job.params_seed = derive_serve_seed(opt_.seed, req.id);
       }
-      task->dense_key = dense_key(task->job);
-      task->result_key = result_key(task->job);
-      if (!sched_.submit(task.get())) {
-        // Shed: explicit backpressure instead of unbounded queueing. The
-        // task is dropped entirely — the client may resubmit the same id
-        // once the queue drains.
-        *out += "shed " + req.id + " queue_full\n";
-        return true;
+      switch (submit(req.id, std::move(req.job))) {
+        case Admission::kAccepted:
+          *out += "accepted " + req.id + "\n";
+          return true;
+        case Admission::kShed:
+          // Explicit backpressure instead of unbounded queueing; the
+          // client may resubmit the same id once the queue drains.
+          *out += "shed " + req.id + " queue_full\n";
+          return true;
+        case Admission::kDuplicateId:
+          svc::parse_fail(lineno, "duplicate job id '" + req.id + "'");
       }
-      *out += "accepted " + req.id + "\n";
-      tasks_.emplace(std::move(req.id), std::move(task));
       return true;
     }
     case RequestKind::kDrain:
@@ -111,6 +108,20 @@ bool Server::handle_line(const std::string& line, int lineno,
   return true;
 }
 
+Server::Admission Server::submit(std::string id, svc::JobSpec job) {
+  MutexLock lock(mu_);
+  if (tasks_.count(id) != 0) return Admission::kDuplicateId;
+  auto task = std::make_unique<Task>();
+  task->id = id;
+  task->job = std::move(job);
+  task->dense_key = dense_key(task->job);
+  task->result_key = result_key(task->job);
+  // A shed task is dropped entirely, so its id stays free.
+  if (!sched_.submit(task.get())) return Admission::kShed;
+  tasks_.emplace(std::move(id), std::move(task));
+  return Admission::kAccepted;
+}
+
 void Server::drain() {
   // Block new submissions while draining so "ok drain" means what it
   // says at the moment it is written. Workers never take mu_, so queued
@@ -125,43 +136,57 @@ void Server::append_report(bool include_timing, std::string* out) {
   *out += "report-end\n";
 }
 
+Server::Aggregate Server::tally() {
+  Aggregate a;
+  a.num_jobs = static_cast<int>(tasks_.size());
+  for (const auto& [id, task] : tasks_) {
+    const svc::JobResult& r = task->result;
+    a.ok_jobs += r.ok ? 1 : 0;
+    a.jobs_failed += r.ok ? 0 : 1;
+    a.jobs_retried += r.attempts > 1 ? 1 : 0;
+    a.jobs_degraded += r.degraded ? 1 : 0;
+    a.total_h_rounds += r.h_rounds;
+    a.total_g_rounds += r.g_rounds;
+    a.total_fallbacks += r.fallback_count;
+  }
+  return a;
+}
+
+Server::Aggregate Server::aggregate() {
+  MutexLock lock(mu_);
+  sched_.drain();
+  return tally();
+}
+
 std::string Server::report_json(bool include_timing) {
   MutexLock lock(mu_);
   sched_.drain();  // a report is always a drained report
+  const Aggregate agg = tally();
   JsonWriter j;
   j.begin_object();
   j.key("report").value("ccg_serve");
   j.key("schema_version").value(1);
   j.key("server_seed").value(opt_.seed);
-  j.key("num_jobs").value(static_cast<int>(tasks_.size()));
+  j.key("num_jobs").value(agg.num_jobs);
   if (include_timing) j.key("workers").value(sched_.workers());
 
-  int ok_jobs = 0, jobs_failed = 0, jobs_retried = 0, jobs_degraded = 0;
-  std::int64_t total_h = 0, total_g = 0, total_fallbacks = 0;
   j.key("jobs").begin_array();
   for (const auto& [id, task] : tasks_) {
     j.begin_object();
     j.key("id").value(id);
     svc::job_result_json(j, task->job, task->result, include_timing);
     j.end_object();
-    ok_jobs += task->result.ok ? 1 : 0;
-    jobs_failed += task->result.ok ? 0 : 1;
-    jobs_retried += task->result.attempts > 1 ? 1 : 0;
-    jobs_degraded += task->result.degraded ? 1 : 0;
-    total_h += task->result.h_rounds;
-    total_g += task->result.g_rounds;
-    total_fallbacks += task->result.fallback_count;
   }
   j.end_array();
 
   j.key("aggregate").begin_object();
-  j.key("ok_jobs").value(ok_jobs);
-  j.key("jobs_failed").value(jobs_failed);
-  j.key("jobs_retried").value(jobs_retried);
-  j.key("jobs_degraded").value(jobs_degraded);
-  j.key("total_h_rounds").value(total_h);
-  j.key("total_g_rounds").value(total_g);
-  j.key("total_fallbacks").value(total_fallbacks);
+  j.key("ok_jobs").value(agg.ok_jobs);
+  j.key("jobs_failed").value(agg.jobs_failed);
+  j.key("jobs_retried").value(agg.jobs_retried);
+  j.key("jobs_degraded").value(agg.jobs_degraded);
+  j.key("total_h_rounds").value(agg.total_h_rounds);
+  j.key("total_g_rounds").value(agg.total_g_rounds);
+  j.key("total_fallbacks").value(agg.total_fallbacks);
   j.end_object();
 
   if (include_timing) {
@@ -214,6 +239,24 @@ std::string Server::stats_json() {
   j.end_array();
   j.end_object();
   return j.str();
+}
+
+ServerOptions manifest_server_options(const svc::Manifest& m,
+                                      ServerOptions base) {
+  base.seed = m.seed;
+  base.queue_depth = std::max(1, static_cast<int>(m.jobs.size()));
+  return base;
+}
+
+Server::Admission submit_manifest_job(Server& srv, const svc::Manifest& m,
+                                      std::size_t i) {
+  CCG_CHECK_MSG(srv.options().seed == m.seed,
+                "a manifest runs on a server seeded with the manifest seed");
+  CCG_CHECK(i < m.jobs.size());
+  const std::size_t width = std::to_string(m.jobs.size() - 1).size();
+  std::string id = std::to_string(i);
+  id.insert(0, width - id.size(), '0');
+  return srv.submit(std::move(id), m.jobs[i]);
 }
 
 }  // namespace ccg::server

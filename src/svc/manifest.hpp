@@ -1,4 +1,5 @@
-// Job manifests for the batch coloring service (src/svc/service.hpp).
+// Job manifests: the input of ccg_batch, which serves them on an
+// in-process server (submit_manifest_job in src/server/server.hpp).
 //
 // A manifest is a line-based text description of a stream of coloring
 // jobs — the serving shape of real (Delta+1)-coloring deployments

@@ -1,32 +1,27 @@
-// Batch coloring service: a job scheduler with reusable per-job state.
+// Job execution with reusable per-job state: the unit every scheduler
+// runs.
 //
-// run_batch turns a Manifest into a BatchReport in three steps:
-//
-//   1. prepare — distinct instance recipes (JobSpec::key) are built once,
-//      sequentially, into an immutable instance cache that all jobs share
-//      (repeat jobs and identical lines hit the cache);
-//   2. schedule — jobs are pulled one at a time off a shared cursor by the
-//      scheduler workers (exec::ThreadPool::for_dynamic): two-level
-//      parallelism, inter-job concurrency x intra-job Params::threads;
-//   3. report — results land in manifest-order slots, so the report never
-//      depends on completion order.
+// A job is a JobSpec (manifest.hpp / jobspec.hpp) run on a prepared
+// Instance (build_instance) by a JobSlot. Scheduling lives in one place,
+// server::Scheduler (src/server/): `ccg_serve` feeds it streamed
+// requests, and `ccg_batch` submits a manifest's jobs to an in-process
+// server::Server (submit_manifest_job in server/server.hpp).
 //
 // Each scheduler worker owns one JobSlot: a thin adapter over
 // ccg::Solver, the library's reusable session object (include/ccg/
 // solver.hpp). The Solver holds the arena — a Ledger, a Runtime and a
 // color::State that are *reset*, not reconstructed, between jobs — so
-// the batch service and every other consumer (the CLIs, the benches,
+// the schedulers and every other consumer (the CLIs, the benches,
 // external callers) share exactly one serving code path. Scratch keeps
 // its high-water capacity across job boundaries: once a slot is warm,
 // Algo::kFast jobs execute with zero heap allocations (pinned by
 // tests/test_svc_reuse.cpp; pipeline algos still allocate inside the
-// phases — tracked as allocs_per_job in bench_throughput).
+// phases — tracked as the auto/low steady allocs/job in bench_serving).
 //
 // Determinism contract: every job's coloring seed is a pure function of
-// (manifest seed, job index) — see manifest.hpp — and instances are
-// immutable during scheduling, so the deterministic portion of the report
-// (report_json with include_timing=false) is byte-identical for every
-// scheduler-worker count, intra-job thread count, and execution order.
+// the job's identity — (manifest seed, job index) for manifests, see
+// manifest.hpp — and instances are immutable once built, so a job's
+// result never depends on which worker runs it, when, or next to what.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +41,7 @@ namespace ccg::svc {
 // A prepared instance, built once per distinct JobSpec::key and shared
 // read-only by every job referencing it. A failed build (bad DIMACS path,
 // generator contract violation) is recorded instead of thrown: the jobs
-// on it fail individually and the rest of the batch proceeds.
+// on it fail individually and every other job proceeds.
 // Virtual-graph modes (JobMode::kEdge / kDist2) build their encoding here
 // too, so repeats share one line graph / G^2 representation.
 struct Instance {
@@ -64,8 +59,6 @@ struct Instance {
 // Plain-data result of one job. No owned containers on the success path,
 // so filling it never allocates.
 struct JobResult {
-  int index = -1;
-  int instance = -1;  // index into the batch's instance cache
   bool ok = false;
   int n = 0;
   int delta = 0;
@@ -98,7 +91,7 @@ struct JobResult {
   bool degraded = false;
 };
 
-// How run_batch / JobSlot::run treat a failed job. Defaults reproduce
+// How JobSlot::run treats a failed job. Defaults reproduce
 // the policy-free behavior: one attempt, no degradation.
 struct RunPolicy {
   // Seeds retry attempts via derive_retry_seed(manifest_seed, job index,
@@ -126,9 +119,9 @@ struct RunPolicy {
 };
 
 // The arena one scheduler worker owns: a ccg::Solver session plus a
-// reused Outcome. Public so callers with their own scheduling (async
-// ingest, tests, the reuse bench) can drive slots directly; run() is
-// exactly what the batch scheduler executes per job.
+// reused Outcome. Public so callers with their own scheduling (tests,
+// the reuse checks) can drive slots directly; run() is exactly what
+// server::Scheduler executes per job.
 //
 // Quarantine guarantee: an attempt that dies *mid-run* (kInternal /
 // kDeadlineExceeded / kCancelled) may leave the session arena in an
@@ -140,8 +133,7 @@ struct RunPolicy {
 //
 // Ownership discipline (why JobSlot carries no mutex and no capability
 // annotations): a slot is single-owner by construction. Each scheduler
-// worker — batch (run_batch's for_dynamic lambda) and server
-// (Scheduler::execute) alike — indexes its own slots_[w], and no slot is
+// worker (Scheduler::execute) indexes its own slots_[w], and no slot is
 // ever shared between workers; the scheduler's dispatch handoff provides
 // the happens-before edge when a worker thread is (re)started. Drivers
 // that call run() directly inherit the same contract: one thread per
@@ -180,61 +172,15 @@ class JobSlot {
   std::vector<int> degrade_colors_;  // scratch for the greedy fallback
 };
 
-struct BatchOptions {
-  int sched_workers = 1;  // <= 0 selects the hardware concurrency
-  // Execution-order permutation of [0, jobs): workers claim jobs in this
-  // order. Empty = manifest order. Results are independent of it (the
-  // determinism tests permute it to prove that).
-  std::vector<int> order;
-  // Failure policy (RunPolicy minus manifest_seed, which run_batch takes
-  // from the manifest).
-  int max_retries = 0;
-  bool degrade = false;
-  std::int64_t deadline_ms = 0;  // default for jobs without --deadline-ms
-};
-
-struct BatchReport {
-  std::uint64_t manifest_seed = 0;
-  int sched_workers = 1;
-  int num_instances = 0;
-  std::vector<JobResult> jobs;  // manifest order
-  // Failure/recovery tallies (deterministic, derived from `jobs`):
-  // jobs_failed counts !ok jobs, jobs_retried counts jobs that needed
-  // more than one attempt (whatever the final verdict), jobs_degraded
-  // counts ok-but-degraded jobs.
-  int jobs_failed = 0;
-  int jobs_retried = 0;
-  int jobs_degraded = 0;
-  double wall_ns = 0;        // whole batch, instance builds included
-  double sched_wall_ns = 0;  // scheduling span only
-  double jobs_per_sec = 0;   // jobs / sched_wall
-};
-
-BatchReport run_batch(const Manifest& m, const BatchOptions& opt = {});
-
 // Build one instance from a job recipe. Failures land in
-// Instance::error / error_code rather than throwing (prepare_instances
-// semantics). This is the single build path shared by the batch cache
-// below and the server's cross-job instance cache (src/server/cache.hpp).
+// Instance::error / error_code rather than throwing. This is the single
+// build path behind the server's cross-job instance cache
+// (src/server/cache.hpp) and every caller that runs a JobSlot directly.
 Instance build_instance(const JobSpec& job);
 
-// Builds the instance cache run_batch uses, exposed for direct JobSlot
-// drivers. instance_of[i] indexes instances for manifest job i.
-std::vector<Instance> prepare_instances(const Manifest& m,
-                                        std::vector<int>* instance_of);
-
-// Shared JSON row body of one job: every per-job field after the
-// caller's leading identity fields (the batch report leads each row with
-// `index`, the serving report with the client's `id`). Must stay inside
-// an open object.
+// JSON row body of one job: every per-job field after the leading `id`
+// the server's report writes. Must stay inside an open object.
 void job_result_json(JsonWriter& j, const JobSpec& js, const JobResult& jr,
                      bool include_timing);
-
-// JSON report. include_timing=false omits every timing- and
-// configuration-dependent field (wall clocks, jobs/sec, sched_workers);
-// what remains is byte-identical across scheduler configurations — the
-// contract tests/test_svc.cpp pins and CI diffs.
-std::string report_json(const Manifest& m, const BatchReport& r,
-                        bool include_timing = true);
 
 }  // namespace ccg::svc

@@ -7,7 +7,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <set>
-#include <stdexcept>
 #include <vector>
 
 #include "ccg/ccg.hpp"
@@ -44,42 +43,6 @@ TEST(ThreadPool, WorkDistributesAcrossWorkers) {
   });
   // All four workers got a non-empty chunk of a large-enough domain.
   EXPECT_EQ(seen.load(), 0b1111u);
-}
-
-TEST(ThreadPool, DynamicCoversEveryIndexExactlyOnce) {
-  // for_dynamic hands out single indices from a shared cursor (the batch
-  // service's job scheduler); every index must run exactly once at any
-  // worker count.
-  for (const int workers : {1, 4}) {
-    exec::ThreadPool pool(workers);
-    constexpr int kTotal = 10007;
-    std::vector<std::atomic<int>> hits(kTotal);
-    for (auto& h : hits) h.store(0);
-    pool.for_dynamic(kTotal, [&](int, std::int64_t b, std::int64_t e) {
-      ASSERT_EQ(e, b + 1);  // dynamic mode delivers one index per call
-      hits[static_cast<std::size_t>(b)].fetch_add(1);
-    });
-    for (int i = 0; i < kTotal; ++i) {
-      ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
-          << "workers " << workers << " index " << i;
-    }
-  }
-}
-
-TEST(ThreadPool, DynamicPropagatesExceptions) {
-  for (const int workers : {1, 4}) {
-    exec::ThreadPool pool(workers);
-    EXPECT_THROW(
-        pool.for_dynamic(100,
-                         [&](int, std::int64_t b, std::int64_t) {
-                           if (b == 37) throw std::runtime_error("boom");
-                         }),
-        std::runtime_error);
-    // The pool must stay usable after a failed dispatch.
-    std::atomic<int> ran{0};
-    pool.for_dynamic(8, [&](int, std::int64_t, std::int64_t) { ++ran; });
-    EXPECT_EQ(ran.load(), 8);
-  }
 }
 
 TEST(ThreadPool, ShardBoundsAreStaticAndOrdered) {

@@ -13,6 +13,7 @@
 #include "cluster/validate.hpp"
 #include "common/failpoint.hpp"
 #include "helpers.hpp"
+#include "manifest_serving.hpp"
 #include "sketch/approx_count.hpp"
 #include "color/relays.hpp"
 #include "lowdeg/lowdeg.hpp"
@@ -425,30 +426,29 @@ TEST_F(Failpoints, FaultedJobRetriesAndSucceedsDeterministically) {
       "seed 42\n"
       "job --gen gnm --n 300 --m 2400 --algo fast --repeat 3\n");
   ASSERT_EQ(m.jobs.size(), 3u);
+  server::ServerOptions retry2;
+  retry2.max_retries = 2;
   std::string reference;
   for (const int workers : {1, 2, 8}) {
     fail::ArmSpec spec;
     spec.match_arg = m.jobs[1].params_seed;
     fail::arm("svc.job.run", spec);
-    svc::BatchOptions opt;
-    opt.sched_workers = workers;
-    opt.max_retries = 2;
-    const auto rep = svc::run_batch(m, opt);
+    const auto served = testing::serve_manifest(m, workers, {}, retry2);
     EXPECT_EQ(fail::fire_count("svc.job.run"), 1);
-    ASSERT_EQ(rep.jobs.size(), 3u);
-    EXPECT_TRUE(rep.jobs[1].ok) << rep.jobs[1].error;
-    EXPECT_EQ(rep.jobs[1].attempts, 2);
-    EXPECT_FALSE(rep.jobs[1].degraded);
-    EXPECT_EQ(rep.jobs[0].attempts, 1);
-    EXPECT_EQ(rep.jobs[2].attempts, 1);
-    EXPECT_EQ(rep.jobs_failed, 0);
-    EXPECT_EQ(rep.jobs_retried, 1);
-    EXPECT_EQ(rep.jobs_degraded, 0);
-    const auto json = svc::report_json(m, rep, /*include_timing=*/false);
+    const auto rows = testing::report_rows(served.report);
+    ASSERT_EQ(rows.size(), 3u);
+    EXPECT_EQ(testing::row_field(rows[1], "ok"), "true") << rows[1];
+    EXPECT_EQ(testing::row_field(rows[1], "attempts"), "2");
+    EXPECT_EQ(testing::row_field(rows[1], "degraded"), "false");
+    EXPECT_EQ(testing::row_field(rows[0], "attempts"), "1");
+    EXPECT_EQ(testing::row_field(rows[2], "attempts"), "1");
+    EXPECT_EQ(served.aggregate.jobs_failed, 0);
+    EXPECT_EQ(served.aggregate.jobs_retried, 1);
+    EXPECT_EQ(served.aggregate.jobs_degraded, 0);
     if (reference.empty()) {
-      reference = json;
+      reference = served.report;
     } else {
-      ASSERT_EQ(json, reference) << "sched_workers " << workers;
+      ASSERT_EQ(served.report, reference) << "sched_workers " << workers;
     }
   }
 }
@@ -459,10 +459,8 @@ TEST_F(Failpoints, RetriesExhaustedDegradesToValidColoring) {
   // coloring — and flagged instead of failed.
   const auto m = svc::parse_manifest_string(
       "job --gen gnm --n 300 --m 2400 --algo fast\n");
-  std::vector<int> instance_of;
-  const auto instances = svc::prepare_instances(m, &instance_of);
-  ASSERT_EQ(instances.size(), 1u);
-  ASSERT_TRUE(instances[0].error.empty());
+  const auto inst = svc::build_instance(m.jobs[0]);
+  ASSERT_TRUE(inst.error.empty());
 
   fail::arm("svc.job.run", {});  // matches every attempt
   svc::RunPolicy policy;
@@ -471,7 +469,7 @@ TEST_F(Failpoints, RetriesExhaustedDegradesToValidColoring) {
   policy.degrade = true;
   svc::JobSlot slot;
   svc::JobResult out;
-  slot.run(instances[0], m.jobs[0], policy, &out);
+  slot.run(inst, m.jobs[0], policy, &out);
   EXPECT_EQ(out.attempts, 3);
   EXPECT_TRUE(out.ok);
   EXPECT_TRUE(out.degraded);
@@ -479,7 +477,7 @@ TEST_F(Failpoints, RetriesExhaustedDegradesToValidColoring) {
   EXPECT_EQ(out.uncolored, 0);
 
   // The coloring the fallback serves: validate it independently.
-  const auto& h = instances[0].cg.h();
+  const auto& h = inst.cg.h();
   EXPECT_EQ(out.n, h.n());
   EXPECT_EQ(out.num_colors, h.max_degree() + 1);
   const auto colors = baseline::greedy_coloring(h);
@@ -488,7 +486,7 @@ TEST_F(Failpoints, RetriesExhaustedDegradesToValidColoring) {
   // Without degradation the same exhaustion is a hard failure.
   fail::arm("svc.job.run", {});
   policy.degrade = false;
-  slot.run(instances[0], m.jobs[0], policy, &out);
+  slot.run(inst, m.jobs[0], policy, &out);
   EXPECT_FALSE(out.ok);
   EXPECT_FALSE(out.degraded);
   EXPECT_EQ(out.attempts, 3);
@@ -504,9 +502,8 @@ TEST_F(Failpoints, QuarantinedSlotMatchesFreshSolverBitForBit) {
       "seed 7\n"
       "job --gen gnm --n 400 --m 3600 --algo fast\n"
       "job --gen planted --delta 64 --cliques 2 --ext 6 --algo fast\n");
-  std::vector<int> instance_of;
-  const auto instances = svc::prepare_instances(m, &instance_of);
-  ASSERT_EQ(instances.size(), 2u);
+  const auto inst0 = svc::build_instance(m.jobs[0]);
+  const auto inst1 = svc::build_instance(m.jobs[1]);
 
   fail::ArmSpec spec;
   spec.match_arg = m.jobs[0].params_seed;  // fault job 0 only
@@ -514,10 +511,10 @@ TEST_F(Failpoints, QuarantinedSlotMatchesFreshSolverBitForBit) {
 
   svc::JobSlot slot;
   svc::JobResult out;
-  slot.run(instances[0], m.jobs[0], &out);
+  slot.run(inst0, m.jobs[0], &out);
   ASSERT_FALSE(out.ok);
   ASSERT_EQ(out.code, ErrorCode::kInternal);  // mid-run => quarantined
-  slot.run(instances[1], m.jobs[1], &out);
+  slot.run(inst1, m.jobs[1], &out);
   ASSERT_TRUE(out.ok) << out.error;
   const std::vector<int> via_slot = slot.solver().colors();
 
@@ -526,16 +523,24 @@ TEST_F(Failpoints, QuarantinedSlotMatchesFreshSolverBitForBit) {
   opt.algo = m.jobs[1].algo;
   opt.threads = m.jobs[1].threads;
   opt.seed = m.jobs[1].params_seed;
-  const auto ref = fresh.solve(Problem::cluster(instances[1].cg), opt);
+  const auto ref = fresh.solve(Problem::cluster(inst1.cg), opt);
   ASSERT_TRUE(ref.ok()) << ref.error.message;
   EXPECT_EQ(via_slot, fresh.colors());
 }
 
-TEST_F(Failpoints, BatchReportByteIdenticalAcrossWorkersWithFaults) {
+// The report's job rows, from the "jobs" key up to the aggregate block.
+std::string jobs_array(const std::string& report) {
+  const std::size_t b = report.find("\"jobs\": [");
+  return report.substr(b, report.find("\"aggregate\"") - b);
+}
+
+TEST_F(Failpoints, ServedManifestMatchesFreshSlotsAcrossWorkersWithFaults) {
   // The full recovery spectrum in one manifest — a transient fault that
   // retries into success, a persistent fault that degrades, a build
   // failure, and healthy jobs — must still produce byte-identical
-  // deterministic reports for every worker count and execution order.
+  // deterministic reports for every worker count and submission order,
+  // and every served job must equal the same job run alone on a fresh
+  // JobSlot under the same policy.
   const auto m = svc::parse_manifest_string(
       "seed 99\n"
       "job --gen gnm --n 300 --m 2400 --algo fast --repeat 2\n"
@@ -554,33 +559,59 @@ TEST_F(Failpoints, BatchReportByteIdenticalAcrossWorkersWithFaults) {
     fail::arm("pipeline.phase.acd", {});
   };
 
+  // Reference rows: each job alone on a fresh slot, written by the same
+  // row writer at the same nesting as the server's report.
+  svc::RunPolicy policy;
+  policy.manifest_seed = m.seed;
+  policy.max_retries = 1;
+  policy.degrade = true;
+  arm_all();
+  JsonWriter ref;
+  ref.begin_object();
+  ref.key("jobs").begin_array();
+  for (std::size_t i = 0; i < m.jobs.size(); ++i) {
+    svc::JobSlot slot;
+    svc::JobResult r;
+    slot.run(svc::build_instance(m.jobs[i]), m.jobs[i], policy, &r);
+    ref.begin_object();
+    ref.key("id").value(std::to_string(i));
+    svc::job_result_json(ref, m.jobs[i], r, /*include_timing=*/false);
+    ref.end_object();
+  }
+  ref.end_array();
+  ref.key("aggregate").null();
+  ref.end_object();
+  const std::string reference_rows = jobs_array(ref.str());
+
+  server::ServerOptions recover;
+  recover.max_retries = 1;
+  recover.degrade = true;
   std::string reference;
   for (const int workers : {1, 2, 8}) {
     for (const bool reversed : {false, true}) {
       arm_all();
-      svc::BatchOptions opt;
-      opt.sched_workers = workers;
-      opt.max_retries = 1;
-      opt.degrade = true;
-      if (reversed) {
-        opt.order = {4, 3, 2, 1, 0};
-      }
-      const auto rep = svc::run_batch(m, opt);
-      EXPECT_EQ(rep.jobs_failed, 1);    // the missing DIMACS file
-      EXPECT_EQ(rep.jobs_retried, 2);   // transient + persistent faults
-      EXPECT_EQ(rep.jobs_degraded, 1);  // the persistent fault
-      EXPECT_TRUE(rep.jobs[1].ok);
-      EXPECT_EQ(rep.jobs[1].attempts, 2);
-      EXPECT_TRUE(rep.jobs[2].degraded);
-      EXPECT_EQ(rep.jobs[2].attempts, 2);
-      EXPECT_FALSE(rep.jobs[3].ok);
-      EXPECT_EQ(rep.jobs[3].code, ErrorCode::kBuildFailed);
-      EXPECT_EQ(rep.jobs[3].attempts, 0);
-      const auto json = svc::report_json(m, rep, /*include_timing=*/false);
+      const auto served = testing::serve_manifest(
+          m, workers,
+          reversed ? std::vector<int>{4, 3, 2, 1, 0} : std::vector<int>{},
+          recover);
+      EXPECT_EQ(jobs_array(served.report), reference_rows)
+          << "sched_workers " << workers << " reversed " << reversed;
+      EXPECT_EQ(served.aggregate.jobs_failed, 1);    // missing DIMACS
+      EXPECT_EQ(served.aggregate.jobs_retried, 2);   // both faults
+      EXPECT_EQ(served.aggregate.jobs_degraded, 1);  // the persistent one
+      const auto rows = testing::report_rows(served.report);
+      ASSERT_EQ(rows.size(), 5u);
+      EXPECT_EQ(testing::row_field(rows[1], "ok"), "true");
+      EXPECT_EQ(testing::row_field(rows[1], "attempts"), "2");
+      EXPECT_EQ(testing::row_field(rows[2], "degraded"), "true");
+      EXPECT_EQ(testing::row_field(rows[2], "attempts"), "2");
+      EXPECT_EQ(testing::row_field(rows[3], "ok"), "false");
+      EXPECT_EQ(testing::row_field(rows[3], "error_code"), "build_failed");
+      EXPECT_EQ(testing::row_field(rows[3], "attempts"), "0");
       if (reference.empty()) {
-        reference = json;
+        reference = served.report;
       } else {
-        ASSERT_EQ(json, reference)
+        ASSERT_EQ(served.report, reference)
             << "sched_workers " << workers << " reversed " << reversed;
       }
     }
@@ -593,12 +624,13 @@ TEST_F(Failpoints, PrepareFaultIsContainedToTheInstance) {
   const auto m = svc::parse_manifest_string(
       "job --gen gnm --n 200 --m 800 --algo fast\n");
   fail::arm("svc.prepare", {});
-  const auto rep = svc::run_batch(m, {});
-  ASSERT_EQ(rep.jobs.size(), 1u);
-  EXPECT_FALSE(rep.jobs[0].ok);
-  EXPECT_EQ(rep.jobs[0].code, ErrorCode::kInternal);
-  EXPECT_EQ(rep.jobs[0].attempts, 0);
-  EXPECT_EQ(rep.jobs_failed, 1);
+  const auto served = testing::serve_manifest(m, 1);
+  const auto rows = testing::report_rows(served.report);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(testing::row_field(rows[0], "ok"), "false");
+  EXPECT_EQ(testing::row_field(rows[0], "error_code"), "internal");
+  EXPECT_EQ(testing::row_field(rows[0], "attempts"), "0");
+  EXPECT_EQ(served.aggregate.jobs_failed, 1);
 }
 
 TEST_F(Failpoints, JobDeadlineOverridesBatchDefault) {
@@ -612,13 +644,15 @@ TEST_F(Failpoints, JobDeadlineOverridesBatchDefault) {
   spec.delay_ms = 1200;
   spec.match_arg = m.jobs[1].params_seed;
   fail::arm("solver.fast", spec);
-  svc::BatchOptions opt;
-  opt.deadline_ms = 300;
-  const auto rep = svc::run_batch(m, opt);
-  EXPECT_TRUE(rep.jobs[0].ok) << rep.jobs[0].error;
-  EXPECT_FALSE(rep.jobs[1].ok);
-  EXPECT_EQ(rep.jobs[1].code, ErrorCode::kDeadlineExceeded);
-  EXPECT_EQ(rep.jobs_failed, 1);
+  server::ServerOptions deadline;
+  deadline.deadline_ms = 300;
+  const auto served = testing::serve_manifest(m, 1, {}, deadline);
+  const auto rows = testing::report_rows(served.report);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(testing::row_field(rows[0], "ok"), "true") << rows[0];
+  EXPECT_EQ(testing::row_field(rows[1], "ok"), "false");
+  EXPECT_EQ(testing::row_field(rows[1], "error_code"), "deadline_exceeded");
+  EXPECT_EQ(served.aggregate.jobs_failed, 1);
 }
 
 }  // namespace

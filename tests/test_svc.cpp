@@ -1,8 +1,10 @@
-// Batch coloring service (src/svc/): manifest parsing, proper colorings
-// through both serving algorithms, instance-cache sharing, slot
-// reset-and-reuse correctness, and the headline determinism contract —
-// identical manifest => byte-identical deterministic report for every
-// scheduler-worker count and submission-order permutation.
+// Manifests (src/svc/) served the way ccg_batch serves them, on an
+// in-process server: manifest parsing, proper colorings through both
+// serving algorithms, slot reset-and-reuse correctness, the manifest
+// path's promises (no sheds, rows in manifest order), and the headline
+// determinism contract — identical manifest => byte-identical
+// deterministic report for every scheduler-worker count and submission
+// order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,9 +13,14 @@
 #include <vector>
 
 #include "ccg/ccg.hpp"
+#include "manifest_serving.hpp"
 
 namespace ccg::svc {
 namespace {
+
+using testing::report_rows;
+using testing::row_field;
+using testing::serve_manifest;
 
 int env_threads() {
   if (const char* env = std::getenv("CCG_TEST_THREADS")) {
@@ -128,40 +135,34 @@ TEST(SvcBatch, ProgrammaticUnknownLayoutFailsLoudly) {
   j.key = instance_key(j);
   m.jobs.push_back(j);
   finalize_job_seeds(m);
-  const auto rep = run_batch(m, {});
-  ASSERT_EQ(rep.jobs.size(), 1u);
-  EXPECT_FALSE(rep.jobs[0].ok);
-  EXPECT_NE(rep.jobs[0].error.find("unknown layout"), std::string::npos);
+  const auto rows = report_rows(serve_manifest(m, 1).report);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(row_field(rows[0], "ok"), "false");
+  EXPECT_NE(row_field(rows[0], "error").find("unknown layout"),
+            std::string::npos);
 }
 
 TEST(SvcBatch, AllJobsColorProperly) {
   const auto m = parse_manifest_string(test_manifest_text());
-  BatchOptions opt;
-  opt.sched_workers = 2;
-  const auto rep = run_batch(m, opt);
-  ASSERT_EQ(rep.jobs.size(), m.jobs.size());
-  for (const auto& jr : rep.jobs) {
-    EXPECT_TRUE(jr.ok) << "job " << jr.index << ": " << jr.error;
-    EXPECT_EQ(jr.uncolored, 0);
-    EXPECT_EQ(jr.num_colors, jr.delta + 1);
-    EXPECT_GT(jr.h_rounds, 0);
+  const auto rows = report_rows(serve_manifest(m, 2).report);
+  ASSERT_EQ(rows.size(), m.jobs.size());
+  for (const auto& row : rows) {
+    EXPECT_EQ(row_field(row, "ok"), "true") << row;
+    EXPECT_EQ(row_field(row, "uncolored"), "0") << row;
+    EXPECT_EQ(std::stoi(row_field(row, "num_colors")),
+              std::stoi(row_field(row, "delta")) + 1)
+        << row;
+    EXPECT_GT(std::stoll(row_field(row, "h_rounds")), 0) << row;
   }
   // The planted job went down the high-degree pipeline: it found cliques.
-  EXPECT_GT(rep.jobs[3].num_cliques, 0);
-  // Distinct instance recipes: gnm400, planted, gnm300, caveman, grid.
-  EXPECT_EQ(rep.num_instances, 5);
-  EXPECT_EQ(rep.jobs[0].instance, rep.jobs[1].instance);
-  EXPECT_EQ(rep.jobs[6].instance, rep.jobs[7].instance);
+  EXPECT_GT(std::stoi(row_field(rows[3], "num_cliques")), 0);
 }
 
 TEST(SvcBatch, ReportBitIdenticalAcrossSchedulerWorkers) {
   const auto m = parse_manifest_string(test_manifest_text());
   std::string reference;
   for (const int workers : {1, 2, 8}) {
-    BatchOptions opt;
-    opt.sched_workers = workers;
-    const auto rep = run_batch(m, opt);
-    const auto json = report_json(m, rep, /*include_timing=*/false);
+    const auto json = serve_manifest(m, workers).report;
     if (reference.empty()) {
       reference = json;
     } else {
@@ -187,49 +188,89 @@ TEST(SvcBatch, ReportBitIdenticalAcrossSubmissionOrders) {
   }
   orders.push_back(rotated);
 
-  BatchOptions base;
-  base.sched_workers = 2;
-  const auto ref_json =
-      report_json(m, run_batch(m, base), /*include_timing=*/false);
+  const auto ref_json = serve_manifest(m, 2).report;
   for (const auto& order : orders) {
-    BatchOptions opt;
-    opt.sched_workers = 2;
-    opt.order = order;
-    const auto json =
-        report_json(m, run_batch(m, opt), /*include_timing=*/false);
-    ASSERT_EQ(json, ref_json);
+    ASSERT_EQ(serve_manifest(m, 2, order).report, ref_json);
   }
 }
 
 TEST(SvcBatch, TimingModeOnlyAddsTimingFields) {
   const auto m = parse_manifest_string(
       "job --gen cycle --n 60 --algo fast\n");
-  const auto rep = run_batch(m, {});
-  const auto timed = report_json(m, rep, /*include_timing=*/true);
-  const auto det = report_json(m, rep, /*include_timing=*/false);
-  EXPECT_NE(timed.find("wall_ns"), std::string::npos);
-  EXPECT_NE(timed.find("sched_workers"), std::string::npos);
-  EXPECT_NE(timed.find("jobs_per_sec"), std::string::npos);
-  EXPECT_EQ(det.find("wall_ns"), std::string::npos);
-  EXPECT_EQ(det.find("sched_workers"), std::string::npos);
-  EXPECT_EQ(det.find("jobs_per_sec"), std::string::npos);
+  server::Server srv(server::manifest_server_options(m, {}));
+  ASSERT_EQ(server::submit_manifest_job(srv, m, 0),
+            server::Server::Admission::kAccepted);
+  const auto timed = srv.report_json(/*include_timing=*/true);
+  const auto det = srv.report_json(/*include_timing=*/false);
+  for (const char* field : {"\"wall_ns\"", "\"workers\"", "\"slo\""}) {
+    EXPECT_NE(timed.find(field), std::string::npos) << field;
+    EXPECT_EQ(det.find(field), std::string::npos) << field;
+  }
 }
 
 TEST(SvcBatch, FailedInstanceFailsItsJobsAndSparesTheRest) {
   const auto m = parse_manifest_string(
       "job --dimacs /nonexistent/instance.col --algo fast\n"
       "job --gen cycle --n 40 --algo fast\n");
-  const auto rep = run_batch(m, {});
-  ASSERT_EQ(rep.jobs.size(), 2u);
-  EXPECT_FALSE(rep.jobs[0].ok);
-  EXPECT_FALSE(rep.jobs[0].error.empty());
-  EXPECT_TRUE(rep.jobs[1].ok) << rep.jobs[1].error;
+  const auto served = serve_manifest(m, 1);
+  const auto rows = report_rows(served.report);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(row_field(rows[0], "ok"), "false");
+  EXPECT_FALSE(row_field(rows[0], "error").empty());
+  EXPECT_EQ(row_field(rows[1], "ok"), "true") << rows[1];
+  EXPECT_EQ(served.aggregate.jobs_failed, 1);
   // Failure text is deterministic, so the report contract still holds.
-  const auto a = report_json(m, run_batch(m, {}), false);
-  BatchOptions w8;
-  w8.sched_workers = 8;
-  const auto b = report_json(m, run_batch(m, w8), false);
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(serve_manifest(m, 8).report, served.report);
+}
+
+TEST(SvcBatch, ManifestDeeperThanTheDefaultQueueNeverSheds) {
+  // 300 jobs against the server's default depth of 256:
+  // manifest_server_options sizes the admission bound to the manifest,
+  // so every job is accepted and served, however far submission runs
+  // ahead of the one worker.
+  const auto m = parse_manifest_string(
+      "job --gen gnm --n 300 --m 2400 --algo fast --repeat 300\n");
+  ASSERT_GT(m.jobs.size(), 256u);
+  EXPECT_EQ(server::manifest_server_options(m, {}).queue_depth, 300);
+  const auto served = serve_manifest(m, 1);
+  EXPECT_EQ(served.shed, 0u);
+  EXPECT_EQ(served.aggregate.num_jobs, 300);
+  EXPECT_EQ(served.aggregate.ok_jobs, 300);
+  EXPECT_EQ(report_rows(served.report).size(), 300u);
+}
+
+TEST(SvcBatch, RowsFollowManifestOrder) {
+  // Ids are manifest indices zero-padded to one width, so the id-ordered
+  // report lists job 10 after job 9, whatever the submission order.
+  const auto m = parse_manifest_string(
+      "seed 5\n"
+      "job --gen cycle --n 30 --algo fast --repeat 6\n"
+      "job --gen grid --w 5 --h 4 --algo fast --repeat 6\n");
+  ASSERT_EQ(m.jobs.size(), 12u);
+  std::vector<int> reversed(m.jobs.size());
+  for (std::size_t i = 0; i < reversed.size(); ++i) {
+    reversed[i] = static_cast<int>(reversed.size() - 1 - i);
+  }
+  const auto report = serve_manifest(m, 2, reversed).report;
+  const auto rows = report_rows(report);
+  ASSERT_EQ(rows.size(), m.jobs.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::string id = (i < 10 ? "0" : "") + std::to_string(i);
+    EXPECT_EQ(row_field(rows[i], "id"), id);
+    EXPECT_EQ(row_field(rows[i], "key"), m.jobs[i].key) << id;
+    EXPECT_EQ(row_field(rows[i], "seed"),
+              std::to_string(m.jobs[i].params_seed))
+        << id;
+  }
+  EXPECT_EQ(serve_manifest(m, 1).report, report);
+}
+
+TEST(SvcBatch, EmptyManifestReportsNoJobs) {
+  const auto m = parse_manifest_string("seed 3\n");
+  const auto served = serve_manifest(m, 2);
+  EXPECT_EQ(served.aggregate.num_jobs, 0);
+  EXPECT_NE(served.report.find("\"num_jobs\": 0"), std::string::npos);
+  EXPECT_TRUE(report_rows(served.report).empty());
 }
 
 TEST(SvcSlot, ReusedSlotMatchesFreshSlots) {
@@ -242,21 +283,18 @@ TEST(SvcSlot, ReusedSlotMatchesFreshSlots) {
       "job --gen planted --delta 120 --cliques 3 --ext 8 --anti 2 "
       "--oracle --eps 0.2\n"
       "job --gen gnm --n 350 --m 2600 --algo fast\n");
-  std::vector<int> instance_of;
-  const auto instances = prepare_instances(m, &instance_of);
+  std::vector<Instance> instances;
+  for (const auto& job : m.jobs) instances.push_back(build_instance(job));
 
   JobSlot reused;
   std::vector<JobResult> warm(m.jobs.size());
   for (std::size_t i = 0; i < m.jobs.size(); ++i) {
-    reused.run(instances[static_cast<std::size_t>(
-                   instance_of[i])],
-               m.jobs[i], &warm[i]);
+    reused.run(instances[i], m.jobs[i], &warm[i]);
   }
   for (std::size_t i = 0; i < m.jobs.size(); ++i) {
     JobSlot fresh;
     JobResult fr;
-    fresh.run(instances[static_cast<std::size_t>(instance_of[i])],
-              m.jobs[i], &fr);
+    fresh.run(instances[i], m.jobs[i], &fr);
     EXPECT_TRUE(warm[i].ok);
     EXPECT_EQ(warm[i].ok, fr.ok) << "job " << i;
     EXPECT_EQ(warm[i].h_rounds, fr.h_rounds) << "job " << i;
@@ -286,8 +324,8 @@ TEST(SvcBatch, IntraJobThreadCountDoesNotChangeTheReport) {
   };
   const auto m1 = parse_manifest_string(text_with(1));
   const auto m4 = parse_manifest_string(text_with(4));
-  const auto j1 = report_json(m1, run_batch(m1, {}), false);
-  auto j4 = report_json(m4, run_batch(m4, {}), false);
+  const auto j1 = serve_manifest(m1, 1).report;
+  auto j4 = serve_manifest(m4, 1).report;
   // The reports differ only in the recorded threads field.
   const auto fix = [](std::string s) {
     std::size_t pos = 0;
@@ -342,26 +380,20 @@ TEST(SvcVirtualModes, EdgeAndDist2JobsColorProperlyAndDeterministically) {
       "job --gen grid --w 8 --h 8 --mode edge\n"
       "job --gen gnm --n 150 --m 450 --mode dist2 --repeat 2\n"
       "job --gen gnm --n 150 --m 450 --algo low\n");
-  BatchOptions opt;
-  opt.sched_workers = 2;
-  const auto rep = run_batch(m, opt);
-  ASSERT_EQ(rep.jobs.size(), 5u);
-  for (const auto& jr : rep.jobs) {
-    EXPECT_TRUE(jr.ok) << "job " << jr.index << ": " << jr.error;
-    EXPECT_EQ(jr.uncolored, 0);
-    EXPECT_GT(jr.h_rounds, 0);
+  const auto rows = report_rows(serve_manifest(m, 2).report);
+  ASSERT_EQ(rows.size(), 5u);
+  for (const auto& row : rows) {
+    EXPECT_EQ(row_field(row, "ok"), "true") << row;
+    EXPECT_EQ(row_field(row, "uncolored"), "0") << row;
+    EXPECT_GT(std::stoll(row_field(row, "h_rounds")), 0) << row;
   }
   // Line graph of the 8x8 grid: one H-vertex per grid edge; c = 1.
-  EXPECT_EQ(rep.jobs[0].n, 2 * 8 * 7);
-  EXPECT_EQ(rep.jobs[0].congestion, 1);
+  EXPECT_EQ(row_field(rows[0], "n"), std::to_string(2 * 8 * 7));
+  EXPECT_EQ(row_field(rows[0], "congestion"), "1");
   // Distance-2: H = G^2 over the same vertex set; c = 2.
-  EXPECT_EQ(rep.jobs[2].n, 150);
-  EXPECT_EQ(rep.jobs[2].congestion, 2);
-  EXPECT_EQ(rep.jobs[4].congestion, 1);
-  // Virtual instances are cached like any other.
-  EXPECT_EQ(rep.jobs[0].instance, rep.jobs[1].instance);
-  EXPECT_EQ(rep.jobs[2].instance, rep.jobs[3].instance);
-  EXPECT_NE(rep.jobs[2].instance, rep.jobs[4].instance);
+  EXPECT_EQ(row_field(rows[2], "n"), "150");
+  EXPECT_EQ(row_field(rows[2], "congestion"), "2");
+  EXPECT_EQ(row_field(rows[4], "congestion"), "1");
 
   // Programmatic builders that skip the parser still cannot pair a
   // virtual mode with a cluster layout: the instance build fails loudly
@@ -377,19 +409,17 @@ TEST(SvcVirtualModes, EdgeAndDist2JobsColorProperlyAndDeterministically) {
     j.key = instance_key(j);
     bypass.jobs.push_back(j);
     finalize_job_seeds(bypass);
-    const auto r = run_batch(bypass, {});
-    ASSERT_EQ(r.jobs.size(), 1u);
-    EXPECT_FALSE(r.jobs[0].ok);
-    EXPECT_NE(r.jobs[0].error.find("singleton"), std::string::npos)
-        << r.jobs[0].error;
+    const auto r = report_rows(serve_manifest(bypass, 1).report);
+    ASSERT_EQ(r.size(), 1u);
+    EXPECT_EQ(row_field(r[0], "ok"), "false");
+    EXPECT_NE(row_field(r[0], "error").find("singleton"), std::string::npos)
+        << r[0];
   }
 
   // The headline determinism contract extends to virtual-mode jobs.
   std::string reference;
   for (const int workers : {1, 2, 8}) {
-    BatchOptions o;
-    o.sched_workers = workers;
-    const auto json = report_json(m, run_batch(m, o), false);
+    const auto json = serve_manifest(m, workers).report;
     if (reference.empty()) {
       reference = json;
     } else {

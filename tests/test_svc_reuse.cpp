@@ -38,9 +38,8 @@ Manifest fast_manifest(int count, int threads) {
 void run_zero_alloc_check(int threads) {
   constexpr int kJobs = 8;
   const auto m = fast_manifest(kJobs, threads);
-  std::vector<int> instance_of;
-  const auto instances = prepare_instances(m, &instance_of);
-  ASSERT_EQ(instances.size(), 1u);
+  const auto inst = build_instance(m.jobs[0]);
+  ASSERT_TRUE(inst.error.empty()) << inst.error;
 
   JobSlot slot;
   JobResult out;
@@ -52,14 +51,14 @@ void run_zero_alloc_check(int threads) {
   // later identical pass does too.
   for (int pass = 0; pass < 2; ++pass) {
     for (int i = 0; i < kJobs; ++i) {
-      slot.run(instances[0], m.jobs[static_cast<std::size_t>(i)], &out);
+      slot.run(inst, m.jobs[static_cast<std::size_t>(i)], &out);
       ASSERT_TRUE(out.ok) << out.error;
     }
   }
 
   const long long before = alloc_count();
   for (int i = 0; i < kJobs; ++i) {
-    slot.run(instances[0], m.jobs[static_cast<std::size_t>(i)], &out);
+    slot.run(inst, m.jobs[static_cast<std::size_t>(i)], &out);
     ASSERT_TRUE(out.ok) << out.error;
     ASSERT_EQ(out.uncolored, 0);
   }
@@ -106,22 +105,21 @@ TEST(SvcReuse, LowDegreeJobsReuseTheArena) {
   // construction), and reuse must not change a single output bit.
   constexpr int kJobs = 6;
   const auto m = low_manifest(kJobs);
-  std::vector<int> instance_of;
-  const auto instances = prepare_instances(m, &instance_of);
-  ASSERT_EQ(instances.size(), 1u);
+  const auto inst = build_instance(m.jobs[0]);
+  ASSERT_TRUE(inst.error.empty()) << inst.error;
 
   JobSlot warm;
   JobResult out;
   std::vector<std::int64_t> warm_h(kJobs);
   for (int pass = 0; pass < 2; ++pass) {  // warm every high-water buffer
     for (int i = 0; i < kJobs; ++i) {
-      warm.run(instances[0], m.jobs[static_cast<std::size_t>(i)], &out);
+      warm.run(inst, m.jobs[static_cast<std::size_t>(i)], &out);
       ASSERT_TRUE(out.ok) << out.error;
     }
   }
   const long long warm_before = alloc_count();
   for (int i = 0; i < kJobs; ++i) {
-    warm.run(instances[0], m.jobs[static_cast<std::size_t>(i)], &out);
+    warm.run(inst, m.jobs[static_cast<std::size_t>(i)], &out);
     ASSERT_TRUE(out.ok) << out.error;
     warm_h[static_cast<std::size_t>(i)] = out.h_rounds;
   }
@@ -131,7 +129,7 @@ TEST(SvcReuse, LowDegreeJobsReuseTheArena) {
   std::vector<std::int64_t> cold_h(kJobs);
   for (int i = 0; i < kJobs; ++i) {
     JobSlot cold;  // fresh arena per job: the pre-reuse serving shape
-    cold.run(instances[0], m.jobs[static_cast<std::size_t>(i)], &out);
+    cold.run(inst, m.jobs[static_cast<std::size_t>(i)], &out);
     ASSERT_TRUE(out.ok) << out.error;
     cold_h[static_cast<std::size_t>(i)] = out.h_rounds;
   }
@@ -174,28 +172,27 @@ TEST(SvcReuse, AutoJobsReuseTheAcdAndDenseScratch) {
   // The high-degree pipeline's working set — AcdResult members, the ACD
   // CSR/BFS scratch, DenseInfo, palettes, and every phase-orchestration
   // buffer — lives in grow-only State storage. Once warm, a full auto job
-  // must stay within the same small allocation budget the throughput
-  // bench gates on (bench_throughput / check_regression.py), and reuse
-  // must not change a single output bit versus cold slots.
+  // must stay within the same small allocation budget the serving bench
+  // gates on (bench_serving / check_regression.py), and reuse must not
+  // change a single output bit versus cold slots.
   constexpr int kJobs = 4;
   constexpr long long kBudgetPerJob = 64;
   const auto m = auto_manifest(kJobs);
-  std::vector<int> instance_of;
-  const auto instances = prepare_instances(m, &instance_of);
-  ASSERT_EQ(instances.size(), 1u);
+  const auto inst = build_instance(m.jobs[0]);
+  ASSERT_TRUE(inst.error.empty()) << inst.error;
 
   JobSlot warm;
   JobResult out;
   std::vector<std::int64_t> warm_h(kJobs);
   for (int pass = 0; pass < 2; ++pass) {  // warm every high-water buffer
     for (int i = 0; i < kJobs; ++i) {
-      warm.run(instances[0], m.jobs[static_cast<std::size_t>(i)], &out);
+      warm.run(inst, m.jobs[static_cast<std::size_t>(i)], &out);
       ASSERT_TRUE(out.ok) << out.error;
     }
   }
   const long long warm_before = alloc_count();
   for (int i = 0; i < kJobs; ++i) {
-    warm.run(instances[0], m.jobs[static_cast<std::size_t>(i)], &out);
+    warm.run(inst, m.jobs[static_cast<std::size_t>(i)], &out);
     ASSERT_TRUE(out.ok) << out.error;
     ASSERT_EQ(out.uncolored, 0);
     warm_h[static_cast<std::size_t>(i)] = out.h_rounds;
@@ -206,7 +203,7 @@ TEST(SvcReuse, AutoJobsReuseTheAcdAndDenseScratch) {
   std::vector<std::int64_t> cold_h(kJobs);
   for (int i = 0; i < kJobs; ++i) {
     JobSlot cold;  // fresh arena per job
-    cold.run(instances[0], m.jobs[static_cast<std::size_t>(i)], &out);
+    cold.run(inst, m.jobs[static_cast<std::size_t>(i)], &out);
     ASSERT_TRUE(out.ok) << out.error;
     cold_h[static_cast<std::size_t>(i)] = out.h_rounds;
   }
@@ -227,19 +224,18 @@ TEST(SvcReuse, ResetStateIsBitIdenticalToFreshState) {
   // same seed via a warm slot (after serving different jobs) and via a
   // cold slot; the ledgers and fallback counters must agree exactly.
   const auto m = fast_manifest(3, 1);
-  std::vector<int> instance_of;
-  const auto instances = prepare_instances(m, &instance_of);
+  const auto inst = build_instance(m.jobs[0]);
 
   JobSlot warm;
   JobResult tmp;
-  warm.run(instances[0], m.jobs[1], &tmp);  // unrelated job first
-  warm.run(instances[0], m.jobs[2], &tmp);
+  warm.run(inst, m.jobs[1], &tmp);  // unrelated job first
+  warm.run(inst, m.jobs[2], &tmp);
   JobResult from_warm;
-  warm.run(instances[0], m.jobs[0], &from_warm);
+  warm.run(inst, m.jobs[0], &from_warm);
 
   JobSlot cold;
   JobResult from_cold;
-  cold.run(instances[0], m.jobs[0], &from_cold);
+  cold.run(inst, m.jobs[0], &from_cold);
 
   EXPECT_TRUE(from_warm.ok);
   EXPECT_EQ(from_warm.h_rounds, from_cold.h_rounds);

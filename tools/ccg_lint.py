@@ -6,9 +6,9 @@ guarantees" documents each one from the user's side):
 
   R1 shared-rng      No call path from a parallel dispatch site
                      (ParallelRound::shards / ThreadPool::for_shards /
-                     for_dynamic / exec::shards_or_inline / the
-                     scheduler's steal loop) to a shared-RNG draw
-                     (State::rng). Parallel phases must draw from
+                     exec::shards_or_inline / the scheduler's steal
+                     loop) to a shared-RNG draw (State::rng).
+                     Parallel phases must draw from
                      counter-based streams (stream_rng / StreamCtx) or
                      the bit-identical-for-every-thread-count contract
                      is gone. Functions that draw st.rng in a documented
@@ -72,8 +72,8 @@ CPP_KEYWORDS = {
     "co_await", "co_return", "co_yield", "and", "or", "not", "assert",
 }
 
-PARALLEL_DISPATCH = {"shards", "for_shards", "for_dynamic",
-                     "shards_or_inline", "steal", "pop_local"}
+PARALLEL_DISPATCH = {"shards", "for_shards", "shards_or_inline", "steal",
+                     "pop_local"}
 
 # Method names that are overwhelmingly STL-container/atomic calls; never
 # resolve them to same-named project functions (a `.resize(` on a vector
