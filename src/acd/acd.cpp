@@ -479,6 +479,72 @@ bool verify_almost_cliques(const graph::Graph& h, const AcdResult& acd,
   return true;
 }
 
+void split_neighborhoods(const graph::Graph& h, const AcdResult& acd,
+                         exec::ParallelRound* par, DenseInfo* out) {
+  const int n = h.n();
+  const auto nu = static_cast<std::size_t>(n);
+  DenseInfo& info = *out;
+  info.ext_off.resize(nu + 1);
+  info.anti_off.resize(nu + 1);
+  info.ext_off[0] = info.anti_off[0] = 0;
+  // Count: |N(v) ∩ K| fixes both row lengths, e_v = deg v - |N(v) ∩ K| and
+  // a_v = |K| - 1 - |N(v) ∩ K|. Per-row disjoint writes.
+  exec::shards_or_inline(par, n, [&](int, std::int64_t b, std::int64_t e) {
+    for (std::int64_t i = b; i < e; ++i) {
+      const int v = static_cast<int>(i);
+      const int kv = acd.clique_of[static_cast<std::size_t>(v)];
+      std::int64_t ext = 0, anti = 0;
+      if (kv >= 0) {
+        int inside = 0;
+        for (const int u : h.neighbors(v)) {
+          inside += acd.clique_of[static_cast<std::size_t>(u)] == kv;
+        }
+        ext = h.degree(v) - inside;
+        anti = static_cast<std::int64_t>(
+                   acd.members[static_cast<std::size_t>(kv)].size()) -
+               1 - inside;
+      }
+      info.ext_off[static_cast<std::size_t>(v) + 1] = ext;
+      info.anti_off[static_cast<std::size_t>(v) + 1] = anti;
+    }
+  });
+  for (std::size_t v = 0; v < nu; ++v) {
+    info.ext_off[v + 1] += info.ext_off[v];
+    info.anti_off[v + 1] += info.anti_off[v];
+  }
+  info.ext_adj.resize(static_cast<std::size_t>(info.ext_off[nu]));
+  info.anti_adj.resize(static_cast<std::size_t>(info.anti_off[nu]));
+  // Fill: N(v) and the members of K are both ascending, so one merged walk
+  // emits ext(v) (the neighbors outside K) and anti(v) (the members N(v)
+  // skips, v aside), each in ascending order.
+  exec::shards_or_inline(par, n, [&](int, std::int64_t b, std::int64_t e) {
+    for (std::int64_t i = b; i < e; ++i) {
+      const int v = static_cast<int>(i);
+      const int kv = acd.clique_of[static_cast<std::size_t>(v)];
+      if (kv < 0) continue;
+      const auto& mem = acd.members[static_cast<std::size_t>(kv)];
+      int* ext = info.ext_adj.data() + info.ext_off[static_cast<std::size_t>(v)];
+      int* anti =
+          info.anti_adj.data() + info.anti_off[static_cast<std::size_t>(v)];
+      std::size_t m = 0;
+      for (const int u : h.neighbors(v)) {
+        if (acd.clique_of[static_cast<std::size_t>(u)] != kv) {
+          *ext++ = u;
+          continue;
+        }
+        for (; mem[m] < u; ++m) {
+          if (mem[m] != v) *anti++ = mem[m];
+        }
+        CCG_ASSERT(mem[m] == u);
+        ++m;
+      }
+      for (; m < mem.size(); ++m) {
+        if (mem[m] != v) *anti++ = mem[m];
+      }
+    }
+  });
+}
+
 void annotate_dense(cluster::Runtime& rt, const AcdResult& acd, double ell,
                     int t, bool use_fingerprints, StreamCtx& streams,
                     exec::ParallelRound* par, DenseInfo* out,
@@ -487,6 +553,7 @@ void annotate_dense(cluster::Runtime& rt, const AcdResult& acd, double ell,
   const int n = h.n();
   DenseInfo& info = *out;
   info.ext_est.assign(static_cast<std::size_t>(n), 0.0);
+  split_neighborhoods(h, acd, par, &info);
 
   if (use_fingerprints) {
     sketch::CountOptions opt;
@@ -510,21 +577,11 @@ void annotate_dense(cluster::Runtime& rt, const AcdResult& acd, double ell,
       }
     }
   } else {
-    // Exact per-vertex external degrees: independent CSR-row scans with
-    // per-vertex disjoint writes, sharded by the round engine if present.
-    exec::shards_or_inline(
-        par, n, [&](int, std::int64_t b, std::int64_t e) {
-          for (std::int64_t i = b; i < e; ++i) {
-            const int v = static_cast<int>(i);
-            const int kv = acd.clique_of[static_cast<std::size_t>(v)];
-            if (kv < 0) continue;
-            int ext = 0;
-            for (const int u : h.neighbors(v)) {
-              if (acd.clique_of[static_cast<std::size_t>(u)] != kv) ++ext;
-            }
-            info.ext_est[static_cast<std::size_t>(v)] = ext;
-          }
-        });
+    // Exact external degrees: the lengths of the ext rows.
+    for (int v = 0; v < n; ++v) {
+      info.ext_est[static_cast<std::size_t>(v)] =
+          static_cast<double>(info.ext(v).size());
+    }
     rt.charge(1, 2 * t + 16);
   }
 

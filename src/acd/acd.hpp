@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cluster/runtime.hpp"
@@ -51,9 +52,9 @@ struct AcdResult {
   int num_cliques = 0;
   // Degree estimates d̂(v) from step 1 (exact in oracle mode).
   std::vector<double> degree_est;
-  // Members per clique id. Only entries [0, num_cliques) are meaningful:
-  // under reuse the outer vector is grow-only, so stale inner vectors may
-  // trail past num_cliques.
+  // Members per clique id, ascending. Only entries [0, num_cliques) are
+  // meaningful: under reuse the outer vector is grow-only, so stale inner
+  // vectors may trail past num_cliques.
   std::vector<std::vector<int>> members;
 
   // Rebind for a new run, keeping every capacity (outer members included).
@@ -137,11 +138,43 @@ struct DenseInfo {
   std::vector<double> avg_ext_est;
   // cabal flag per clique id: ẽ_K < ell.
   std::vector<bool> is_cabal;
+  // Neighborhood split of every vertex v of almost-clique K, as ascending
+  // CSR lists (row v is [off[v], off[v + 1]), empty for sparse v):
+  //   ext(v)  = N(v) \ K   (e_v entries: other cliques and sparse vertices)
+  //   anti(v) = K \ N[v]   (a_v entries: the anti-neighbors in K)
+  // ext(v) is knowable at v's link machines once clusters share their
+  // almost-clique id (Section 5.3). anti(v) is a simulation shortcut: it
+  // only speeds up answers the model gets from charged aggregations
+  // (clique-palette queries, Lemma 4.8; fingerprint maxima, Algorithm 7).
+  // N(v) ∩ K is K minus anti(v) minus v, so with the clique palette the
+  // split answers in-clique questions about v in O(e_v + a_v) instead of
+  // a deg(v) scan.
+  std::vector<std::int64_t> ext_off, anti_off;
+  std::vector<int> ext_adj, anti_adj;
+
+  std::span<const int> ext(int v) const {
+    const auto i = static_cast<std::size_t>(v);
+    return {ext_adj.data() + ext_off[i],
+            static_cast<std::size_t>(ext_off[i + 1] - ext_off[i])};
+  }
+  std::span<const int> anti(int v) const {
+    const auto i = static_cast<std::size_t>(v);
+    return {anti_adj.data() + anti_off[i],
+            static_cast<std::size_t>(anti_off[i + 1] - anti_off[i])};
+  }
 };
+
+// Rebuilds the ext/anti split of `out` from h and the decomposition (one
+// counting pass, a prefix sum, one filling pass; both passes shard rows on
+// `par` when given). annotate_dense calls it; callers that fill a
+// DenseInfo by hand call it to complete one.
+void split_neighborhoods(const graph::Graph& h, const AcdResult& acd,
+                         exec::ParallelRound* par, DenseInfo* out);
 
 // Computes ẽ_v by fingerprinting with predicate "u outside K_v"
 // (Lemma 5.7), aggregates per-clique averages on clique BFS trees, and
 // classifies cabals against the threshold ell (paper: Theta(log^1.1 n)).
+// Also builds the neighborhood split; in oracle mode ẽ_v = |ext(v)|.
 // Stream-based primary form: draws (fingerprint mode only) come from
 // per-vertex counter streams, results are worker-count independent, and
 // `out` is rebound in place.

@@ -95,20 +95,6 @@ void State::init_palettes() {
   }
 }
 
-std::vector<int> State::external_neighbors(int v) const {
-  std::vector<int> out;
-  external_neighbors(v, &out);
-  return out;
-}
-
-void State::external_neighbors(int v, std::vector<int>* out) const {
-  out->clear();
-  const int kv = dc.clique_of(v);
-  for (const int u : h().neighbors(v)) {
-    if (dc.clique_of(u) != kv) out->push_back(u);
-  }
-}
-
 double State::x_proxy(int v) const {
   const int k = dc.clique_of(v);
   CCG_CHECK(k >= 0);

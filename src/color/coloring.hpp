@@ -76,6 +76,10 @@ struct DenseContext {
     info.clique_size.clear();
     info.avg_ext_est.clear();
     info.is_cabal.clear();
+    info.ext_off.clear();
+    info.anti_off.clear();
+    info.ext_adj.clear();
+    info.anti_adj.clear();
     ell = 0;
     reserved.clear();
     reserved_cap = 0;
@@ -218,12 +222,6 @@ struct State {
 
   // Initialize palettes after dc is filled.
   void init_palettes();
-
-  // External neighbors of dense v (N(v) \ K_v) — identity knowable at link
-  // machines once clusters share their almost-clique id (Section 5.3).
-  std::vector<int> external_neighbors(int v) const;
-  // Buffer-out variant (clears `out` first); reuse the buffer in hot loops.
-  void external_neighbors(int v, std::vector<int>* out) const;
 
   // x_v = |K| - (Delta+1) + ẽ_v, the anti-degree proxy (Eq. 3).
   double x_proxy(int v) const;

@@ -21,30 +21,29 @@ void colorful_matching_run(State& st, const std::vector<int>& clique_ids,
 
   auto& sc = st.scratch;
   auto& par = *st.par;
+  const auto& info = st.dc.info;
   sc.ensure_vertices(h.n());
   auto& done = st.ph.flags;
   done.assign(clique_ids.size(), 0);
-  // Flat participant list per round (shard domain), plus the
-  // (clique, color)-keyed grouping buffer and per-bucket chosen list,
-  // all reused across rounds (and across calls: they live in the
-  // State-owned PhaseScratch).
+  // Flat participant list per round (shard domain), enumerated clique by
+  // clique: live clique j owns participants [seg[j], seg[j + 1]).
   auto& participants = sc.tmp_ints;
-  auto& keyed = st.ph.keyed;
-  auto& chosen = st.ph.chosen;
+  auto& seg = st.ph.seg;
   for (int round = 0; round < st.params.matching_rounds; ++round) {
     // Enumerate this round's participants: uncolored members of cliques
     // still short of their target (sequential; no randomness).
     participants.clear();
+    seg.clear();
     for (std::size_t ki = 0; ki < clique_ids.size(); ++ki) {
       const int k = clique_ids[ki];
       if (st.palettes[static_cast<std::size_t>(k)].repeats() >= target(k)) {
         done[ki] = 1;
       }
       if (done[ki]) continue;
-      for (const int v : st.dc.acd.members[static_cast<std::size_t>(k)]) {
-        if (!st.phi.colored(v)) participants.push_back(v);
-      }
+      seg.push_back(static_cast<int>(participants.size()));
+      st.append_uncolored_members(k, &participants);
     }
+    seg.push_back(static_cast<int>(participants.size()));
     if (participants.empty()) break;
     const auto total = static_cast<std::int64_t>(participants.size());
 
@@ -68,17 +67,28 @@ void colorful_matching_run(State& st, const std::vector<int>& clique_ids,
     // Verdict (parallel shards): drop candidates clashing with a colored
     // neighbor or with an external candidate on the same color (symmetric
     // drop; conservative) — a pure read of the frozen candidate table.
+    // Inside K the colored neighbors holding c are the members colored c
+    // (the palette count; v itself is uncolored) minus those in anti(v);
+    // outside K only ext(v) can clash.
     auto& verdicts = sc.verdicts;
     verdicts.resize(participants.size());
     par.shards(total, [&](int, std::int64_t b, std::int64_t e) {
       for (std::int64_t i = b; i < e; ++i) {
         const int v = participants[static_cast<std::size_t>(i)];
         const int c = sc.candidate(v);
-        bool ok = c != TrialScratch::kNone && !st.phi.neighbor_uses(h, v, c);
+        bool ok = c != TrialScratch::kNone;
         if (ok) {
-          for (const int u : h.neighbors(v)) {
-            if (st.dc.clique_of(u) == st.dc.clique_of(v)) continue;
-            if (sc.candidate(u) == c) {
+          int inside =
+              st.palettes[static_cast<std::size_t>(st.dc.clique_of(v))]
+                  .count(c);
+          if (inside > 0) {
+            for (const int w : info.anti(v)) inside -= st.phi.get(w) == c;
+          }
+          ok = inside == 0;
+        }
+        if (ok) {
+          for (const int u : info.ext(v)) {
+            if (st.phi.get(u) == c || sc.candidate(u) == c) {
               ok = false;
               break;
             }
@@ -88,45 +98,55 @@ void colorful_matching_run(State& st, const std::vector<int>& clique_ids,
       }
     });
 
-    // Commit (sequential): per clique and per color, keep a maximal
-    // pairwise-non-adjacent even-size subset of the same-color survivors;
-    // they all adopt the color (used >= twice => every adopted vertex
-    // provides reuse slack). Buckets materialize by sorting
-    // (clique * C + color, vertex) pairs.
-    keyed.clear();
-    for (std::size_t i = 0; i < participants.size(); ++i) {
-      if (verdicts[i] < 0) continue;
-      const int v = participants[i];
-      keyed.emplace_back(
-          static_cast<std::int64_t>(st.dc.clique_of(v)) * st.num_colors() +
-              verdicts[i],
-          v);
-    }
-    std::sort(keyed.begin(), keyed.end());
-    for (std::size_t lo = 0; lo < keyed.size();) {
-      std::size_t hi = lo;
-      while (hi < keyed.size() && keyed[hi].first == keyed[lo].first) ++hi;
-      if (hi - lo >= 2) {
-        chosen.clear();
-        for (std::size_t i = lo; i < hi; ++i) {
-          const int v = keyed[i].second;
-          bool ok = true;
-          for (const int w : chosen) {
-            if (h.has_edge(v, w)) {
-              ok = false;
-              break;
+    // Commit (parallel shards over the live cliques): per clique and per
+    // color, keep a maximal pairwise-non-adjacent even-size subset of the
+    // same-color survivors; they all adopt the color (used >= twice =>
+    // every adopted vertex provides reuse slack). Buckets materialize by
+    // sorting a clique's (color, vertex) pairs. A clique's commit touches
+    // only its own members and its own palette, so the cliques commit
+    // independently and the result is the same for any shard split.
+    const auto live = static_cast<std::int64_t>(seg.size()) - 1;
+    par.shards(live, [&](int w, std::int64_t b, std::int64_t e) {
+      auto& keyed = st.wscratch.at(w).keyed;
+      auto& chosen = st.wscratch.at(w).tmp;
+      for (std::int64_t j = b; j < e; ++j) {
+        keyed.clear();
+        for (int i = seg[static_cast<std::size_t>(j)];
+             i < seg[static_cast<std::size_t>(j) + 1]; ++i) {
+          const int c = verdicts[static_cast<std::size_t>(i)];
+          if (c >= 0) {
+            keyed.emplace_back(c, participants[static_cast<std::size_t>(i)]);
+          }
+        }
+        std::sort(keyed.begin(), keyed.end());
+        for (std::size_t lo = 0; lo < keyed.size();) {
+          std::size_t hi = lo;
+          while (hi < keyed.size() && keyed[hi].first == keyed[lo].first) {
+            ++hi;
+          }
+          if (hi - lo >= 2) {
+            chosen.clear();
+            for (std::size_t i = lo; i < hi; ++i) {
+              const int v = keyed[i].second;
+              bool ok = true;
+              for (const int u : chosen) {
+                if (h.has_edge(v, u)) {
+                  ok = false;
+                  break;
+                }
+              }
+              if (ok) chosen.push_back(v);
+            }
+            if (chosen.size() % 2 == 1) chosen.pop_back();
+            if (chosen.size() >= 2) {
+              const auto c = static_cast<int>(keyed[lo].first);
+              for (const int v : chosen) st.assign(v, c);
             }
           }
-          if (ok) chosen.push_back(v);
-        }
-        if (chosen.size() % 2 == 1) chosen.pop_back();
-        if (chosen.size() >= 2) {
-          const int c = static_cast<int>(keyed[lo].first % st.num_colors());
-          for (const int v : chosen) st.assign(v, c);
+          lo = hi;
         }
       }
-      lo = hi;
-    }
+    });
     st.rt->charge(2, log_bits);
   }
 }
@@ -179,11 +199,17 @@ void fingerprint_matching_into(State& st, int clique_id,
   // Step 2 (parallel shards): every member fills its row of k_trials
   // geometric draws from its private counter-based stream; rows are
   // per-member disjoint, so shard boundaries cannot change the bits.
+  // The same pass records each member's index in fp.index (vertex ->
+  // member index), read below through index_of.
   fp.x.resize(szu * ktu);
+  if (fp.index.size() < static_cast<std::size_t>(n)) {
+    fp.index.resize(static_cast<std::size_t>(n));
+  }
   st.bump_trial_round();
   par.shards(sz, [&](int, std::int64_t b, std::int64_t e) {
     for (std::int64_t i = b; i < e; ++i) {
       const int v = members[static_cast<std::size_t>(i)];
+      fp.index[static_cast<std::size_t>(v)] = static_cast<int>(i);
       Rng rng = st.trial_rng(static_cast<std::uint64_t>(v));
       int* row = fp.x.data() + static_cast<std::size_t>(i) * ktu;
       for (int t = 0; t < k_trials; ++t) row[t] = rng.next_geometric_half();
@@ -228,13 +254,18 @@ void fingerprint_matching_into(State& st, int clique_id,
   // in-clique neighbors, holds the members that detect an anti-edge to
   // u_i. Conditions (b) and steps 7-9 read it only on trials with a unique
   // maximum u_i: there Y_K = X_{u_i} and every other member drew strictly
-  // less, so Y_v == Y_K exactly when u_i is a neighbor of v. Membership in
-  // A_i is therefore non-adjacency to u_i, one O(1) has_edge test on u_i's
-  // bitset row, and the |K| x deg x k_trials pass that built every Y_v is
-  // not needed (the ledger never charged it separately).
-  const auto detects_anti_edge = [&](int ui, int i) {
-    return i != ui && !h.has_edge(members[static_cast<std::size_t>(ui)],
-                                  members[static_cast<std::size_t>(i)]);
+  // less, so Y_v == Y_K exactly when u_i is a neighbor of v. A_i is
+  // therefore anti(u_i) ∩ members, a walk over u_i's a_v anti-neighbors,
+  // and the |K| x deg x k_trials pass that built every Y_v is not needed
+  // (the ledger never charged it separately).
+  // fp.index is never cleared and holds no negative entry, so an entry
+  // counts only when it points back at its vertex.
+  const auto index_of = [&](int x) {
+    const int i = fp.index[static_cast<std::size_t>(x)];
+    return i < sz && members[static_cast<std::size_t>(i)] == x ? i : -1;
+  };
+  const auto anti_of = [&](int ui) {
+    return st.dc.info.anti(members[static_cast<std::size_t>(ui)]);
   };
 
   // Conditions (b)-(c) are sequential by nature: a trial's eligibility
@@ -247,11 +278,11 @@ void fingerprint_matching_into(State& st, int clique_id,
     // Condition (c): u_i must not have been a unique maximum before.
     if (ui < 0 || fp.used_as_max[static_cast<std::size_t>(ui)]) continue;
     // Condition (b): A_i must be non-empty.
-    bool any_anti = false;
-    for (int i = 0; i < sz && !any_anti; ++i) {
-      any_anti = detects_anti_edge(ui, i);
+    const auto anti = anti_of(ui);
+    if (std::none_of(anti.begin(), anti.end(),
+                     [&](int x) { return index_of(x) >= 0; })) {
+      continue;
     }
-    if (!any_anti) continue;
     fp.used_as_max[static_cast<std::size_t>(ui)] = 1;
     fp.trial_u[static_cast<std::size_t>(t)] = ui;
   }
@@ -275,8 +306,9 @@ void fingerprint_matching_into(State& st, int clique_id,
                        rng);
       int best = -1;
       std::uint64_t best_h = 0;
-      for (int i = 0; i < sz; ++i) {
-        if (!detects_anti_edge(ui, i)) continue;
+      for (const int x : anti_of(ui)) {
+        const int i = index_of(x);
+        if (i < 0) continue;
         const auto hi = hash(static_cast<std::uint64_t>(i));
         if (best < 0 || hi < best_h || (hi == best_h && i < best)) {
           best = i;

@@ -251,13 +251,12 @@ void try_free_colors(const State& st, int k, const std::vector<int>& put,
   taken.rebind(n_colors);  // colors taken within K this step
   for (const int u : put) {
     int got = -1;
-    st.external_neighbors(u, &ws.ext);
     // External conflicts only: put-aside sets are independent and K's
-    // members don't use palette colors. One pass over ext builds the
+    // members don't use palette colors. One pass over ext(u) builds the
     // word-parallel used-color set; each sample then probes it in O(1)
-    // instead of rescanning ext.
+    // instead of rescanning ext(u).
     ws.ext_used.rebind(n_colors);
-    for (const int w : ws.ext) {
+    for (const int w : st.dc.info.ext(u)) {
       const int cw = st.phi.get(w);
       if (cw >= 0) ws.ext_used.add(cw);
     }
@@ -362,11 +361,10 @@ bool donate_for_cabal(const State& st, int k, const std::vector<int>& put,
     const int u = unmatched[static_cast<std::size_t>(matched)];
     ++matched;
     int donor = -1;
-    st.external_neighbors(u, &ws.ext);
     // Word-parallel external-color set: each donor offer is one
-    // contains() probe instead of an ext rescan.
+    // contains() probe instead of an ext(u) rescan.
     ws.ext_used.rebind(n_colors);
-    for (const int w : ws.ext) {
+    for (const int w : st.dc.info.ext(u)) {
       const int cw = st.phi.get(w);
       if (cw >= 0) ws.ext_used.add(cw);
     }
@@ -503,8 +501,7 @@ DonationStats color_putaside_sets(State& st,
             if (!st.phi.colored(v)) continue;
             if (pal.count(st.phi.get(v)) != 1) continue;  // unique colors
             bool exposed = false;
-            st.external_neighbors(v, &ws.ext);
-            for (const int u : ws.ext) {
+            for (const int u : st.dc.info.ext(v)) {
               if (sc.vertex_marked(u)) {
                 exposed = true;
                 break;

@@ -38,7 +38,6 @@ namespace ccg::color {
 struct WorkerScratch {
   std::vector<int> set_buf;   // SetSampler / neighbor-list output buffer
   std::vector<int> tmp;       // short-lived id lists (per-clique S copies)
-  std::vector<int> ext;       // external-neighbor lists (put-aside phases)
   std::vector<int> kept;      // shard-local retry / carry-over id lists
   std::vector<int> kept2;     // second carry-over list (split selections)
   // Word-parallel per-vertex color sets, vertex-scoped temporaries that
@@ -50,8 +49,9 @@ struct WorkerScratch {
   ColorSet blocked;
   ColorSet ext_used;
   std::vector<std::pair<int, int>> adopted;  // shard-local (vertex, value)
-  // Sort-based grouping buffer ((composite key, id) pairs), replacing the
-  // per-call std::map temporaries of the donation scheme.
+  // Sort-based grouping buffer ((composite key, id) pairs): the donation
+  // scheme's (color, block) groups and the colorful matching's per-clique
+  // color buckets.
   std::vector<std::pair<std::int64_t, int>> keyed;
   // Donation transcript: (donor, replacement, put vertex, donated color)
   // ops planned against the frozen coloring, applied at commit.
@@ -186,14 +186,13 @@ struct PhaseScratch {
   GroupLists groups2;
   VertexLists lists;          // low-degree learn/shatter color lists
   // Matching / put-aside orchestration (matching.cpp, putaside.cpp):
-  // round worklists of the anti-matching, commit-side bucket buffers of
-  // the colorful matching, and the put-aside machinery's id lists and
-  // per-position markers. `putsets` outlives steps 3-6 of the cabal phase
-  // (the SCT and the donation scheme both read it), so it is distinct
-  // from the groups pair above.
+  // round worklists of the anti-matching, the colorful matching's
+  // per-clique participant segments, and the put-aside machinery's id
+  // lists and per-position markers. `putsets` outlives steps 3-6 of the
+  // cabal phase (the SCT and the donation scheme both read it), so it is
+  // distinct from the groups pair above.
   std::vector<int> am_todo, am_cand, am_next;
-  std::vector<std::pair<std::int64_t, int>> keyed;  // (clique*C+color, v)
-  std::vector<int> chosen;
+  std::vector<int> seg;       // colorful-matching segment offsets
   std::vector<char> flags, flags2, flags3;  // per-position markers
   GroupLists putsets;         // put-aside sets P_K
   GroupLists putq;            // donation candidate sets Q_K
@@ -316,7 +315,6 @@ class TrialScratch {
   // ---- reusable buffers (capacity persists across rounds) ----
 
   std::vector<int> tmp_ints;  // short-lived id lists
-  std::vector<int> tmp_ext;   // external-neighbor lists
   std::vector<int> verdicts;  // per-position adopt color / -1 (commit input)
   // fallback_finish worklists (dedicated: the safety net may run while a
   // phase still holds tmp_ints). Reuse makes the fallback — and with it
@@ -334,6 +332,7 @@ class TrialScratch {
     std::vector<int> argmax;    // per-trial unique-max member, or -1
     std::vector<int> trial_u;   // per-trial surviving u_i, or -1
     std::vector<int> trial_w;   // per-trial sampled anti-neighbor, or -1
+    std::vector<int> index;     // vertex -> member index (grow-only, n)
     std::vector<char> used_as_max;  // member already a unique max
     std::vector<char> sampled_w;    // member sampled as some w_i
     std::vector<char> w_seen;       // member already kept a trial as w

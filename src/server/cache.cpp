@@ -12,12 +12,9 @@ std::string fmt_real(double v) {
   return buf;
 }
 
-std::size_t vec_bytes(const std::vector<int>& v) {
-  return v.capacity() * sizeof(int);
-}
-
-std::size_t vec_bytes(const std::vector<double>& v) {
-  return v.capacity() * sizeof(double);
+template <class T>
+std::size_t vec_bytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
 }
 
 std::size_t graph_bytes(const graph::Graph& g) {
@@ -63,6 +60,8 @@ std::size_t dense_bytes(const color::DenseSnapshot& snap) {
   b += vec_bytes(snap.info.clique_size);
   b += vec_bytes(snap.info.avg_ext_est);
   b += snap.info.is_cabal.capacity() / 8;
+  b += vec_bytes(snap.info.ext_off) + vec_bytes(snap.info.ext_adj);
+  b += vec_bytes(snap.info.anti_off) + vec_bytes(snap.info.anti_adj);
   b += vec_bytes(snap.reserved);
   return b;
 }

@@ -37,7 +37,8 @@ bool send_all(int fd, const std::string& data) {
 
 // One connection: split the byte stream into lines, feed handle_line,
 // write back whatever it produced. `quit` flips the shared stop flag and
-// shuts the listener down so accept() unblocks.
+// shuts the listener down so accept() unblocks. A line over kMaxLineBytes
+// gets `error line N: line too long` and closes this connection only.
 //
 // Concurrency note (intentionally mutex-free, nothing here to annotate
 // with capabilities): every local (buf/line/resp/fd) is owned by this
@@ -55,12 +56,16 @@ void serve_connection(Server* server, int fd, int listen_fd,
   while (open) {
     const ssize_t r = ::recv(fd, chunk, sizeof(chunk), 0);
     if (r <= 0) break;
+    // buf holds no '\n' before this chunk, so only the new bytes are
+    // searched.
+    std::size_t scan = buf.size();
     buf.append(chunk, static_cast<std::size_t>(r));
-    std::size_t pos;
-    while (open && (pos = buf.find('\n')) != std::string::npos) {
-      line.assign(buf, 0, pos);
+    std::size_t start = 0, pos;
+    while (open && (pos = buf.find('\n', scan)) != std::string::npos &&
+           pos - start <= kMaxLineBytes) {
+      line.assign(buf, start, pos - start);
       if (!line.empty() && line.back() == '\r') line.pop_back();
-      buf.erase(0, pos + 1);
+      start = scan = pos + 1;
       ++lineno;
       resp.clear();
       try {
@@ -70,6 +75,12 @@ void serve_connection(Server* server, int fd, int listen_fd,
         resp = std::string("error ") + e.what() + "\n";
       }
       if (!send_all(fd, resp)) open = false;
+    }
+    buf.erase(0, start);
+    if (open && buf.size() > kMaxLineBytes) {
+      send_all(fd, "error line " + std::to_string(lineno + 1) +
+                       ": line too long\n");
+      break;
     }
   }
   ::close(fd);

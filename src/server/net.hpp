@@ -11,19 +11,27 @@
 //   * serve_unix / serve_tcp: a listener accepting any number of
 //     concurrent client connections, one handler thread each, lines in /
 //     responses out per connection. Malformed requests get an `error`
-//     response and the connection keeps serving. A `quit` from any
-//     connection shuts the listener down (and serve_* returns 0).
+//     response and the connection keeps serving. A line longer than
+//     kMaxLineBytes gets `error line N: line too long` and that
+//     connection is closed. A `quit` from any connection shuts the
+//     listener down (and serve_* returns 0).
 //
 // Plain blocking POSIX sockets, loopback TCP only — this is a job
 // server for trusted co-located clients, not an internet endpoint.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
 #include "server/server.hpp"
 
 namespace ccg::server {
+
+// Longest request line a socket peer may send, newline excluded. Job lines
+// are a few hundred bytes; the cap bounds the buffer a peer that never
+// sends '\n' can make its handler hold.
+inline constexpr std::size_t kMaxLineBytes = 65536;  // 64 KiB
 
 // Returns the process exit code: 0 on quit or EOF, 2 on a malformed
 // request in strict mode.

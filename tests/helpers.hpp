@@ -27,7 +27,8 @@ struct Fixture {
 
 // Builds a singleton-layout fixture over a planted graph and fills the
 // dense context from ground truth (exact external degrees, planted clique
-// ids); `ell` not derived from n so tests can force the cabal flag.
+// ids, the neighborhood split built by acd::split_neighborhoods); `ell`
+// not derived from n so tests can force the cabal flag.
 // force_threads > 0 pins the round-engine worker count (determinism
 // sweeps); 0 honors CCG_TEST_THREADS so the TSan CI job can re-run every
 // fixture-based test on the parallel engine.
@@ -57,6 +58,7 @@ inline std::unique_ptr<Fixture> make_planted_fixture(
     const int k = f->planted.clique_of[static_cast<std::size_t>(v)];
     if (k >= 0) dc.acd.members[static_cast<std::size_t>(k)].push_back(v);
   }
+  acd::split_neighborhoods(f->st->h(), dc.acd, f->st->par.get(), &dc.info);
   const auto dd = graph::dense_degrees(f->planted.g, f->planted.clique_of);
   dc.info.ext_est.assign(f->planted.g.n(), 0.0);
   for (int v = 0; v < f->planted.g.n(); ++v) {

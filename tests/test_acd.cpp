@@ -11,6 +11,8 @@
 #include "acd/acd.hpp"
 #include "cluster/cluster_graph.hpp"
 #include "cluster/runtime.hpp"
+#include "color/coloring.hpp"
+#include "color/pipeline.hpp"
 #include "exec/parallel_round.hpp"
 #include "graph/generators.hpp"
 
@@ -146,6 +148,128 @@ TEST(Acd, AnnotateDenseClassifiesCabals) {
   info = annotate_dense(rt, res, /*ell=*/2.0, 64, false, rng);
   for (int k = 0; k < res.num_cliques; ++k) {
     EXPECT_FALSE(info.is_cabal[k]);
+  }
+}
+
+// Brute-force check of the neighborhood split: for every dense v of
+// clique K, ext(v) == sorted(N(v) \ K) and anti(v) == sorted(K \ N[v]);
+// both rows are empty for sparse v, and an oracle annotation reads
+// ẽ_v == |ext(v)|. Returns the total anti-row length, so callers can
+// insist the instance exercised it.
+std::size_t expect_split_matches_brute_force(const graph::Graph& h,
+                                             const AcdResult& acd,
+                                             const DenseInfo& info,
+                                             bool oracle,
+                                             const std::string& label) {
+  EXPECT_EQ(info.ext_off.size(), static_cast<std::size_t>(h.n()) + 1)
+      << label;
+  EXPECT_EQ(info.anti_off.size(), static_cast<std::size_t>(h.n()) + 1)
+      << label;
+  std::size_t anti_total = 0;
+  for (int v = 0; v < h.n(); ++v) {
+    const int k = acd.clique_of[static_cast<std::size_t>(v)];
+    std::vector<int> want_ext, want_anti;
+    if (k >= 0) {
+      for (const int u : h.neighbors(v)) {
+        if (acd.clique_of[static_cast<std::size_t>(u)] != k) {
+          want_ext.push_back(u);
+        }
+      }
+      for (const int w : acd.members[static_cast<std::size_t>(k)]) {
+        if (w != v && !h.has_edge(v, w)) want_anti.push_back(w);
+      }
+      std::sort(want_ext.begin(), want_ext.end());
+      std::sort(want_anti.begin(), want_anti.end());
+    }
+    const auto ext = info.ext(v);
+    const auto anti = info.anti(v);
+    EXPECT_EQ(std::vector<int>(ext.begin(), ext.end()), want_ext)
+        << label << " vertex " << v;
+    EXPECT_EQ(std::vector<int>(anti.begin(), anti.end()), want_anti)
+        << label << " vertex " << v;
+    if (oracle) {
+      EXPECT_EQ(info.ext_est[static_cast<std::size_t>(v)],
+                static_cast<double>(ext.size()))
+          << label << " vertex " << v;
+    }
+    anti_total += anti.size();
+  }
+  return anti_total;
+}
+
+graph::PlantedGraph split_instance() {
+  Rng rng(606);
+  graph::PlantedSpec spec;
+  spec.delta = 90;
+  spec.num_cliques = 4;
+  spec.anti_deg = 3;
+  spec.external_deg = 8;
+  spec.num_sparse = 150;
+  spec.sparse_avg_deg = 20.0;
+  return graph::make_planted_acd(spec, rng);
+}
+
+TEST(Acd, NeighborhoodSplitMatchesBruteForce) {
+  const auto planted = split_instance();
+  const auto cg = cluster::ClusterGraph::singleton(planted.g);
+  for (const bool oracle : {true, false}) {
+    for (const int threads : {1, 4}) {
+      const std::string label = std::string(oracle ? "oracle" : "fingerprint") +
+                                " threads=" + std::to_string(threads);
+      net::Ledger ledger(cg.default_bandwidth());
+      cluster::Runtime rt(cg, ledger);
+      exec::ParallelRound par(threads);
+      AcdParams params;
+      params.eps = 0.2;
+      params.use_fingerprints = !oracle;
+      params.measure_bits = false;
+      params.par = &par;
+      StreamCtx streams(17);
+      AcdScratch scratch;
+      AcdResult acd;
+      DenseInfo info;
+      compute_acd(rt, params, streams, &acd, &scratch);
+      ASSERT_GT(acd.num_cliques, 0) << label;
+      annotate_dense(rt, acd, /*ell=*/20.0, params.t, !oracle, streams, &par,
+                     &info, &scratch);
+      EXPECT_GT(expect_split_matches_brute_force(planted.g, acd, info, oracle,
+                                                 label),
+                0u)
+          << label;
+    }
+  }
+}
+
+TEST(Acd, NeighborhoodSplitSurvivesDenseSnapshotPreload) {
+  // A preloaded State restores the split the capturing build made; the
+  // restored rows must still be the brute-force ones.
+  const auto planted = split_instance();
+  const auto cg = cluster::ClusterGraph::singleton(planted.g);
+  for (const bool oracle : {true, false}) {
+    const std::string label = oracle ? "oracle" : "fingerprint";
+    color::Params params;
+    params.seed = 23;
+    params.eps = 0.2;
+    params.use_fingerprint_acd = !oracle;
+    color::DenseSnapshot snap;
+    {
+      net::Ledger ledger(cg.default_bandwidth());
+      cluster::Runtime rt(cg, ledger);
+      color::State st(rt, params);
+      st.dense_capture = &snap;
+      color::build_dense_context(st);
+    }
+    ASSERT_TRUE(snap.captured) << label;
+    net::Ledger ledger(cg.default_bandwidth());
+    cluster::Runtime rt(cg, ledger);
+    color::State st(rt, params);
+    st.dense_preload = &snap;
+    color::build_dense_context(st);
+    ASSERT_GT(st.dc.acd.num_cliques, 0) << label;
+    EXPECT_GT(expect_split_matches_brute_force(planted.g, st.dc.acd,
+                                               st.dc.info, oracle, label),
+              0u)
+        << label;
   }
 }
 

@@ -71,6 +71,10 @@ void expect_same_run(const AcdRun& got, const AcdRun& want,
   EXPECT_EQ(got.info.clique_size, want.info.clique_size) << label;
   EXPECT_EQ(got.info.avg_ext_est, want.info.avg_ext_est) << label;
   EXPECT_EQ(got.info.is_cabal, want.info.is_cabal) << label;
+  EXPECT_EQ(got.info.ext_off, want.info.ext_off) << label;
+  EXPECT_EQ(got.info.ext_adj, want.info.ext_adj) << label;
+  EXPECT_EQ(got.info.anti_off, want.info.anti_off) << label;
+  EXPECT_EQ(got.info.anti_adj, want.info.anti_adj) << label;
 }
 
 TEST(AcdParallel, DecompositionBitIdenticalAcrossThreadCounts) {

@@ -74,6 +74,149 @@ TEST(ColorfulMatching, SameColorPairsAreAntiEdges) {
   }
 }
 
+// The colorful matching before the neighborhood split, kept as the
+// reference for colorful_matching_run: the verdict scans N(v) once for a
+// colored neighbor holding c and once for an external candidate on c, and
+// the commit buckets every clique's survivors in one global sort by
+// (clique * C + color, vertex). Sequential and uncharged, it draws the
+// same (round, entity) streams as the library routine.
+void reference_scan_matching(State& st, const std::vector<int>& ids,
+                             int target) {
+  const auto& h = st.h();
+  const int prefix = st.dc.reserved_cap;
+  const int span = st.num_colors() - prefix;
+  std::vector<char> done(ids.size(), 0);
+  std::vector<int> cand(static_cast<std::size_t>(h.n()), -1);
+  for (int round = 0; round < st.params.matching_rounds; ++round) {
+    std::vector<int> participants;
+    for (std::size_t ki = 0; ki < ids.size(); ++ki) {
+      if (st.palettes[ids[ki]].repeats() >= target) done[ki] = 1;
+      if (done[ki]) continue;
+      for (const int v : st.dc.acd.members[ids[ki]]) {
+        if (!st.phi.colored(v)) participants.push_back(v);
+      }
+    }
+    if (participants.empty()) break;
+    std::fill(cand.begin(), cand.end(), -1);
+    st.bump_trial_round();
+    for (const int v : participants) {
+      Rng rng = st.trial_rng(static_cast<std::uint64_t>(v));
+      if (!rng.next_bool(0.5)) continue;
+      cand[v] = prefix + static_cast<int>(
+                             rng.next_below(static_cast<std::uint64_t>(span)));
+    }
+    std::vector<std::pair<std::int64_t, int>> keyed;
+    for (const int v : participants) {
+      const int c = cand[v];
+      if (c < 0 || st.phi.neighbor_uses(h, v, c)) continue;
+      bool ok = true;
+      for (const int u : h.neighbors(v)) {
+        if (st.dc.clique_of(u) != st.dc.clique_of(v) && cand[u] == c) {
+          ok = false;
+        }
+      }
+      if (ok) {
+        keyed.emplace_back(
+            static_cast<std::int64_t>(st.dc.clique_of(v)) * st.num_colors() +
+                c,
+            v);
+      }
+    }
+    std::sort(keyed.begin(), keyed.end());
+    for (std::size_t lo = 0; lo < keyed.size();) {
+      std::size_t hi = lo;
+      while (hi < keyed.size() && keyed[hi].first == keyed[lo].first) ++hi;
+      std::vector<int> chosen;
+      for (std::size_t i = lo; i < hi; ++i) {
+        const int v = keyed[i].second;
+        if (std::none_of(chosen.begin(), chosen.end(),
+                         [&](int w) { return h.has_edge(v, w); })) {
+          chosen.push_back(v);
+        }
+      }
+      if (chosen.size() % 2 == 1) chosen.pop_back();
+      if (chosen.size() >= 2) {
+        const auto c = static_cast<int>(keyed[lo].first % st.num_colors());
+        for (const int v : chosen) st.assign(v, c);
+      }
+      lo = hi;
+    }
+  }
+}
+
+// Colors every third member of every clique with its smallest candidate
+// color (at or above the reserved prefix) that no neighbor holds, so the
+// palettes start with nonzero counts and the participants' anti-neighbors
+// hold candidate colors.
+void precolor_thirds(State& st) {
+  for (int k = 0; k < st.dc.acd.num_cliques; ++k) {
+    const auto& members = st.dc.acd.members[k];
+    for (std::size_t i = 0; i < members.size(); i += 3) {
+      const int v = members[i];
+      for (int c = st.dc.reserved_cap; c < st.num_colors(); ++c) {
+        if (!st.phi.neighbor_uses(st.h(), v, c)) {
+          st.assign(v, c);
+          break;
+        }
+      }
+    }
+  }
+}
+
+TEST(ColorfulMatching, MatchesNeighborScanReference) {
+  // The verdict answers "does a colored neighbor hold c" from the clique
+  // palette corrected by anti(v) plus ext(v), and the commit runs per
+  // clique on the round engine; colors and palettes must equal the
+  // two-scan, globally sorted reference bit for bit at every worker count.
+  // A wide reserved prefix leaves a short candidate span, so participants
+  // often propose a color an anti-neighbor already holds.
+  int matched = 0;
+  for (const int anti : {6, 20}) {
+    for (const int threads : {1, 2, 4, 8}) {
+      for (const std::uint64_t seed : {3u, 4u}) {
+        color::Params params;
+        params.seed = seed;
+        params.reserved_cap_frac = 0.75;
+        const auto spec = cabal_spec(60, anti, 4);
+        auto lib = ccg::testing::make_planted_fixture(spec, params, 71 + seed,
+                                                      4.0, threads);
+        auto ref = ccg::testing::make_planted_fixture(spec, params, 71 + seed,
+                                                      4.0, threads);
+        precolor_thirds(*lib->st);
+        precolor_thirds(*ref->st);
+        ASSERT_EQ(lib->st->phi.vec(), ref->st->phi.vec());
+        const auto colored = [](const State& st) {
+          return std::count_if(st.phi.vec().begin(), st.phi.vec().end(),
+                               [](int c) { return c != kUncolored; });
+        };
+        matched -= static_cast<int>(colored(*lib->st));
+        const std::vector<int> ids{0, 1, 2};
+        const int target = 1000;  // never reached: all rounds run
+        colorful_matching_run(*lib->st, ids,
+                              [target](int) { return target; });
+        reference_scan_matching(*ref->st, ids, target);
+        const std::string label = "anti=" + std::to_string(anti) +
+                                  " threads=" + std::to_string(threads) +
+                                  " seed=" + std::to_string(seed);
+        ASSERT_EQ(lib->st->phi.vec(), ref->st->phi.vec()) << label;
+        for (const int k : ids) {
+          const auto& got = lib->st->palettes[k];
+          const auto& want = ref->st->palettes[k];
+          EXPECT_EQ(got.colored_total(), want.colored_total()) << label;
+          EXPECT_EQ(got.distinct_total(), want.distinct_total()) << label;
+          for (int c = 0; c < got.num_colors(); ++c) {
+            ASSERT_EQ(got.count(c), want.count(c))
+                << label << " clique " << k << " color " << c;
+          }
+        }
+        matched += static_cast<int>(colored(*lib->st));
+        cluster::check_proper_partial(lib->st->h(), lib->st->phi.vec());
+      }
+    }
+  }
+  EXPECT_GT(matched, 0);
+}
+
 TEST(FingerprintMatching, FindsValidAntiMatching) {
   color::Params params;
   params.seed = 7;

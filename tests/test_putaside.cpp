@@ -162,6 +162,7 @@ TEST(PutAside, ZeroFreeColorPaletteReachesSafetyNetWithoutDrawing) {
   dc.acd.num_cliques = 1;
   dc.acd.clique_of.assign(8, 0);
   dc.acd.members = {{0, 1, 2, 3, 4, 5, 6, 7}};
+  acd::split_neighborhoods(st.h(), dc.acd, st.par.get(), &dc.info);
   dc.info.ext_est.assign(8, 0.0);
   dc.info.clique_size = {8};
   dc.info.avg_ext_est = {0.0};

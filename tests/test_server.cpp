@@ -6,10 +6,15 @@
 // client interleaving, steal schedule and cache state, with faults,
 // retries and degradation armed.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -385,6 +390,18 @@ TEST(DenseSnapshot, CaptureThenPreloadReproducesTheRunBitForBit) {
     ASSERT_TRUE(captured.ok());
   }
   EXPECT_TRUE(snap.captured);
+  // The cache charges the neighborhood split to the snapshot's bytes.
+  color::DenseSnapshot bare = snap;
+  bare.info.ext_off = std::vector<std::int64_t>();
+  bare.info.anti_off = std::vector<std::int64_t>();
+  bare.info.ext_adj = std::vector<int>();
+  bare.info.anti_adj = std::vector<int>();
+  EXPECT_GT(snap.info.ext_adj.size(), 0u);
+  EXPECT_EQ(dense_bytes(snap) - dense_bytes(bare),
+            snap.info.ext_off.capacity() * sizeof(std::int64_t) +
+                snap.info.anti_off.capacity() * sizeof(std::int64_t) +
+                snap.info.ext_adj.capacity() * sizeof(int) +
+                snap.info.anti_adj.capacity() * sizeof(int));
   Outcome preloaded;
   {
     Solver s;
@@ -668,6 +685,81 @@ TEST(ServerStream, LenientModeReportsErrorAndKeepsServing) {
   const std::string text = out.str();
   EXPECT_NE(text.find("error line 1:"), std::string::npos);
   EXPECT_NE(text.find("accepted a\n"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Socket transport
+// ---------------------------------------------------------------------
+
+// Connects to the Unix listener at `path`, retrying while serve_unix is
+// still binding it; -1 if it never accepts.
+int connect_unix(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  for (int tries = 0; tries < 500; ++tries) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) return -1;
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) == 0) {
+      return fd;
+    }
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return -1;
+}
+
+void send_bytes(int fd, const std::string& data) {
+  for (std::size_t off = 0; off < data.size();) {
+    const ssize_t w =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    if (w <= 0) return;  // the server may close before reading it all
+    off += static_cast<std::size_t>(w);
+  }
+}
+
+// Everything the server sends until it closes the connection.
+std::string read_to_end(int fd) {
+  std::string out;
+  char buf[4096];
+  for (ssize_t r; (r = ::recv(fd, buf, sizeof(buf), 0)) > 0;) {
+    out.append(buf, static_cast<std::size_t>(r));
+  }
+  return out;
+}
+
+TEST(ServerSocket, OverlongLineClosesOnlyThatConnection) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("ccg_test_server_" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  ServerOptions so;
+  so.seed = 3;
+  Server srv(so);
+  int code = -1;
+  std::thread listener([&] { code = serve_unix(srv, path); });
+
+  // A peer that never sends a newline: the error, then end of stream.
+  const int hostile = connect_unix(path);
+  EXPECT_GE(hostile, 0);
+  if (hostile >= 0) {
+    send_bytes(hostile, std::string(2 * kMaxLineBytes, 'x'));
+    EXPECT_EQ(read_to_end(hostile), "error line 1: line too long\n");
+    ::close(hostile);
+  }
+
+  // The listener keeps serving: another client's quit stops it cleanly.
+  const int client = connect_unix(path);
+  EXPECT_GE(client, 0);
+  if (client >= 0) {
+    send_bytes(client, "quit\n");
+    EXPECT_EQ(read_to_end(client), "bye\n");
+    ::close(client);
+  }
+  listener.join();
+  EXPECT_EQ(code, 0);
+  ::unlink(path.c_str());
 }
 
 }  // namespace
