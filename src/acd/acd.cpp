@@ -53,17 +53,25 @@ bool shares_at_least(const std::uint64_t* row,
   return common >= need;
 }
 
-// Per-row prefix sums over H's rows: off[u + 1] - off[u] = weight(u), one
-// parallel pass with per-row disjoint writes, then one sequential sum.
+// Per-row prefix sums over H's rows: off[u + 1] - off[u] = weight(u) for
+// the rows u in `rows` (nullptr: every row) and 0 for the others. One
+// parallel pass sharded over `rows` with per-row disjoint writes, then one
+// sequential sum. Passes whose weight is zero on most rows list only the
+// rest, so the shards split the rows that do work.
 template <class Weight>
-void row_prefix(const graph::Graph& h, exec::ParallelRound* par,
-                Weight&& weight, std::vector<std::int64_t>* off) {
+void row_prefix(const graph::Graph& h, const std::vector<int>* rows,
+                exec::ParallelRound* par, Weight&& weight,
+                std::vector<std::int64_t>* off) {
   const int n = h.n();
-  off->resize(static_cast<std::size_t>(n) + 1);
-  (*off)[0] = 0;
-  exec::shards_or_inline(par, n, [&](int, std::int64_t b, std::int64_t e) {
-    for (std::int64_t u = b; u < e; ++u) {
-      (*off)[static_cast<std::size_t>(u) + 1] = weight(static_cast<int>(u));
+  off->assign(static_cast<std::size_t>(n) + 1, 0);
+  const auto total = rows ? static_cast<std::int64_t>(rows->size())
+                          : static_cast<std::int64_t>(n);
+  exec::shards_or_inline(par, total, [&](int, std::int64_t b,
+                                         std::int64_t e) {
+    for (std::int64_t i = b; i < e; ++i) {
+      const int u = rows ? (*rows)[static_cast<std::size_t>(i)]
+                         : static_cast<int>(i);
+      (*off)[static_cast<std::size_t>(u) + 1] = weight(u);
     }
   });
   for (std::size_t u = 0; u < static_cast<std::size_t>(n); ++u) {
@@ -83,29 +91,40 @@ int part_begin(const std::vector<std::int64_t>& off, int parts,
                           off.begin());
 }
 
-// Runs fn(worker, u) for every row u, the rows split into one run per
-// worker of about equal weight (off: row_prefix output).
+// Runs fn(p, begin, end) for every part p of the rows, split into one run
+// [begin, end) per worker of about equal weight (off: row_prefix output);
+// part p runs on worker p.
+template <class Fn>
+void for_row_parts(exec::ParallelRound* par,
+                   const std::vector<std::int64_t>& off, Fn&& fn) {
+  const int parts = par ? par->workers() : 1;
+  exec::shards_or_inline(par, parts, [&](int, std::int64_t b,
+                                         std::int64_t e) {
+    for (std::int64_t p = b; p < e; ++p) {
+      fn(static_cast<int>(p), part_begin(off, parts, p),
+         part_begin(off, parts, p + 1));
+    }
+  });
+}
+
+// Runs fn(worker, u) for every row u, the rows split as in for_row_parts.
 template <class Fn>
 void for_rows_by_weight(exec::ParallelRound* par,
                         const std::vector<std::int64_t>& off, Fn&& fn) {
-  const int parts = par ? par->workers() : 1;
-  exec::shards_or_inline(par, parts, [&](int w, std::int64_t b,
-                                         std::int64_t e) {
-    const int row_end = part_begin(off, parts, e);
-    for (int u = part_begin(off, parts, b); u < row_end; ++u) fn(w, u);
+  for_row_parts(par, off, [&](int w, int b, int e) {
+    for (int u = b; u < e; ++u) fn(w, u);
   });
 }
 
 // Packs N(v) of every high vertex into one NeighborWord per 64-bit word it
-// occupies: a per-row word count, then one fill sharded by those counts.
-// CSR rows are sorted, so a row's words come out ascending and the
-// neighbors sharing a word are adjacent.
+// occupies: a word count over the high rows, then one fill sharded by
+// those counts. CSR rows are sorted, so a row's words come out ascending
+// and the neighbors sharing a word are adjacent.
 void pack_high_rows(const graph::Graph& h, exec::ParallelRound* par,
                     AcdScratch& s) {
   row_prefix(
-      h, par,
+      h, &s.high_rows, par,
       [&](int v) {
-        if (!s.high[static_cast<std::size_t>(v)]) return std::int64_t{0};
         std::int64_t words = 0;
         int last = -1;
         for (const int w : h.neighbors(v)) {
@@ -149,12 +168,11 @@ void oracle_buddy_flags(const graph::Graph& h, exec::ParallelRound* par,
         static_cast<std::size_t>(s.word_off[static_cast<std::size_t>(v) + 1] -
                                  b));
   };
+  // Only high rows do work: low rows pack no words and scan nothing.
   row_prefix(
-      h, par,
+      h, &s.high_rows, par,
       [&](int u) {
-        // Low vertices pack no words, so they add no work.
         auto work = static_cast<std::int64_t>(packed_row(u).size());
-        if (work == 0) return work;
         for (const int v : h.upper_neighbors(u)) {
           work += static_cast<std::int64_t>(packed_row(v).size());
         }
@@ -189,68 +207,123 @@ void oracle_buddy_flags(const graph::Graph& h, exec::ParallelRound* par,
   });
 }
 
-// Buddy graph as a flat CSR, built from the slot flags on the round engine.
-// The rows split into parts of about equal slot count; part p counts its
-// buddy edges per endpoint into a private array, a per-vertex prefix over
-// the parts turns the counts into write cursors, and part p then fills its
-// entries. Parts own ascending row runs and walk them in order, so every
-// buddy list comes out ascending, the order of a sequential fill over
-// h.edges(), for any number of parts.
-void build_buddy_csr(const graph::Graph& h, exec::ParallelRound* par,
-                     AcdScratch& s) {
+// Union-find root of v with path halving. Sets are linked larger root
+// under smaller (link_roots), so a root is its set's smallest vertex.
+int find_root(int* parent, int v) {
+  while (parent[v] != v) {
+    parent[v] = parent[parent[v]];
+    v = parent[v];
+  }
+  return v;
+}
+
+// Links the distinct roots a and b; returns the merged set's root.
+int link_roots(int* parent, int a, int b) {
+  if (a > b) std::swap(a, b);
+  parent[b] = a;
+  return a;
+}
+
+// Steps 3-4 from the slot flags: buddy degrees, the dense candidates and
+// the connected components of the candidate-restricted buddy graph, with
+// the ids and member lists of the components large enough to be
+// almost-cliques. The rows split into parts of about equal slot count. Part
+// p counts its buddy slots per endpoint into its own array; a candidate's
+// buddy degree is the sum over the parts. Part p then unites the endpoints
+// of its candidate-candidate buddy slots in its own forest (the same
+// array), and the calling thread merges the forests into part 0's. Ids,
+// labels and members come from ascending passes over the final forest, so
+// they do not depend on the number of parts.
+void almost_cliques(const graph::Graph& h, exec::ParallelRound* par,
+                    double candidate_bar, int min_size, AcdResult& res,
+                    AcdScratch& s) {
   const int n = h.n();
   const auto nu = static_cast<std::size_t>(n);
   const int parts = par ? par->workers() : 1;
-  if (s.cursors.size() < static_cast<std::size_t>(parts)) {
-    s.cursors.resize(static_cast<std::size_t>(parts));
+  if (s.forests.size() < static_cast<std::size_t>(parts)) {
+    s.forests.resize(static_cast<std::size_t>(parts));
   }
-  const auto for_each_buddy_edge = [&](std::int64_t p, auto&& fn) {
-    const int row_end = part_begin(s.slot_off, parts, p + 1);
-    for (int u = part_begin(s.slot_off, parts, p); u < row_end; ++u) {
+  for_row_parts(par, s.slot_off, [&](int p, int b, int e) {
+    auto& count = s.forests[static_cast<std::size_t>(p)];
+    count.assign(nu, 0);
+    for (int u = b; u < e; ++u) {
       const auto up = h.upper_neighbors(u);
       const char* flag =
           s.buddy.data() + s.slot_off[static_cast<std::size_t>(u)];
       for (std::size_t j = 0; j < up.size(); ++j) {
-        if (flag[j]) fn(u, up[j]);
+        count[static_cast<std::size_t>(u)] += flag[j];
+        count[static_cast<std::size_t>(up[j])] += flag[j];
       }
     }
-  };
-  exec::shards_or_inline(par, parts, [&](int, std::int64_t b,
-                                         std::int64_t e) {
-    for (std::int64_t p = b; p < e; ++p) {
-      auto& count = s.cursors[static_cast<std::size_t>(p)];
-      count.assign(nu, 0);
-      for_each_buddy_edge(p, [&](int u, int v) {
-        ++count[static_cast<std::size_t>(u)];
-        ++count[static_cast<std::size_t>(v)];
-      });
+  });
+  s.candidate.resize(nu);
+  exec::shards_or_inline(par, n, [&](int, std::int64_t b, std::int64_t e) {
+    for (auto v = static_cast<std::size_t>(b);
+         v < static_cast<std::size_t>(e); ++v) {
+      int degree = 0;
+      for (int p = 0; p < parts; ++p) {
+        degree += s.forests[static_cast<std::size_t>(p)][v];
+      }
+      s.candidate[v] = static_cast<double>(degree) >= candidate_bar;
     }
   });
-  s.buddy_off.resize(nu + 1);
-  s.buddy_off[0] = 0;
-  for (std::size_t v = 0; v < nu; ++v) {
-    int at = s.buddy_off[v];
-    for (int p = 0; p < parts; ++p) {
-      int& c = s.cursors[static_cast<std::size_t>(p)][v];
-      const int count = c;
-      c = at;
-      at += count;
+  for_row_parts(par, s.slot_off, [&](int p, int b, int e) {
+    int* parent = s.forests[static_cast<std::size_t>(p)].data();
+    for (int v = 0; v < n; ++v) parent[v] = v;
+    for (int u = b; u < e; ++u) {
+      if (!s.candidate[static_cast<std::size_t>(u)]) continue;
+      const auto up = h.upper_neighbors(u);
+      const char* flag =
+          s.buddy.data() + s.slot_off[static_cast<std::size_t>(u)];
+      int ru = find_root(parent, u);
+      for (std::size_t j = 0; j < up.size(); ++j) {
+        if (!flag[j] || !s.candidate[static_cast<std::size_t>(up[j])]) {
+          continue;
+        }
+        const int rv = find_root(parent, up[j]);
+        if (rv != ru) ru = link_roots(parent, ru, rv);
+      }
     }
-    s.buddy_off[v + 1] = at;
+  });
+  int* root = s.forests[0].data();
+  for (int p = 1; p < parts; ++p) {
+    const int* other = s.forests[static_cast<std::size_t>(p)].data();
+    for (int v = 0; v < n; ++v) {
+      if (other[v] == v) continue;
+      const int a = find_root(root, v);
+      const int b = find_root(root, other[v]);
+      if (a != b) link_roots(root, a, b);
+    }
   }
-  s.buddy_adj.resize(static_cast<std::size_t>(s.buddy_off[nu]));
-  exec::shards_or_inline(par, parts, [&](int, std::int64_t b,
-                                         std::int64_t e) {
-    for (std::int64_t p = b; p < e; ++p) {
-      auto& cur = s.cursors[static_cast<std::size_t>(p)];
-      for_each_buddy_edge(p, [&](int u, int v) {
-        s.buddy_adj[static_cast<std::size_t>(
-            cur[static_cast<std::size_t>(u)]++)] = v;
-        s.buddy_adj[static_cast<std::size_t>(
-            cur[static_cast<std::size_t>(v)]++)] = u;
-      });
+  // Point every candidate at its root and count the sets' sizes there; then
+  // number the sets of at least min_size members by their smallest vertex,
+  // which an ascending pass meets before the rest of its set.
+  s.label.assign(nu, 0);
+  for (int v = 0; v < n; ++v) {
+    if (!s.candidate[static_cast<std::size_t>(v)]) continue;
+    root[v] = find_root(root, v);
+    ++s.label[static_cast<std::size_t>(root[v])];
+  }
+  for (int v = 0; v < n; ++v) {
+    if (!s.candidate[static_cast<std::size_t>(v)]) continue;
+    int& id = s.label[static_cast<std::size_t>(root[v])];
+    if (root[v] == v) {
+      if (id < min_size) {
+        id = -1;
+        continue;
+      }
+      id = res.num_cliques++;
+      // Grow-only member storage: reuse the inner vector of this id when a
+      // previous run left one behind.
+      if (static_cast<int>(res.members.size()) < res.num_cliques) {
+        res.members.emplace_back();
+      }
+      res.members[static_cast<std::size_t>(id)].clear();
     }
-  });
+    if (id < 0) continue;
+    res.clique_of[static_cast<std::size_t>(v)] = id;
+    res.members[static_cast<std::size_t>(id)].push_back(v);
+  }
 }
 
 void attempt(cluster::Runtime& rt, const AcdParams& params,
@@ -272,7 +345,7 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
   // Upper-triangle slots: row u's slots are [slot_off[u], slot_off[u + 1]),
   // one per neighbor above u, numbered in h.edges() order.
   row_prefix(
-      h, params.par,
+      h, nullptr, params.par,
       [&h](int u) {
         return static_cast<std::int64_t>(h.upper_neighbors(u).size());
       },
@@ -281,11 +354,13 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
 
   // High-degree filter (Lemma 5.8): low-degree vertices answer No.
   const auto mark_high = [&] {
-    s.high.assign(static_cast<std::size_t>(n), 0);
+    s.high.resize(static_cast<std::size_t>(n));
+    s.high_rows.clear();
     for (int v = 0; v < n; ++v) {
-      s.high[static_cast<std::size_t>(v)] =
-          res.degree_est[static_cast<std::size_t>(v)] >=
-          (1.0 - 2.0 * xi) * delta;
+      const bool high = res.degree_est[static_cast<std::size_t>(v)] >=
+                        (1.0 - 2.0 * xi) * delta;
+      s.high[static_cast<std::size_t>(v)] = high;
+      if (high) s.high_rows.push_back(v);
     }
   };
 
@@ -311,15 +386,16 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
     sketch::neighborhood_counts_into(
         rt, s.raw, [](int, int) { return true; }, opt, &s.counts);
     sketch::edge_union_estimates_into(rt, s.counts, opt, &s.union_est);
-    std::size_t e = 0;
-    for (int u = 0; u < n; ++u) {
+    for_rows_by_weight(params.par, s.slot_off, [&](int, int u) {
+      auto e =
+          static_cast<std::size_t>(s.slot_off[static_cast<std::size_t>(u)]);
       for (const int v : h.upper_neighbors(u)) {
         s.buddy[e] = s.high[static_cast<std::size_t>(u)] &&
                      s.high[static_cast<std::size_t>(v)] &&
                      s.union_est[e] <= (1.0 + xi) * delta;
         ++e;
       }
-    }
+    });
   } else {
     // Oracle mode: exact values, identical round charges. The union is an
     // integer, so union <= (1 + xi) Delta iff it is <= the floor.
@@ -334,78 +410,16 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
     rt.charge(3, 2 * params.t + 16);
   }
 
-  build_buddy_csr(h, params.par, s);
-  const auto buddies = [&](int v) {
-    return std::make_pair(s.buddy_off[static_cast<std::size_t>(v)],
-                          s.buddy_off[static_cast<std::size_t>(v) + 1]);
-  };
-
   // Step 3: buddy-degree threshold. Counting buddy edges is one more
   // fingerprint aggregation (predicate known at link machines); the count
   // here is exact adjacency size, noise already lives in the buddy set.
   rt.charge(1, 2 * params.t + 16);
-  s.candidate.assign(static_cast<std::size_t>(n), 0);
-  for (int v = 0; v < n; ++v) {
-    const auto [b, e] = buddies(v);
-    s.candidate[static_cast<std::size_t>(v)] =
-        static_cast<double>(e - b) >= (1.0 - 2.0 * xi) * delta;
-  }
-
   // Step 4: connected components of the candidate-restricted buddy graph
   // (diameter <= 2 per [ACK19]; leader election is an O(1)-round BFS,
-  // Lemma 3.2).
+  // Lemma 3.2). Components too small to be almost-cliques stay sparse.
   rt.charge(3, 2 * ceil_log2(static_cast<std::uint64_t>(std::max(2, n))));
-  const int min_clique_size = std::max(2, delta / 2);
-  auto& comp = s.comp;
-  auto& bfs = s.bfs;  // queue as vector + cursor
-  for (int src = 0; src < n; ++src) {
-    if (!s.candidate[static_cast<std::size_t>(src)] ||
-        res.clique_of[static_cast<std::size_t>(src)] != -1) {
-      continue;
-    }
-    comp.clear();
-    bfs.clear();
-    bfs.push_back(src);
-    res.clique_of[static_cast<std::size_t>(src)] = -2;  // visiting marker
-    comp.push_back(src);
-    for (std::size_t head = 0; head < bfs.size(); ++head) {
-      const int v = bfs[head];
-      const auto [b, e] = buddies(v);
-      for (int i = b; i < e; ++i) {
-        const int u = s.buddy_adj[static_cast<std::size_t>(i)];
-        if (!s.candidate[static_cast<std::size_t>(u)] ||
-            res.clique_of[static_cast<std::size_t>(u)] != -1) {
-          continue;
-        }
-        res.clique_of[static_cast<std::size_t>(u)] = -2;
-        comp.push_back(u);
-        bfs.push_back(u);
-      }
-    }
-    if (static_cast<int>(comp.size()) < min_clique_size) {
-      // Too small to be an almost-clique; members stay sparse. Mark them
-      // permanently so we do not revisit (use -3, normalized below).
-      for (const int v : comp) {
-        res.clique_of[static_cast<std::size_t>(v)] = -3;
-      }
-      continue;
-    }
-    const int id = res.num_cliques++;
-    for (const int v : comp) {
-      res.clique_of[static_cast<std::size_t>(v)] = id;
-    }
-    // Grow-only member storage: reuse the inner vector of this id when a
-    // previous run left one behind.
-    if (static_cast<int>(res.members.size()) < res.num_cliques) {
-      res.members.emplace_back();
-    }
-    auto& mem = res.members[static_cast<std::size_t>(id)];
-    mem.assign(comp.begin(), comp.end());
-    std::sort(mem.begin(), mem.end());
-  }
-  for (auto& c : res.clique_of) {
-    if (c < -1) c = -1;
-  }
+  almost_cliques(h, params.par, (1.0 - 2.0 * xi) * delta,
+                 std::max(2, delta / 2), res, s);
 }
 
 }  // namespace
@@ -481,32 +495,32 @@ bool verify_almost_cliques(const graph::Graph& h, const AcdResult& acd,
 
 void split_neighborhoods(const graph::Graph& h, const AcdResult& acd,
                          exec::ParallelRound* par, DenseInfo* out) {
-  const int n = h.n();
-  const auto nu = static_cast<std::size_t>(n);
+  const auto nu = static_cast<std::size_t>(h.n());
   DenseInfo& info = *out;
-  info.ext_off.resize(nu + 1);
-  info.anti_off.resize(nu + 1);
-  info.ext_off[0] = info.anti_off[0] = 0;
-  // Count: |N(v) ∩ K| fixes both row lengths, e_v = deg v - |N(v) ∩ K| and
-  // a_v = |K| - 1 - |N(v) ∩ K|. Per-row disjoint writes.
-  exec::shards_or_inline(par, n, [&](int, std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) {
-      const int v = static_cast<int>(i);
-      const int kv = acd.clique_of[static_cast<std::size_t>(v)];
-      std::int64_t ext = 0, anti = 0;
-      if (kv >= 0) {
-        int inside = 0;
-        for (const int u : h.neighbors(v)) {
-          inside += acd.clique_of[static_cast<std::size_t>(u)] == kv;
-        }
-        ext = h.degree(v) - inside;
-        anti = static_cast<std::int64_t>(
-                   acd.members[static_cast<std::size_t>(kv)].size()) -
-               1 - inside;
+  // Sparse rows stay empty; only the members of the cliques do work, so
+  // both passes shard over the cliques. Per-row disjoint writes.
+  info.ext_off.assign(nu + 1, 0);
+  info.anti_off.assign(nu + 1, 0);
+  const auto for_members = [&](auto&& fn) {
+    exec::shards_or_inline(par, acd.num_cliques, [&](int, std::int64_t b,
+                                                     std::int64_t e) {
+      for (auto k = static_cast<std::size_t>(b);
+           k < static_cast<std::size_t>(e); ++k) {
+        const auto& mem = acd.members[k];
+        for (const int v : mem) fn(static_cast<int>(k), mem, v);
       }
-      info.ext_off[static_cast<std::size_t>(v) + 1] = ext;
-      info.anti_off[static_cast<std::size_t>(v) + 1] = anti;
+    });
+  };
+  // Count: |N(v) ∩ K| fixes both row lengths, e_v = deg v - |N(v) ∩ K| and
+  // a_v = |K| - 1 - |N(v) ∩ K|.
+  for_members([&](int k, const std::vector<int>& mem, int v) {
+    int inside = 0;
+    for (const int u : h.neighbors(v)) {
+      inside += acd.clique_of[static_cast<std::size_t>(u)] == k;
     }
+    info.ext_off[static_cast<std::size_t>(v) + 1] = h.degree(v) - inside;
+    info.anti_off[static_cast<std::size_t>(v) + 1] =
+        static_cast<std::int64_t>(mem.size()) - 1 - inside;
   });
   for (std::size_t v = 0; v < nu; ++v) {
     info.ext_off[v + 1] += info.ext_off[v];
@@ -517,30 +531,24 @@ void split_neighborhoods(const graph::Graph& h, const AcdResult& acd,
   // Fill: N(v) and the members of K are both ascending, so one merged walk
   // emits ext(v) (the neighbors outside K) and anti(v) (the members N(v)
   // skips, v aside), each in ascending order.
-  exec::shards_or_inline(par, n, [&](int, std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) {
-      const int v = static_cast<int>(i);
-      const int kv = acd.clique_of[static_cast<std::size_t>(v)];
-      if (kv < 0) continue;
-      const auto& mem = acd.members[static_cast<std::size_t>(kv)];
-      int* ext = info.ext_adj.data() + info.ext_off[static_cast<std::size_t>(v)];
-      int* anti =
-          info.anti_adj.data() + info.anti_off[static_cast<std::size_t>(v)];
-      std::size_t m = 0;
-      for (const int u : h.neighbors(v)) {
-        if (acd.clique_of[static_cast<std::size_t>(u)] != kv) {
-          *ext++ = u;
-          continue;
-        }
-        for (; mem[m] < u; ++m) {
-          if (mem[m] != v) *anti++ = mem[m];
-        }
-        CCG_ASSERT(mem[m] == u);
-        ++m;
+  for_members([&](int k, const std::vector<int>& mem, int v) {
+    int* ext = info.ext_adj.data() + info.ext_off[static_cast<std::size_t>(v)];
+    int* anti =
+        info.anti_adj.data() + info.anti_off[static_cast<std::size_t>(v)];
+    std::size_t m = 0;
+    for (const int u : h.neighbors(v)) {
+      if (acd.clique_of[static_cast<std::size_t>(u)] != k) {
+        *ext++ = u;
+        continue;
       }
-      for (; m < mem.size(); ++m) {
+      for (; mem[m] < u; ++m) {
         if (mem[m] != v) *anti++ = mem[m];
       }
+      CCG_ASSERT(mem[m] == u);
+      ++m;
+    }
+    for (; m < mem.size(); ++m) {
+      if (mem[m] != v) *anti++ = mem[m];
     }
   });
 }

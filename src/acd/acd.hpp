@@ -41,8 +41,9 @@ struct AcdParams {
   bool measure_bits = true;
   // Optional round engine: parallelizes the fingerprint sampling, the
   // oracle's row packing and buddy test (the decomposition's dominant
-  // per-edge cost) and the buddy-graph build over CSR rows. Results are
-  // identical with or without it.
+  // per-edge cost, sharded over the high rows by the work they do) and the
+  // buddy-degree count and union-find of steps 3-4 (sharded over rows by
+  // slot count). Results are identical with or without it.
   exec::ParallelRound* par = nullptr;
 };
 
@@ -82,6 +83,7 @@ struct AcdScratch {
   std::vector<double> union_est;        // fingerprint |N(u) ∪ N(v)| per slot
   std::vector<char> buddy;              // buddy flag per slot
   std::vector<char> high, candidate;    // per vertex
+  std::vector<int> high_rows;           // the high vertices, ascending
   // Per-row prefix sums: slots (row u owns [slot_off[u], slot_off[u+1])),
   // packed words (row v owns [word_off[v], word_off[v+1]) of `packed`)
   // and oracle scan work.
@@ -92,18 +94,18 @@ struct AcdScratch {
   // all zero between rows.
   std::vector<NeighborWord> packed;
   std::vector<std::vector<std::uint64_t>> row_bits;
-  std::vector<std::vector<int>> cursors;  // buddy-CSR counts, then cursors,
-                                          // per vertex and row part
+  // Steps 3-4, one array of n entries per row part (the rows split by slot
+  // count, one part per worker): first the part's buddy-degree count per
+  // vertex, then its union-find forest over the candidates (parent per
+  // vertex, a root is its set's smallest vertex). The forests merge into
+  // part 0's, and `label` holds each root's set size, then its clique id.
+  std::vector<std::vector<int>> forests;
+  std::vector<int> label;
   // Fingerprint mode: raw per-vertex samples and the aggregated counts
   // (estimates + per-vertex maxima). Both rebind in place, so warm
   // fingerprint decompositions skip the per-vertex buffer rebuilds.
   std::vector<sketch::Fingerprint> raw;
   sketch::CountResult counts;
-  // Buddy graph as flat CSR (count -> prefix-sum -> fill): replaces the
-  // vector-of-vectors whose doubling reallocations dominated the old
-  // per-job allocation count.
-  std::vector<int> buddy_off, buddy_adj;
-  std::vector<int> comp, bfs;           // component collection + queue
 };
 
 // Stream-based, scratch-backed decomposition: every random draw comes from
@@ -165,9 +167,10 @@ struct DenseInfo {
 };
 
 // Rebuilds the ext/anti split of `out` from h and the decomposition (one
-// counting pass, a prefix sum, one filling pass; both passes shard rows on
-// `par` when given). annotate_dense calls it; callers that fill a
-// DenseInfo by hand call it to complete one.
+// counting pass, a prefix sum, one filling pass; both passes walk the
+// members of the cliques and shard the cliques on `par` when given).
+// annotate_dense calls it; callers that fill a DenseInfo by hand call it to
+// complete one, with `members` consistent with `clique_of`.
 void split_neighborhoods(const graph::Graph& h, const AcdResult& acd,
                          exec::ParallelRound* par, DenseInfo* out);
 

@@ -406,7 +406,8 @@ void Solver::solve_impl(const Problem& p, const Options& o, Outcome* out) {
     // The pipelines check properness internally (and a failure lands in
     // the catch below); the fast path and the non-auto virtual routes are
     // checked here so nothing improper ever leaves the facade.
-    if (!cluster::is_proper_total(h, st.phi.vec(), st.num_colors())) {
+    if (!cluster::is_proper_total(h, st.phi.vec(), st.num_colors(),
+                                  st.par.get())) {
       out->uncolored = cluster::count_uncolored(st.phi.vec());
       out->error = make_error(ErrorCode::kInternal,
                               "coloring is not proper and total");

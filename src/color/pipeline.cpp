@@ -516,7 +516,8 @@ void run_high_degree(State& st) {
   for (int v = 0; v < st.h().n(); ++v) all[static_cast<std::size_t>(v)] = v;
   fallback_finish(st, all);
 
-  cluster::check_proper_total(st.h(), st.phi.vec(), st.num_colors());
+  cluster::check_proper_total(st.h(), st.phi.vec(), st.num_colors(),
+                              st.par.get());
 }
 
 Result color_high_degree(cluster::Runtime& rt, const Params& params) {

@@ -576,7 +576,8 @@ void run_low_degree(State& st) {
   all.resize(static_cast<std::size_t>(n));
   for (int v = 0; v < n; ++v) all[static_cast<std::size_t>(v)] = v;
   color::fallback_finish(st, all);
-  cluster::check_proper_total(st.h(), st.phi.vec(), st.num_colors());
+  cluster::check_proper_total(st.h(), st.phi.vec(), st.num_colors(),
+                              st.par.get());
 }
 
 color::Result color_low_degree(cluster::Runtime& rt,

@@ -14,7 +14,8 @@ void run_virtual(color::State& st, const cluster::VirtualGraph& vg) {
   } else {
     run_low_degree(st);
   }
-  cluster::check_proper_total(vg.h(), st.phi.vec(), st.num_colors());
+  cluster::check_proper_total(vg.h(), st.phi.vec(), st.num_colors(),
+                              st.par.get());
 }
 
 VirtualResult color_virtual_graph(const cluster::VirtualGraph& vg,

@@ -326,6 +326,7 @@ TEST(Acd, OracleFailsAfterOneDeterministicAttempt) {
 // smallest vertex.
 struct ReferenceAcd {
   std::vector<std::vector<int>> buddies;  // sorted, per vertex
+  std::vector<bool> candidate;
   std::vector<int> clique_of;
   std::vector<std::vector<int>> members;
   int boundary_buddies = 0;   // buddy edges with union == floor((1+xi)D)
@@ -352,7 +353,8 @@ ReferenceAcd reference_oracle_acd(const graph::Graph& g, double xi) {
     ref.buddies[v].push_back(u);
   }
   for (auto& b : ref.buddies) std::sort(b.begin(), b.end());
-  std::vector<bool> candidate(n);
+  auto& candidate = ref.candidate;
+  candidate.resize(n);
   for (int v = 0; v < n; ++v) {
     candidate[v] = ref.buddies[v].size() >= (1.0 - 2.0 * xi) * delta;
   }
@@ -402,6 +404,50 @@ graph::Graph hub_rows_graph() {
   return g;
 }
 
+// g with vertex v renamed perm[v] for a fixed random permutation.
+graph::Graph relabelled(const graph::Graph& g, std::uint64_t seed) {
+  Rng rng(seed);
+  const auto perm = rng.permutation(g.n());
+  graph::Graph out(g.n());
+  for (const auto& [u, v] : g.edges()) {
+    out.add_edge(perm[static_cast<std::size_t>(u)],
+                 perm[static_cast<std::size_t>(v)]);
+  }
+  out.finalize();
+  return out;
+}
+
+// Two 60-cliques K1 = [1, 61) and K2 = [61, 121) joined through the
+// bridges 0 and 121. Each bridge is adjacent to 8 members of each clique
+// (no member sees both bridges) and to 9 private leaves. Delta = 60, so at
+// eps 0.3 the high bar and the candidate bar are 24 and the buddy bound is
+// floor(1.3 * 60) = 78. A bridge has degree 25 and |N(b) ∪ N(y)| =
+// 25 + 60 - 7 = 78 for each of its 16 clique neighbors y, so it is high
+// and a buddy of all 16, but its buddy degree 16 keeps it out of the
+// candidates. Without that restriction the cliques and bridges would form
+// one component of at least 120 vertices, past the size cap of
+// (1 + 3 eps) Delta. Bridge 0 owns the rows of its buddy slots and bridge
+// 121 owns none, so both sides of a slot must be candidates.
+constexpr int kBridges[] = {0, 121};
+graph::Graph bridged_cliques() {
+  graph::Graph g(140);
+  int leaf = 122;
+  for (const int base : {1, 61}) {
+    for (int u = base; u < base + 60; ++u) {
+      for (int v = u + 1; v < base + 60; ++v) g.add_edge(u, v);
+    }
+    for (int j = 0; j < 8; ++j) {
+      g.add_edge(kBridges[0], base + 7 * j + 3);
+      g.add_edge(kBridges[1], base + 7 * j + 5);
+    }
+  }
+  for (const int b : kBridges) {
+    for (int j = 0; j < 9; ++j) g.add_edge(b, leaf++);
+  }
+  g.finalize();
+  return g;
+}
+
 TEST(Acd, OracleMatchesSetUnionReference) {
   Rng rng(91);
   graph::PlantedSpec spec;
@@ -429,12 +475,34 @@ TEST(Acd, OracleMatchesSetUnionReference) {
   // the buddy test runs two full blocks of 8 words per row and exits on
   // both sides of the bound. Buddy degrees are 30, below the candidate
   // bar of 0.6 * 80, so no almost-clique forms.
+  // The relabelled planted instance scatters every clique over all ids,
+  // so each row part holds members of every clique and the per-part
+  // union-find forests only connect them once merged.
   const std::vector<Case> cases = {
       {"planted", planted.g, 0.2},
+      {"relabelled planted", relabelled(planted.g, 23), 0.2},
       {"boundary", circulant_band(36, 10), 0.3, true},
       {"hub rows", hub_rows_graph(), 0.2},
       {"relabelled band", circulant_band(1100, 40, 29), 0.2, true, false, 16},
+      {"bridged cliques", bridged_cliques(), 0.3},
   };
+  {
+    const auto ref = reference_oracle_acd(bridged_cliques(), 0.3);
+    ASSERT_EQ(ref.members.size(), 2u);
+    EXPECT_EQ(ref.members[0].size(), 60u);
+    EXPECT_EQ(ref.members[1].size(), 60u);
+    for (const int b : kBridges) {
+      int in_k1 = 0, in_k2 = 0;
+      for (const int y : ref.buddies[b]) {
+        in_k1 += ref.clique_of[y] == 0;
+        in_k2 += ref.clique_of[y] == 1;
+      }
+      EXPECT_EQ(in_k1, 8) << "bridge " << b;
+      EXPECT_EQ(in_k2, 8) << "bridge " << b;
+      EXPECT_FALSE(ref.candidate[b]) << "bridge " << b;
+      EXPECT_EQ(ref.clique_of[b], -1) << "bridge " << b;
+    }
+  }
   for (const auto& c : cases) {
     const auto ref = reference_oracle_acd(c.g, c.eps);
     if (c.on_bound) {
@@ -463,11 +531,21 @@ TEST(Acd, OracleMatchesSetUnionReference) {
                           scratch.word_off[v + 1] - scratch.word_off[v]);
       }
       EXPECT_GE(widest, c.min_row_words) << label;
+      // Buddy sets from the slot flags: slot j of row u is the edge to
+      // u's j-th upper neighbor, in h.edges() order.
+      std::vector<std::vector<int>> got(c.g.n());
+      std::size_t slot = 0;
+      for (const auto& [u, v] : c.g.edges()) {
+        if (scratch.buddy[slot++]) {
+          got[u].push_back(v);
+          got[v].push_back(u);
+        }
+      }
       for (int v = 0; v < c.g.n(); ++v) {
-        const std::vector<int> got(
-            scratch.buddy_adj.begin() + scratch.buddy_off[v],
-            scratch.buddy_adj.begin() + scratch.buddy_off[v + 1]);
-        ASSERT_EQ(got, ref.buddies[v]) << label << " vertex " << v;
+        std::sort(got[v].begin(), got[v].end());
+        ASSERT_EQ(got[v], ref.buddies[v]) << label << " vertex " << v;
+        ASSERT_EQ(scratch.candidate[v] != 0, ref.candidate[v])
+            << label << " vertex " << v;
       }
       EXPECT_EQ(res.clique_of, ref.clique_of) << label;
       ASSERT_EQ(res.num_cliques, static_cast<int>(ref.members.size()))

@@ -5,6 +5,7 @@
 // warm AcdResult/AcdScratch pair reproduces a cold run exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,76 @@ TEST(AcdParallel, DecompositionBitIdenticalAcrossThreadCounts) {
       expect_same_run(got, base,
                       std::string(fingerprints ? "fingerprint" : "oracle") +
                           " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+TEST(AcdParallel, CliquesAreComponentsOfTheRunsOwnFlags) {
+  // The almost-cliques of a fingerprint run, whatever its worker count,
+  // are the components of that run's buddy flags restricted to its
+  // candidates, numbered by smallest vertex, members ascending, with the
+  // components under max(2, Delta / 2) left sparse. A BFS recomputes them
+  // here from the slot flags (slots in h.edges() order).
+  const auto planted = mixed_instance();
+  const auto& g = planted.g;
+  const int n = g.n();
+  const auto cg = cluster::ClusterGraph::singleton(g);
+  const auto edges = g.edges();
+  for (const int threads : {1, 2, 8}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    net::Ledger ledger(cg.default_bandwidth());
+    cluster::Runtime rt(cg, ledger);
+    exec::ParallelRound par(threads);
+    AcdParams params;
+    params.eps = 0.2;
+    params.measure_bits = false;
+    params.par = &par;
+    StreamCtx streams(991);
+    AcdScratch scratch;
+    AcdResult acd;
+    compute_acd(rt, params, streams, &acd, &scratch);
+    ASSERT_GT(acd.num_cliques, 0) << label;
+
+    std::vector<std::vector<int>> buddies(n);
+    for (std::size_t slot = 0; slot < edges.size(); ++slot) {
+      if (!scratch.buddy[slot]) continue;
+      buddies[edges[slot].first].push_back(edges[slot].second);
+      buddies[edges[slot].second].push_back(edges[slot].first);
+    }
+    const int delta = rt.delta();
+    std::vector<bool> candidate(n);
+    for (int v = 0; v < n; ++v) {
+      candidate[v] = buddies[v].size() >= (1.0 - 2.0 * params.eps) * delta;
+      ASSERT_EQ(scratch.candidate[v] != 0, candidate[v])
+          << label << " vertex " << v;
+    }
+    std::vector<int> clique_of(n, -1);
+    std::vector<std::vector<int>> members;
+    std::vector<bool> seen(n, false);
+    for (int src = 0; src < n; ++src) {
+      if (!candidate[src] || seen[src]) continue;
+      std::vector<int> comp{src};
+      seen[src] = true;
+      for (std::size_t i = 0; i < comp.size(); ++i) {
+        for (const int u : buddies[comp[i]]) {
+          if (candidate[u] && !seen[u]) {
+            seen[u] = true;
+            comp.push_back(u);
+          }
+        }
+      }
+      if (static_cast<int>(comp.size()) < std::max(2, delta / 2)) continue;
+      std::sort(comp.begin(), comp.end());
+      for (const int v : comp) {
+        clique_of[v] = static_cast<int>(members.size());
+      }
+      members.push_back(comp);
+    }
+    EXPECT_EQ(acd.clique_of, clique_of) << label;
+    ASSERT_EQ(acd.num_cliques, static_cast<int>(members.size())) << label;
+    for (int k = 0; k < acd.num_cliques; ++k) {
+      EXPECT_EQ(acd.members[static_cast<std::size_t>(k)], members[k])
+          << label << " clique " << k;
     }
   }
 }

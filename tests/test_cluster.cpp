@@ -3,10 +3,14 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster_graph.hpp"
 #include "cluster/runtime.hpp"
 #include "cluster/validate.hpp"
+#include "exec/parallel_round.hpp"
 #include "graph/generators.hpp"
 
 namespace ccg::cluster {
@@ -192,6 +196,64 @@ TEST(Validate, ProperColorings) {
   EXPECT_TRUE(is_proper_partial(h, partial));
   EXPECT_EQ(count_uncolored(partial), 2);
   EXPECT_THROW(check_proper_total(h, partial, 3), ContractViolation);
+
+  // C_4000(±1..7): i and i±d (mod 4000) for d = 1..7, so i mod 8 is a
+  // proper coloring with colors [0, 8). Every check below runs
+  // sequentially and sharded at 1, 2, 4 and 8 workers.
+  constexpr int n = 4000, k = 7;
+  std::vector<std::pair<int, int>> edges;
+  for (int i = 0; i < n; ++i) {
+    for (int d = 1; d <= k; ++d) edges.emplace_back(i, (i + d) % n);
+  }
+  const auto g = graph::Graph::from_edges(n, edges);
+  std::vector<int> proper(n);
+  for (int i = 0; i < n; ++i) proper[i] = i % (k + 1);
+  // One conflicting edge {n - 2, n - 1}, read from row n - 2, which the
+  // last shard holds at every worker count: no other vertex has color 8.
+  auto conflict = proper;
+  conflict[n - 2] = conflict[n - 1] = k + 1;
+  // Vertex 0 is the lower endpoint of all its edges and uncolored, while
+  // its upper neighbors keep their colors; n - 2 and n - 1 are an
+  // uncolored edge.
+  auto holes = proper;
+  holes[0] = holes[n - 2] = holes[n - 1] = kUncolored;
+  // Color 8 on a vertex none of whose neighbors has it: proper, out of
+  // range for 8 colors.
+  auto out_of_range = proper;
+  out_of_range[n - 1] = k + 1;
+  const auto check_all = [&](exec::ParallelRound* par,
+                             const std::string& label) {
+    EXPECT_TRUE(is_proper_partial(g, proper, par)) << label;
+    EXPECT_TRUE(is_proper_total(g, proper, k + 1, par)) << label;
+    EXPECT_NO_THROW(check_proper_total(g, proper, k + 1, par)) << label;
+
+    EXPECT_FALSE(is_proper_partial(g, conflict, par)) << label;
+    EXPECT_FALSE(is_proper_total(g, conflict, k + 2, par)) << label;
+    EXPECT_THROW(check_proper_partial(g, conflict, par), ContractViolation)
+        << label;
+    EXPECT_THROW(check_proper_total(g, conflict, k + 2, par),
+                 ContractViolation)
+        << label;
+
+    EXPECT_TRUE(is_proper_partial(g, holes, par)) << label;
+    EXPECT_NO_THROW(check_proper_partial(g, holes, par)) << label;
+    EXPECT_FALSE(is_proper_total(g, holes, k + 1, par)) << label;
+    EXPECT_THROW(check_proper_total(g, holes, k + 1, par),
+                 ContractViolation)
+        << label;
+
+    EXPECT_TRUE(is_proper_partial(g, out_of_range, par)) << label;
+    EXPECT_TRUE(is_proper_total(g, out_of_range, k + 2, par)) << label;
+    EXPECT_FALSE(is_proper_total(g, out_of_range, k + 1, par)) << label;
+    EXPECT_THROW(check_proper_total(g, out_of_range, k + 1, par),
+                 ContractViolation)
+        << label;
+  };
+  check_all(nullptr, "sequential");
+  for (const int threads : {1, 2, 4, 8}) {
+    exec::ParallelRound par(threads);
+    check_all(&par, "threads=" + std::to_string(threads));
+  }
 }
 
 TEST(Ledger, EpochDepthDrivesGRounds) {
