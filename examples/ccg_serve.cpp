@@ -56,7 +56,9 @@ int usage() {
       "                 (Delta+1)-coloring, flagged 'degraded'\n"
       "  --deadline-ms  per-attempt deadline default (0 = none)\n"
       "  --cache-mb     total cross-job cache budget in MiB (default 64;\n"
-      "                 0 disables the instance/dense/result caches)\n"
+      "                 0 disables the instance/dense/result caches);\n"
+      "                 3/4 of it holds instances, charged by their full\n"
+      "                 heap, so a larger instance is rebuilt per job\n"
       "  --unix         serve a Unix-domain socket instead of stdio\n"
       "  --tcp          serve loopback TCP on this port instead of stdio\n"
       "exit codes: 0 served, 2 usage/request error, 3 listener failure\n");

@@ -54,23 +54,20 @@ bool shares_at_least(const std::uint64_t* row,
 }
 
 // Per-row prefix sums over H's rows: off[u + 1] - off[u] = weight(u) for
-// the rows u in `rows` (nullptr: every row) and 0 for the others. One
-// parallel pass sharded over `rows` with per-row disjoint writes, then one
-// sequential sum. Passes whose weight is zero on most rows list only the
-// rest, so the shards split the rows that do work.
+// the rows u in `rows` and 0 for the others. One parallel pass sharded
+// over `rows` with per-row disjoint writes, then one sequential sum. The
+// passes' weights are zero on most rows, so listing only the rest makes
+// the shards split the rows that do work.
 template <class Weight>
-void row_prefix(const graph::Graph& h, const std::vector<int>* rows,
+void row_prefix(const graph::Graph& h, const std::vector<int>& rows,
                 exec::ParallelRound* par, Weight&& weight,
                 std::vector<std::int64_t>* off) {
   const int n = h.n();
   off->assign(static_cast<std::size_t>(n) + 1, 0);
-  const auto total = rows ? static_cast<std::int64_t>(rows->size())
-                          : static_cast<std::int64_t>(n);
-  exec::shards_or_inline(par, total, [&](int, std::int64_t b,
-                                         std::int64_t e) {
+  exec::shards_or_inline(par, static_cast<std::int64_t>(rows.size()),
+                         [&](int, std::int64_t b, std::int64_t e) {
     for (std::int64_t i = b; i < e; ++i) {
-      const int u = rows ? (*rows)[static_cast<std::size_t>(i)]
-                         : static_cast<int>(i);
+      const int u = rows[static_cast<std::size_t>(i)];
       (*off)[static_cast<std::size_t>(u) + 1] = weight(u);
     }
   });
@@ -80,9 +77,10 @@ void row_prefix(const graph::Graph& h, const std::vector<int>* rows,
 }
 
 // First row of part p when the rows split into `parts` consecutive runs of
-// about equal weight (off: row_prefix output). Part p owns rows
-// [part_begin(p), part_begin(p + 1)); the last part ends at n.
-int part_begin(const std::vector<std::int64_t>& off, int parts,
+// about equal weight (off: per-row prefix sums, row_prefix output or
+// h.upper_offsets()). Part p owns rows [part_begin(p), part_begin(p + 1));
+// the last part ends at n.
+int part_begin(std::span<const std::int64_t> off, int parts,
                std::int64_t p) {
   const auto rows = static_cast<int>(off.size()) - 1;
   if (p >= parts) return rows;
@@ -92,11 +90,11 @@ int part_begin(const std::vector<std::int64_t>& off, int parts,
 }
 
 // Runs fn(p, begin, end) for every part p of the rows, split into one run
-// [begin, end) per worker of about equal weight (off: row_prefix output);
+// [begin, end) per worker of about equal weight (off: as for part_begin);
 // part p runs on worker p.
 template <class Fn>
 void for_row_parts(exec::ParallelRound* par,
-                   const std::vector<std::int64_t>& off, Fn&& fn) {
+                   std::span<const std::int64_t> off, Fn&& fn) {
   const int parts = par ? par->workers() : 1;
   exec::shards_or_inline(par, parts, [&](int, std::int64_t b,
                                          std::int64_t e) {
@@ -110,7 +108,7 @@ void for_row_parts(exec::ParallelRound* par,
 // Runs fn(worker, u) for every row u, the rows split as in for_row_parts.
 template <class Fn>
 void for_rows_by_weight(exec::ParallelRound* par,
-                        const std::vector<std::int64_t>& off, Fn&& fn) {
+                        std::span<const std::int64_t> off, Fn&& fn) {
   for_row_parts(par, off, [&](int w, int b, int e) {
     for (int u = b; u < e; ++u) fn(w, u);
   });
@@ -123,7 +121,7 @@ void for_rows_by_weight(exec::ParallelRound* par,
 void pack_high_rows(const graph::Graph& h, exec::ParallelRound* par,
                     AcdScratch& s) {
   row_prefix(
-      h, &s.high_rows, par,
+      h, s.high_rows, par,
       [&](int v) {
         std::int64_t words = 0;
         int last = -1;
@@ -170,7 +168,7 @@ void oracle_buddy_flags(const graph::Graph& h, exec::ParallelRound* par,
   };
   // Only high rows do work: low rows pack no words and scan nothing.
   row_prefix(
-      h, &s.high_rows, par,
+      h, s.high_rows, par,
       [&](int u) {
         auto work = static_cast<std::int64_t>(packed_row(u).size());
         for (const int v : h.upper_neighbors(u)) {
@@ -189,7 +187,8 @@ void oracle_buddy_flags(const graph::Graph& h, exec::ParallelRound* par,
   }
   for_rows_by_weight(par, s.work_off, [&](int w, int u) {
     const auto up = h.upper_neighbors(u);
-    char* flag = s.buddy.data() + s.slot_off[static_cast<std::size_t>(u)];
+    char* flag =
+        s.buddy.data() + h.upper_offsets()[static_cast<std::size_t>(u)];
     if (!s.high[static_cast<std::size_t>(u)]) {
       std::fill(flag, flag + up.size(), 0);
       return;
@@ -239,17 +238,18 @@ void almost_cliques(const graph::Graph& h, exec::ParallelRound* par,
                     AcdScratch& s) {
   const int n = h.n();
   const auto nu = static_cast<std::size_t>(n);
+  const auto slot_off = h.upper_offsets();
   const int parts = par ? par->workers() : 1;
   if (s.forests.size() < static_cast<std::size_t>(parts)) {
     s.forests.resize(static_cast<std::size_t>(parts));
   }
-  for_row_parts(par, s.slot_off, [&](int p, int b, int e) {
+  for_row_parts(par, slot_off, [&](int p, int b, int e) {
     auto& count = s.forests[static_cast<std::size_t>(p)];
     count.assign(nu, 0);
     for (int u = b; u < e; ++u) {
       const auto up = h.upper_neighbors(u);
       const char* flag =
-          s.buddy.data() + s.slot_off[static_cast<std::size_t>(u)];
+          s.buddy.data() + slot_off[static_cast<std::size_t>(u)];
       for (std::size_t j = 0; j < up.size(); ++j) {
         count[static_cast<std::size_t>(u)] += flag[j];
         count[static_cast<std::size_t>(up[j])] += flag[j];
@@ -267,14 +267,14 @@ void almost_cliques(const graph::Graph& h, exec::ParallelRound* par,
       s.candidate[v] = static_cast<double>(degree) >= candidate_bar;
     }
   });
-  for_row_parts(par, s.slot_off, [&](int p, int b, int e) {
+  for_row_parts(par, slot_off, [&](int p, int b, int e) {
     int* parent = s.forests[static_cast<std::size_t>(p)].data();
     for (int v = 0; v < n; ++v) parent[v] = v;
     for (int u = b; u < e; ++u) {
       if (!s.candidate[static_cast<std::size_t>(u)]) continue;
       const auto up = h.upper_neighbors(u);
       const char* flag =
-          s.buddy.data() + s.slot_off[static_cast<std::size_t>(u)];
+          s.buddy.data() + slot_off[static_cast<std::size_t>(u)];
       int ru = find_root(parent, u);
       for (std::size_t j = 0; j < up.size(); ++j) {
         if (!flag[j] || !s.candidate[static_cast<std::size_t>(up[j])]) {
@@ -342,14 +342,7 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
   opt.measure_bits = params.measure_bits;
 
   res.reset(n);
-  // Upper-triangle slots: row u's slots are [slot_off[u], slot_off[u + 1]),
-  // one per neighbor above u, numbered in h.edges() order.
-  row_prefix(
-      h, nullptr, params.par,
-      [&h](int u) {
-        return static_cast<std::int64_t>(h.upper_neighbors(u).size());
-      },
-      &s.slot_off);
+  // One buddy flag per edge slot of h (Graph::upper_offsets).
   s.buddy.resize(static_cast<std::size_t>(h.m()));
 
   // High-degree filter (Lemma 5.8): low-degree vertices answer No.
@@ -386,9 +379,9 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
     sketch::neighborhood_counts_into(
         rt, s.raw, [](int, int) { return true; }, opt, &s.counts);
     sketch::edge_union_estimates_into(rt, s.counts, opt, &s.union_est);
-    for_rows_by_weight(params.par, s.slot_off, [&](int, int u) {
-      auto e =
-          static_cast<std::size_t>(s.slot_off[static_cast<std::size_t>(u)]);
+    for_rows_by_weight(params.par, h.upper_offsets(), [&](int, int u) {
+      auto e = static_cast<std::size_t>(
+          h.upper_offsets()[static_cast<std::size_t>(u)]);
       for (const int v : h.upper_neighbors(u)) {
         s.buddy[e] = s.high[static_cast<std::size_t>(u)] &&
                      s.high[static_cast<std::size_t>(v)] &&

@@ -78,16 +78,17 @@ struct NeighborWord {
 // Grow-only working storage for compute_acd/annotate_dense. Owned by the
 // caller (color::State keeps one per arena) so back-to-back jobs on warm
 // state run the whole decomposition without heap traffic. A "slot" is one
-// upper-triangle entry of H's CSR rows, i.e. one edge in h.edges() order.
+// upper-triangle entry of H's CSR rows, i.e. one edge in h.edges() order
+// (graph::Graph::upper_offsets, Graph::edge_slot).
 struct AcdScratch {
   std::vector<double> union_est;        // fingerprint |N(u) ∪ N(v)| per slot
   std::vector<char> buddy;              // buddy flag per slot
   std::vector<char> high, candidate;    // per vertex
   std::vector<int> high_rows;           // the high vertices, ascending
-  // Per-row prefix sums: slots (row u owns [slot_off[u], slot_off[u+1])),
-  // packed words (row v owns [word_off[v], word_off[v+1]) of `packed`)
-  // and oracle scan work.
-  std::vector<std::int64_t> slot_off, word_off, work_off;
+  // Per-row prefix sums: packed words (row v owns [word_off[v],
+  // word_off[v+1]) of `packed`) and oracle scan work. Slots come from
+  // h.upper_offsets().
+  std::vector<std::int64_t> word_off, work_off;
   // Oracle mode: N(v) of every high vertex as one NeighborWord per 64-bit
   // word it occupies (none for low vertices), and per worker a dense
   // bitset of ceil(n / 64) words that holds the row being scanned and is

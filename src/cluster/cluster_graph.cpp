@@ -1,8 +1,8 @@
 #include "cluster/cluster_graph.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <queue>
-#include <set>
 
 #include "common/mathutil.hpp"
 
@@ -14,6 +14,9 @@ namespace {
 void finish_cluster(Cluster& c) {
   const int s = c.size();
   c.depth.assign(static_cast<std::size_t>(s), 0);
+  c.height = 0;
+  c.diameter = 0;
+  if (s == 1) return;  // a lone leader: nothing to walk
   // parent[] is topologically usable only if parents precede children; all
   // our constructions satisfy parent_index < child_index except BFS trees,
   // which also do (BFS discovery order). Verify while computing depth.
@@ -23,7 +26,6 @@ void finish_cluster(Cluster& c) {
     c.depth[static_cast<std::size_t>(i)] =
         c.depth[static_cast<std::size_t>(p)] + 1;
   }
-  c.height = 0;
   for (const int d : c.depth) c.height = std::max(c.height, d);
 
   // Tree diameter via double BFS on the member-level tree.
@@ -63,16 +65,27 @@ void finish_cluster(Cluster& c) {
 
 }  // namespace
 
-std::int64_t ClusterGraph::link_key(int u, int v) const {
-  const auto [a, b] = std::minmax(u, v);
-  return static_cast<std::int64_t>(a) * num_clusters() + b;
+std::span<const std::pair<int, int>> ClusterGraph::links(int u,
+                                                         int v) const {
+  const std::int64_t e = h_.edge_slot(u, v);
+  CCG_CHECK_MSG(e >= 0, "no links for H-edge " << u << "," << v);
+  const auto b = link_off_[static_cast<std::size_t>(e)];
+  return {link_pairs_.data() + b,
+          static_cast<std::size_t>(link_off_[static_cast<std::size_t>(e) + 1] -
+                                   b)};
 }
 
-const std::vector<std::pair<int, int>>& ClusterGraph::links(int u,
-                                                            int v) const {
-  const auto it = links_.find(link_key(u, v));
-  CCG_CHECK_MSG(it != links_.end(), "no links for H-edge " << u << "," << v);
-  return it->second;
+std::size_t ClusterGraph::heap_bytes() const {
+  std::size_t b = h_.heap_bytes() + graph::capacity_bytes(cluster_of_) +
+                  graph::capacity_bytes(clusters_) +
+                  graph::capacity_bytes(link_off_) +
+                  graph::capacity_bytes(link_pairs_);
+  for (const auto& c : clusters_) {
+    b += graph::capacity_bytes(c.members) + graph::capacity_bytes(c.parent) +
+         graph::capacity_bytes(c.depth);
+  }
+  if (machines_) b += machines_->heap_bytes();
+  return b;
 }
 
 int ClusterGraph::default_bandwidth(int beta) const {
@@ -84,7 +97,6 @@ int ClusterGraph::default_bandwidth(int beta) const {
 ClusterGraph ClusterGraph::singleton(graph::Graph h) {
   h.finalize();
   ClusterGraph cg;
-  cg.machines_ = h;
   cg.h_ = std::move(h);
   const int n = cg.h_.n();
   cg.cluster_of_.resize(static_cast<std::size_t>(n));
@@ -96,8 +108,15 @@ ClusterGraph ClusterGraph::singleton(graph::Graph h) {
     c.parent = {-1};
     finish_cluster(c);
   }
-  for (const auto& [u, v] : cg.h_.edges()) {
-    cg.links_[cg.link_key(u, v)].push_back({u, v});
+  // One link per H-edge slot: the edge itself.
+  const auto m = static_cast<std::size_t>(cg.h_.m());
+  cg.link_off_.resize(m + 1);
+  std::iota(cg.link_off_.begin(), cg.link_off_.end(), std::int64_t{0});
+  cg.link_pairs_.reserve(m);
+  for (int u = 0; u < n; ++u) {
+    for (const int v : cg.h_.upper_neighbors(u)) {
+      cg.link_pairs_.emplace_back(u, v);
+    }
   }
   cg.dilation_ = 0;
   cg.max_height_ = 0;
@@ -175,19 +194,32 @@ ClusterGraph ClusterGraph::expand(const graph::Graph& h,
     }
   };
 
-  for (const auto& [u, v] : cg.h_.edges()) {
-    std::set<std::pair<int, int>> chosen;
-    for (int i = 0; i < spec.links_per_edge; ++i) {
-      const int mu = attach(u, v);
-      const int mv = attach(v, u);
-      chosen.insert({mu, mv});
-    }
-    auto& link_list = cg.links_[cg.link_key(u, v)];
-    for (const auto& [mu, mv] : chosen) {
-      machines.add_edge(mu, mv);
-      link_list.push_back({mu, mv});
+  // Slot by slot, in H's edge order: draw the edge's links at the tail of
+  // link_pairs_, then sort them and drop repeats there. The array is
+  // reserved for links_per_edge pairs per slot, so it never reallocates.
+  auto& pairs = cg.link_pairs_;
+  cg.link_off_.assign(static_cast<std::size_t>(cg.h_.m()) + 1, 0);
+  pairs.reserve(static_cast<std::size_t>(cg.h_.m()) *
+                static_cast<std::size_t>(spec.links_per_edge));
+  std::size_t e = 0;
+  for (int u = 0; u < n_h; ++u) {
+    for (const int v : cg.h_.upper_neighbors(u)) {
+      const auto first = static_cast<std::ptrdiff_t>(pairs.size());
+      for (int i = 0; i < spec.links_per_edge; ++i) {
+        const int mu = attach(u, v);
+        const int mv = attach(v, u);
+        pairs.emplace_back(mu, mv);
+      }
+      std::sort(pairs.begin() + first, pairs.end());
+      pairs.erase(std::unique(pairs.begin() + first, pairs.end()),
+                  pairs.end());
+      for (auto it = pairs.begin() + first; it != pairs.end(); ++it) {
+        machines.add_edge(it->first, it->second);
+      }
+      cg.link_off_[++e] = static_cast<std::int64_t>(pairs.size());
     }
   }
+  pairs.shrink_to_fit();
   machines.finalize();
   cg.machines_ = std::move(machines);
   for (const auto& c : cg.clusters_) {
@@ -252,31 +284,42 @@ ClusterGraph ClusterGraph::from_partition(graph::Graph g,
     finish_cluster(cl);
   }
 
-  // H edges + links.
-  graph::Graph h(k);
-  std::set<std::pair<int, int>> h_edges;
-  for (const auto& [mu, mv] : g.edges()) {
-    const int cu = cg.cluster_of_[static_cast<std::size_t>(mu)];
-    const int cv = cg.cluster_of_[static_cast<std::size_t>(mv)];
-    if (cu == cv) continue;
-    const auto key = std::minmax(cu, cv);
-    if (h_edges.insert({key.first, key.second}).second) {
-      h.add_edge(cu, cv);
+  // H: the distinct cluster pairs of the inter-cluster G-edges. Links: a
+  // count pass and a fill pass over the same G-edges, each into its H-edge
+  // slot, so a slot lists its links in G's edges() order.
+  const auto for_inter_edges = [&](auto&& fn) {
+    for (int mu = 0; mu < g.n(); ++mu) {
+      const int cu = cg.cluster_of_[static_cast<std::size_t>(mu)];
+      for (const int mv : g.upper_neighbors(mu)) {
+        const int cv = cg.cluster_of_[static_cast<std::size_t>(mv)];
+        if (cu != cv) fn(mu, mv, cu, cv);
+      }
     }
-  }
-  h.finalize();
-  cg.h_ = std::move(h);
-  for (const auto& [mu, mv] : g.edges()) {
-    const int cu = cg.cluster_of_[static_cast<std::size_t>(mu)];
-    const int cv = cg.cluster_of_[static_cast<std::size_t>(mv)];
-    if (cu == cv) continue;
+  };
+  std::vector<std::pair<int, int>> h_edges;
+  for_inter_edges([&](int, int, int cu, int cv) {
+    h_edges.emplace_back(std::min(cu, cv), std::max(cu, cv));
+  });
+  std::sort(h_edges.begin(), h_edges.end());
+  h_edges.erase(std::unique(h_edges.begin(), h_edges.end()), h_edges.end());
+  cg.h_ = graph::Graph::from_edges(k, h_edges);
+  const auto slot = [&cg](int cu, int cv) {
+    return static_cast<std::size_t>(cg.h_.edge_slot(cu, cv));
+  };
+  const auto m = static_cast<std::size_t>(cg.h_.m());
+  cg.link_off_.assign(m + 1, 0);
+  for_inter_edges([&](int, int, int cu, int cv) {
+    ++cg.link_off_[slot(cu, cv) + 1];
+  });
+  for (std::size_t e = 0; e < m; ++e) cg.link_off_[e + 1] += cg.link_off_[e];
+  cg.link_pairs_.resize(static_cast<std::size_t>(cg.link_off_[m]));
+  std::vector<std::int64_t> cursor(cg.link_off_.begin(),
+                                   cg.link_off_.end() - 1);
+  for_inter_edges([&](int mu, int mv, int cu, int cv) {
     // Normalized convention: pair.first lives in the lower-id cluster.
-    if (cu < cv) {
-      cg.links_[cg.link_key(cu, cv)].push_back({mu, mv});
-    } else {
-      cg.links_[cg.link_key(cu, cv)].push_back({mv, mu});
-    }
-  }
+    cg.link_pairs_[static_cast<std::size_t>(cursor[slot(cu, cv)]++)] =
+        cu < cv ? std::pair{mu, mv} : std::pair{mv, mu};
+  });
   cg.machines_ = std::move(g);
   for (const auto& c : cg.clusters_) {
     cg.dilation_ = std::max(cg.dilation_, c.diameter);

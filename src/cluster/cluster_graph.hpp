@@ -7,7 +7,8 @@
 // inter-cluster edge computation + aggregation on T(v) (Section 3.2).
 //
 // Three constructions are provided:
-//  * singleton  — every machine is its own cluster: H = G, the CONGEST case.
+//  * singleton  — every machine is its own cluster: H = G, the CONGEST case
+//                 (one copy of the graph serves as both H and G).
 //  * expand     — start from the conflict graph H and *build* G by blowing
 //                 every vertex up into a cluster of a chosen shape. This is
 //                 the controlled direction used by benches; the BridgePath
@@ -17,8 +18,10 @@
 //                 derive H, the direction of Definition 3.1 / Figure 1.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -63,9 +66,13 @@ class ClusterGraph {
                                      std::vector<int> cluster_of);
 
   const graph::Graph& h() const { return h_; }
-  const graph::Graph& machines() const { return machines_; }
+  // The communication network G. A singleton layout keeps one copy of the
+  // graph: there G is H, and machines() returns h().
+  const graph::Graph& machines() const {
+    return machines_ ? *machines_ : h_;
+  }
   int num_clusters() const { return h_.n(); }
-  int n_machines() const { return machines_.n(); }
+  int n_machines() const { return machines().n(); }
 
   const Cluster& cluster(int v) const {
     return clusters_[static_cast<std::size_t>(v)];
@@ -79,24 +86,32 @@ class ClusterGraph {
   // G-rounds consumed by one <=B-bit H-round chunk: down + across + up.
   int epoch_depth() const { return 2 * max_height_ + 1; }
 
-  // G-links realizing H-edge {u, v} as machine pairs, normalized so that
-  // pair.first lives in the lower-id cluster of {u, v}. Non-empty for every
-  // H-edge; may contain many parallel links.
-  const std::vector<std::pair<int, int>>& links(int u, int v) const;
+  // G-links realizing H-edge {u, v} (either argument order) as machine
+  // pairs, normalized so that pair.first lives in the lower-id cluster of
+  // {u, v}. Non-empty for every H-edge; may contain many parallel links.
+  // Order: singleton has the one link (u, v); expand lists its distinct
+  // draws ascending by (first, second); from_partition lists them in G's
+  // edges() order. The span stays valid while this ClusterGraph lives.
+  // Throws ContractViolation when {u, v} is not an H-edge.
+  std::span<const std::pair<int, int>> links(int u, int v) const;
 
   // Default per-link bandwidth B = beta * ceil(log2 n_machines).
   int default_bandwidth(int beta = 4) const;
 
- private:
-  void build_support_trees();
-  void index_links();
-  std::int64_t link_key(int u, int v) const;
+  // Heap bytes held: H, the machine graph when it is not H, the clusters,
+  // the machine-to-cluster map and the link arrays (vector capacities).
+  std::size_t heap_bytes() const;
 
+ private:
   graph::Graph h_;
-  graph::Graph machines_;
+  std::optional<graph::Graph> machines_;  // G; empty when G is H
   std::vector<int> cluster_of_;
   std::vector<Cluster> clusters_;
-  std::unordered_map<std::int64_t, std::vector<std::pair<int, int>>> links_;
+  // Links as CSR over H's edge slots (graph::Graph::edge_slot): slot e owns
+  // link_pairs_[link_off_[e], link_off_[e + 1]); link_off_ has m + 1
+  // entries.
+  std::vector<std::int64_t> link_off_;
+  std::vector<std::pair<int, int>> link_pairs_;
   int dilation_ = 0;
   int max_height_ = 0;
 };

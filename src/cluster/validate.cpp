@@ -12,10 +12,7 @@ namespace {
 
 // True iff no row v in [b, e) holds a colored v with an upper neighbor of
 // the same color and, when `total`, every color in the rows lies in
-// [0, num_colors). Row v's upper neighbors are the tail of its sorted row,
-// walked from the end down to the first neighbor below v: that reads the
-// upper half without the binary search of Graph::upper_neighbors, which
-// costs as much as it saves on rows of a few dozen neighbors.
+// [0, num_colors). Reading only the upper neighbors checks each edge once.
 bool rows_proper(const graph::Graph& h, const std::vector<int>& color,
                  bool total, int num_colors, std::int64_t b,
                  std::int64_t e) {
@@ -23,9 +20,8 @@ bool rows_proper(const graph::Graph& h, const std::vector<int>& color,
     const int cv = color[static_cast<std::size_t>(v)];
     if (total && (cv < 0 || cv >= num_colors)) return false;
     if (cv == kUncolored) continue;
-    const auto row = h.neighbors(v);
-    for (auto i = row.size(); i > 0 && row[i - 1] > v; --i) {
-      if (color[static_cast<std::size_t>(row[i - 1])] == cv) return false;
+    for (const int u : h.upper_neighbors(v)) {
+      if (color[static_cast<std::size_t>(u)] == cv) return false;
     }
   }
   return true;

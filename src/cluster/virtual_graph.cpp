@@ -231,4 +231,9 @@ int VirtualGraph::default_bandwidth(int beta) const {
                                 std::max(2, base_.n()))));
 }
 
+std::size_t VirtualGraph::heap_bytes() const {
+  return base_.heap_bytes() + representation_.heap_bytes() +
+         graph::capacity_bytes(copy_to_base_);
+}
+
 }  // namespace ccg::cluster

@@ -23,6 +23,7 @@
 // congestion and the dilation equal 2.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "cluster/cluster_graph.hpp"
@@ -75,6 +76,10 @@ class VirtualGraph {
 
   // Per-link bandwidth governed by the *base* network size.
   int default_bandwidth(int beta = 4) const;
+
+  // Heap bytes held: the base network, the copy-machine representation
+  // (whose clusters are the supports) and the copy-to-base map.
+  std::size_t heap_bytes() const;
 
  private:
   static VirtualGraph build(const graph::Graph& g, const graph::Graph* h,

@@ -30,14 +30,18 @@ void Graph::finalize() {
   // contract violation for the same reason.
   if (finalized_) return;
   // Counting sort into the flat row array: degree pass, prefix sums, fill.
+  // The degree pass also counts each edge in its lower endpoint's upper
+  // row, which fixes the edge-slot numbering.
   offsets_.assign(static_cast<std::size_t>(n_) + 1, 0);
+  upper_off_.assign(static_cast<std::size_t>(n_) + 1, 0);
   for (const auto& [u, v] : pending_) {
     ++offsets_[static_cast<std::size_t>(u) + 1];
     ++offsets_[static_cast<std::size_t>(v) + 1];
+    ++upper_off_[static_cast<std::size_t>(std::min(u, v)) + 1];
   }
-  for (int v = 0; v < n_; ++v) {
-    offsets_[static_cast<std::size_t>(v) + 1] +=
-        offsets_[static_cast<std::size_t>(v)];
+  for (std::size_t v = 0; v < static_cast<std::size_t>(n_); ++v) {
+    offsets_[v + 1] += offsets_[v];
+    upper_off_[v + 1] += upper_off_[v];
   }
   csr_.resize(static_cast<std::size_t>(2 * m_));
   std::vector<std::int64_t> cursor(offsets_.begin(), offsets_.end() - 1);
@@ -100,6 +104,15 @@ void Graph::build_bitsets() {
   }
 }
 
+std::int64_t Graph::edge_slot(int u, int v) const {
+  if (u > v) std::swap(u, v);
+  if (u < 0 || v >= n_) return -1;
+  const auto up = upper_neighbors(u);
+  const auto it = std::lower_bound(up.begin(), up.end(), v);
+  if (it == up.end() || *it != v) return -1;
+  return upper_off_[static_cast<std::size_t>(u)] + (it - up.begin());
+}
+
 bool Graph::has_edge(int u, int v) const {
   CCG_CHECK(finalized_);
   if (has_bitset_row(u)) return bitset_test(u, v);
@@ -157,6 +170,12 @@ std::vector<std::pair<int, int>> Graph::edges() const {
     for (const int v : upper_neighbors(u)) out.emplace_back(u, v);
   }
   return out;
+}
+
+std::size_t Graph::heap_bytes() const {
+  return capacity_bytes(pending_) + capacity_bytes(offsets_) +
+         capacity_bytes(upper_off_) + capacity_bytes(csr_) +
+         capacity_bytes(bitset_row_) + capacity_bytes(bits_);
 }
 
 std::pair<Graph, std::vector<int>> Graph::induced_subgraph(

@@ -10,7 +10,7 @@
 // O(log deg) binary search otherwise.
 #pragma once
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -19,6 +19,13 @@
 #include "common/assert.hpp"
 
 namespace ccg::graph {
+
+// Heap bytes a vector holds: its capacity, which is what memory budgets
+// must charge.
+template <class T>
+std::size_t capacity_bytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
 
 // Read-only view over one CSR row. Range-for yields the neighbor ids in
 // ascending order, exactly like the former per-vertex sorted vector.
@@ -30,6 +37,7 @@ class Graph {
   explicit Graph(int n) : n_(n) {
     CCG_CHECK(n >= 0);
     offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
+    upper_off_.assign(static_cast<std::size_t>(n) + 1, 0);
   }
 
   static Graph from_edges(int n,
@@ -58,14 +66,24 @@ class Graph {
     return static_cast<int>(offsets_[static_cast<std::size_t>(v) + 1] -
                             offsets_[static_cast<std::size_t>(v)]);
   }
-  // v's neighbors above v: the tail of its sorted row. Walking every
+  // v's neighbors above v: the last upper_offsets()[v + 1] -
+  // upper_offsets()[v] entries of its sorted row, in O(1). Walking every
   // row's upper part visits each edge once, in edges() order, without
-  // materializing the edge list.
+  // materializing the edge list. Empty for every row before finalize().
   NeighborSpan upper_neighbors(int v) const {
-    const auto row = neighbors(v);
-    return row.subspan(static_cast<std::size_t>(
-        std::upper_bound(row.begin(), row.end(), v) - row.begin()));
+    const auto i = static_cast<std::size_t>(v);
+    const std::int64_t count = upper_off_[i + 1] - upper_off_[i];
+    return {csr_.data() + offsets_[i + 1] - count,
+            static_cast<std::size_t>(count)};
   }
+  // n + 1 prefix sums of the upper-row sizes: row v's upper neighbors own
+  // the edge slots [upper_offsets()[v], upper_offsets()[v + 1]), in row
+  // order, and the last entry is m(). All zero before finalize().
+  std::span<const std::int64_t> upper_offsets() const { return upper_off_; }
+  // Slot of edge {u, v} (either order) in that numbering, i.e. its index
+  // in edges(); -1 when u and v are not adjacent. A binary search of the
+  // lower endpoint's upper row.
+  std::int64_t edge_slot(int u, int v) const;
   bool has_edge(int u, int v) const;
 
   // True iff v's row carries the O(1) adjacency bitset.
@@ -99,6 +117,10 @@ class Graph {
   std::pair<Graph, std::vector<int>> induced_subgraph(
       const std::vector<int>& keep) const;
 
+  // Heap bytes held (vector capacities: staging buffer, CSR, upper-row
+  // offsets and bitset rows).
+  std::size_t heap_bytes() const;
+
  private:
   void build_bitsets();
 
@@ -115,10 +137,12 @@ class Graph {
   // Build-phase staging; freed by finalize().
   std::vector<std::pair<std::int32_t, std::int32_t>> pending_;
 
-  // CSR arrays (offsets_ has n_ + 1 entries — all zero until finalize(),
-  // so pre-finalize queries read empty rows, never out of bounds; csr_
-  // has 2m entries).
+  // CSR arrays (offsets_ and upper_off_ have n_ + 1 entries — all zero
+  // until finalize(), so pre-finalize queries read empty rows, never out
+  // of bounds; csr_ has 2m entries). upper_off_ holds the prefix sums of
+  // the upper-row sizes: the edge-slot numbering.
   std::vector<std::int64_t> offsets_{0};
+  std::vector<std::int64_t> upper_off_{0};
   std::vector<std::int32_t> csr_;
 
   // O(1) has_edge fast path: bitset_row_[v] indexes a words_per_row_-wide

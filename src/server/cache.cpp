@@ -6,21 +6,12 @@ namespace ccg::server {
 
 namespace {
 
+using graph::capacity_bytes;
+
 std::string fmt_real(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
-}
-
-template <class T>
-std::size_t vec_bytes(const std::vector<T>& v) {
-  return v.capacity() * sizeof(T);
-}
-
-std::size_t graph_bytes(const graph::Graph& g) {
-  // CSR: one row offset per vertex, two directed entries per edge.
-  return static_cast<std::size_t>(g.n()) * sizeof(int) +
-         static_cast<std::size_t>(g.m()) * 2 * sizeof(int);
 }
 
 // Suffix every execution knob the cached object depends on. The
@@ -38,31 +29,26 @@ std::string execution_suffix(const svc::JobSpec& job) {
 }  // namespace
 
 std::size_t instance_bytes(const svc::Instance& inst) {
+  // Virtual modes hold their encoding in vg and leave cg empty.
   std::size_t b = sizeof(svc::Instance) + inst.key.size() +
-                  inst.error.size();
-  if (inst.vg) {
-    // The virtual encoding holds H plus the support lists; H dominates
-    // and the supports are within a small constant of it.
-    b += 3 * graph_bytes(inst.vg->h());
-  } else {
-    b += graph_bytes(inst.cg.h());
-  }
+                  inst.error.size() + inst.cg.heap_bytes();
+  if (inst.vg) b += inst.vg->heap_bytes();
   return b;
 }
 
 std::size_t dense_bytes(const color::DenseSnapshot& snap) {
   std::size_t b = sizeof(color::DenseSnapshot);
-  b += vec_bytes(snap.acd.clique_of);
-  b += vec_bytes(snap.acd.degree_est);
-  for (const auto& members : snap.acd.members) b += vec_bytes(members);
+  b += capacity_bytes(snap.acd.clique_of);
+  b += capacity_bytes(snap.acd.degree_est);
+  for (const auto& members : snap.acd.members) b += capacity_bytes(members);
   b += snap.acd.members.capacity() * sizeof(std::vector<int>);
-  b += vec_bytes(snap.info.ext_est);
-  b += vec_bytes(snap.info.clique_size);
-  b += vec_bytes(snap.info.avg_ext_est);
+  b += capacity_bytes(snap.info.ext_est);
+  b += capacity_bytes(snap.info.clique_size);
+  b += capacity_bytes(snap.info.avg_ext_est);
   b += snap.info.is_cabal.capacity() / 8;
-  b += vec_bytes(snap.info.ext_off) + vec_bytes(snap.info.ext_adj);
-  b += vec_bytes(snap.info.anti_off) + vec_bytes(snap.info.anti_adj);
-  b += vec_bytes(snap.reserved);
+  b += capacity_bytes(snap.info.ext_off) + capacity_bytes(snap.info.ext_adj);
+  b += capacity_bytes(snap.info.anti_off) + capacity_bytes(snap.info.anti_adj);
+  b += capacity_bytes(snap.reserved);
   return b;
 }
 

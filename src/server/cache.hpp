@@ -204,7 +204,9 @@ class LruCache {
 };
 
 // Approximate resident sizes (capacities where they dominate). Bytes
-// budgets bound memory, they don't meter it exactly.
+// budgets bound memory, they don't meter it exactly. An instance charges
+// every vector its cluster graph or virtual encoding holds (heap_bytes),
+// so an instance larger than the instance budget is never cached.
 std::size_t instance_bytes(const svc::Instance& inst);
 std::size_t dense_bytes(const color::DenseSnapshot& snap);
 std::size_t result_bytes(const svc::JobResult& r);

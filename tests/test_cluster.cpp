@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -10,6 +11,7 @@
 #include "cluster/cluster_graph.hpp"
 #include "cluster/runtime.hpp"
 #include "cluster/validate.hpp"
+#include "cluster/virtual_graph.hpp"
 #include "exec/parallel_round.hpp"
 #include "graph/generators.hpp"
 
@@ -80,6 +82,88 @@ INSTANTIATE_TEST_SUITE_P(
                       ClusterShape::kPath, ClusterShape::kRandomTree,
                       ClusterShape::kBalancedBinary,
                       ClusterShape::kBridgePath));
+
+// The links as one list per H-edge, built from G alone: walk
+// machines().edges() in order, skip intra-cluster edges, put the lower
+// cluster's machine first, and append the pair to its cluster pair's list.
+std::map<std::pair<int, int>, std::vector<std::pair<int, int>>>
+reference_links(const ClusterGraph& cg) {
+  std::map<std::pair<int, int>, std::vector<std::pair<int, int>>> ref;
+  for (const auto& [a, b] : cg.machines().edges()) {
+    const int ca = cg.cluster_of_machine(a);
+    const int cb = cg.cluster_of_machine(b);
+    if (ca == cb) continue;
+    ref[{std::min(ca, cb), std::max(ca, cb)}].push_back(
+        ca < cb ? std::pair{a, b} : std::pair{b, a});
+  }
+  return ref;
+}
+
+// links(u, v) and links(v, u) equal the reference element by element on
+// every H-edge, and edge_slot numbers the H-edges in edges() order.
+void expect_links_match_reference(const ClusterGraph& cg,
+                                  const std::string& label) {
+  const auto ref = reference_links(cg);
+  const auto edges = cg.h().edges();
+  ASSERT_EQ(ref.size(), edges.size()) << label;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const auto [u, v] = edges[i];
+    EXPECT_EQ(cg.h().edge_slot(u, v), static_cast<std::int64_t>(i)) << label;
+    EXPECT_EQ(cg.h().edge_slot(v, u), static_cast<std::int64_t>(i)) << label;
+    const auto& want = ref.at({u, v});
+    for (const auto got : {cg.links(u, v), cg.links(v, u)}) {
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << label << ": H-edge " << u << "," << v;
+    }
+  }
+}
+
+TEST(ClusterGraphLinks, MatchThePerEdgeListReference) {
+  Rng rng(21);
+  const auto h = graph::gnm(60, 300, rng);
+  expect_links_match_reference(ClusterGraph::singleton(h), "singleton");
+  for (const auto shape :
+       {ClusterShape::kSingleton, ClusterShape::kStar, ClusterShape::kPath,
+        ClusterShape::kRandomTree, ClusterShape::kBalancedBinary,
+        ClusterShape::kBridgePath}) {
+    for (const int per_edge : {1, 3}) {
+      ExpandSpec spec;
+      spec.shape = shape;
+      spec.size = 4;
+      spec.links_per_edge = per_edge;
+      expect_links_match_reference(
+          ClusterGraph::expand(h, spec, rng),
+          "expand shape " + std::to_string(static_cast<int>(shape)) +
+              " links_per_edge " + std::to_string(per_edge));
+    }
+  }
+  const auto grid = graph::grid(8, 8);
+  expect_links_match_reference(
+      ClusterGraph::from_partition(grid, random_partition(grid, 10, rng)),
+      "from_partition");
+  expect_links_match_reference(
+      VirtualGraph::distance2(graph::grid(6, 5)).representation(),
+      "distance2");
+}
+
+TEST(ClusterGraphLinks, NonEdgeIsContractViolation) {
+  const auto cg = ClusterGraph::singleton(graph::path(4));
+  EXPECT_EQ(cg.links(2, 1).size(), 1u);
+  EXPECT_THROW(cg.links(0, 2), ContractViolation);
+  EXPECT_THROW(cg.links(1, 1), ContractViolation);
+  EXPECT_THROW(cg.links(3, 4), ContractViolation);
+  EXPECT_EQ(cg.h().edge_slot(0, 2), -1);
+}
+
+TEST(ClusterGraph, SingletonKeepsOneCopyOfH) {
+  Rng rng(4);
+  const auto cg = ClusterGraph::singleton(graph::gnm(50, 200, rng));
+  EXPECT_EQ(&cg.machines(), &cg.h());
+  EXPECT_EQ(cg.n_machines(), cg.h().n());
+  const auto copy = cg;  // a copy's machine graph is its own H
+  EXPECT_EQ(&copy.machines(), &copy.h());
+  EXPECT_EQ(copy.n_machines(), 50);
+}
 
 TEST(ClusterGraph, DilationByShape) {
   Rng rng(7);

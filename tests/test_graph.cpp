@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "cluster/validate.hpp"
 #include "graph/generators.hpp"
@@ -90,6 +92,37 @@ TEST(Graph, CsrEdgeRoundTrip) {
     EXPECT_EQ(std::adjacent_find(nb.begin(), nb.end()), nb.end());
     for (const int u : nb) {
       EXPECT_TRUE(u != v && u >= 0 && u < g.n());
+    }
+  }
+}
+
+TEST(Graph, UpperRowsAreTheRowAboveV) {
+  // upper_neighbors(v) is v's row filtered to w > v, read in O(1) from
+  // upper_offsets(); rows are empty and the offsets zero before finalize.
+  Graph g(8);  // 2, 5 and 7 stay isolated
+  for (const auto& [u, v] : std::vector<std::pair<int, int>>{
+           {0, 1}, {6, 0}, {3, 1}, {4, 3}, {1, 6}, {4, 0}}) {
+    g.add_edge(u, v);
+  }
+  for (int v = 0; v < g.n(); ++v) EXPECT_TRUE(g.upper_neighbors(v).empty());
+  for (const std::int64_t off : g.upper_offsets()) EXPECT_EQ(off, 0);
+  g.finalize();
+  Rng rng(103);
+  const auto sparse = gnm(300, 200, rng);  // many isolated vertices
+  for (const Graph* h : {&std::as_const(g), &sparse}) {
+    const auto off = h->upper_offsets();
+    ASSERT_EQ(off.size(), static_cast<std::size_t>(h->n()) + 1);
+    EXPECT_EQ(off.back(), h->m());
+    for (int v = 0; v < h->n(); ++v) {
+      std::vector<int> want;
+      for (const int w : h->neighbors(v)) {
+        if (w > v) want.push_back(w);
+      }
+      const auto up = h->upper_neighbors(v);
+      EXPECT_EQ(std::vector<int>(up.begin(), up.end()), want) << v;
+      EXPECT_EQ(off[static_cast<std::size_t>(v) + 1] -
+                    off[static_cast<std::size_t>(v)],
+                static_cast<std::int64_t>(want.size()));
     }
   }
 }

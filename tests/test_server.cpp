@@ -114,15 +114,7 @@ TEST(ServerProtocol, BadLinesRaiseSharedErrorModel) {
 }
 
 TEST(ServerProtocol, CorpusBadLinesAllThrow) {
-  std::ifstream f;
-  for (const char* path :
-       {"tests/corpus/bad_server_lines.txt",
-        "../tests/corpus/bad_server_lines.txt",
-        "../../tests/corpus/bad_server_lines.txt"}) {
-    f.open(path);
-    if (f.is_open()) break;
-    f.clear();
-  }
+  std::ifstream f(CCG_SOURCE_DIR "/tests/corpus/bad_server_lines.txt");
   ASSERT_TRUE(f.is_open()) << "bad_server_lines.txt corpus not found";
   std::string line;
   int lineno = 0, checked = 0;
@@ -232,6 +224,51 @@ TEST(ServerCache, SingleFlightBuildsOnce) {
   const auto s = c.stats();
   EXPECT_EQ(s.hits + s.misses, 4u);
   EXPECT_GE(s.misses, 1u);
+}
+
+// What an instance must at least be charged: the CSR of H, the CSR of the
+// machine graph when it is not H, and the links (one offset per H-edge and
+// one 8-byte machine pair per G-link).
+std::size_t cluster_graph_floor(const cluster::ClusterGraph& cg) {
+  const auto csr = [](const graph::Graph& g) {
+    return static_cast<std::size_t>(2 * g.m()) * sizeof(std::int32_t);
+  };
+  std::size_t b = csr(cg.h()) +
+                  static_cast<std::size_t>(cg.h().m()) * sizeof(std::int64_t);
+  if (&cg.machines() != &cg.h()) b += csr(cg.machines());
+  for (const auto& [u, v] : cg.h().edges()) {
+    b += cg.links(u, v).size() * sizeof(std::pair<int, int>);
+  }
+  return b;
+}
+
+TEST(ServerCache, InstanceBytesChargeTheWholeClusterGraph) {
+  for (const char* flags :
+       {"--gen planted --delta 60 --cliques 3 --ext 6 --anti 2",
+        "--gen planted --delta 60 --cliques 3 --ext 6 --anti 2 "
+        "--layout star --cluster-size 4 --links-per-edge 2"}) {
+    const auto job = svc::parse_job_flags(flags);
+    const auto inst = svc::build_instance(job);
+    ASSERT_TRUE(inst.error.empty()) << inst.error;
+    const std::size_t heap = inst.cg.heap_bytes();
+    EXPECT_GE(heap, cluster_graph_floor(inst.cg)) << flags;
+    EXPECT_GE(instance_bytes(inst), heap) << flags;
+    // Below the instance's heap the cache refuses it; above, it keeps it.
+    for (const std::size_t budget : {heap - 1, 2 * instance_bytes(inst)}) {
+      CacheBudgets budgets;
+      budgets.instance_bytes = budget;
+      ServeCache cache(budgets);
+      cache.instance_for(job);
+      EXPECT_EQ(cache.instances.stats().entries, budget > heap ? 1u : 0u)
+          << flags << " budget " << budget;
+    }
+  }
+  const auto dist2 = svc::build_instance(
+      svc::parse_job_flags("--gen grid --w 8 --h 6 --mode dist2"));
+  ASSERT_TRUE(dist2.error.empty()) << dist2.error;
+  ASSERT_TRUE(dist2.vg.has_value());
+  EXPECT_GE(instance_bytes(dist2),
+            cluster_graph_floor(dist2.vg->representation()));
 }
 
 // ---------------------------------------------------------------------

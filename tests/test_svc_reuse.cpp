@@ -1,7 +1,8 @@
 // Job-level counterpart of test_primitives_scratch.cpp: once a JobSlot is
 // warm, serving an Algo::kFast job must perform ZERO heap allocations —
 // Ledger::reset, Runtime::rebind, State::reset, the TryColor rounds, the
-// fallback finisher and the result fill all run on reused storage.
+// fallback finisher and the result fill all run on reused storage. Building
+// an instance's cluster graph allocates per cluster, never per H-edge.
 // Verified with instrumented global new/delete (whole test binary; see
 // common/alloc_count.hpp).
 #include <gtest/gtest.h>
@@ -242,6 +243,33 @@ TEST(SvcReuse, ResetStateIsBitIdenticalToFreshState) {
   EXPECT_EQ(from_warm.g_rounds, from_cold.g_rounds);
   EXPECT_EQ(from_warm.fallback_count, from_cold.fallback_count);
   EXPECT_EQ(from_warm.num_colors, from_cold.num_colors);
+}
+
+TEST(SvcReuse, ClusterGraphBuildsAllocatePerMachineNotPerEdge) {
+  // Instance builds allocate per cluster (members, support tree) plus
+  // O(1) flat arrays, never per H-edge. On a dense planted H, where 2m is
+  // far above n, one container per H-edge would break both bounds.
+  Rng rng(5);
+  graph::PlantedSpec spec;
+  spec.delta = 128;
+  const auto h = graph::make_planted_acd(spec, rng).g;
+  const long long n = h.n();
+  ASSERT_GT(2 * h.m(), 64 * n);
+
+  graph::Graph copy = h;  // the by-value argument, copied outside the count
+  long long before = alloc_count();
+  const auto single = cluster::ClusterGraph::singleton(std::move(copy));
+  EXPECT_LE(alloc_count() - before, 4 * n + 64) << "singleton";
+  EXPECT_EQ(single.h().m(), h.m());
+
+  cluster::ExpandSpec star;
+  star.shape = cluster::ClusterShape::kStar;
+  star.size = 4;
+  before = alloc_count();
+  const auto expanded = cluster::ClusterGraph::expand(h, star, rng);
+  EXPECT_LE(alloc_count() - before, 8LL * expanded.n_machines() + 64)
+      << "expand (star)";
+  EXPECT_EQ(expanded.h().m(), h.m());
 }
 
 }  // namespace
