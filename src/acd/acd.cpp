@@ -116,8 +116,13 @@ void for_rows_by_weight(exec::ParallelRound* par,
 
 // Packs N(v) of every high vertex into one NeighborWord per 64-bit word it
 // occupies: a word count over the high rows, then one fill sharded by
-// those counts. CSR rows are sorted, so a row's words come out ascending
-// and the neighbors sharing a word are adjacent.
+// those counts. CSR rows are sorted, so the neighbors sharing a word are
+// adjacent. The fill stores a row's words that hold two or more neighbors
+// from the front of its slice and its one-neighbor words from the back,
+// then one pass over the slice sets `upto` to the running neighbor count
+// in that order. Dense words first let shares_at_least decide most edges
+// in its first block; its exits are exact in any word order, so the flags
+// do not change.
 void pack_high_rows(const graph::Graph& h, exec::ParallelRound* par,
                     AcdScratch& s) {
   row_prefix(
@@ -136,15 +141,25 @@ void pack_high_rows(const graph::Graph& h, exec::ParallelRound* par,
   for_rows_by_weight(par, s.word_off, [&](int, int v) {
     if (!s.high[static_cast<std::size_t>(v)]) return;
     const auto nv = h.neighbors(v);
-    NeighborWord* out =
+    NeighborWord* const first =
         s.packed.data() + s.word_off[static_cast<std::size_t>(v)];
+    NeighborWord* const last =
+        s.packed.data() + s.word_off[static_cast<std::size_t>(v) + 1];
+    NeighborWord* front = first;
+    NeighborWord* back = last;
     for (std::size_t i = 0; i < nv.size();) {
       const int word = nv[i] >> 6;
+      const std::size_t begin = i;
       std::uint64_t mask = 0;
       for (; i < nv.size() && (nv[i] >> 6) == word; ++i) {
         mask |= std::uint64_t{1} << (nv[i] & 63);
       }
-      *out++ = {mask, word, static_cast<std::int32_t>(i)};
+      *(i - begin >= 2 ? front++ : --back) = {mask, word, 0};
+    }
+    std::int32_t upto = 0;
+    for (NeighborWord* x = first; x != last; ++x) {
+      upto += bits::popcount64(x->mask);
+      x->upto = upto;
     }
   });
 }

@@ -163,62 +163,48 @@ std::vector<int> colorful_matching(State& st,
   return achieved;
 }
 
-void fingerprint_matching_charge(State& st) {
-  const int n = st.h().n();
-  const int k_trials = std::max(
+namespace {
+
+// Algorithm 7's trial count k = max(8, round(kfactor * log2 n)).
+int fingerprint_trials(const State& st) {
+  return std::max(
       8, static_cast<int>(std::lround(st.params.cabal_matching_kfactor *
-                                      std::log2(std::max(4, n)))));
-  // Fingerprint aggregation + trial bitmaps + min-wise hash rounds +
-  // output dissemination (Lemma 6.3's O(1/eps^2) rounds).
-  st.rt->charge(3, 2 * k_trials + 64);
-  st.rt->charge(4, k_trials);
-  st.rt->charge(3, 4 * ceil_log2(static_cast<std::uint64_t>(
-                         std::max(2, n))));
-  st.rt->charge(2, k_trials);
+                                      std::log2(std::max(4, st.h().n())))));
 }
 
-void fingerprint_matching_into(State& st, int clique_id,
-                               const std::vector<int>* subset, bool charge,
-                               std::vector<std::pair<int, int>>* out) {
+// Algorithm 7 on one clique's participating `members` (at least two), run
+// in sequence on one worker's scratch `fp`: the member draws come from
+// stream round base + 1 and the per-trial min-wise hashes from round
+// base + 2 of a copy of st.streams, so a clique draws the same bits on any
+// worker and in any batch. Writes `index` (vertex -> member index) only at
+// its members, reads it only at anti-neighbors of its members (anti(u) ⊆
+// K), and appends its pairs to *out. Charges nothing.
+void match_clique(const State& st, const std::vector<int>& members,
+                  std::uint64_t base, int* index,
+                  WorkerScratch::FingerprintScratch& fp,
+                  std::vector<std::pair<int, int>>* out) {
   const auto& h = st.h();
-  const auto& members =
-      subset ? *subset
-             : st.dc.acd.members[static_cast<std::size_t>(clique_id)];
   const int sz = static_cast<int>(members.size());
-  if (sz < 2) return;
-  const int n = h.n();
-  const int k_trials = std::max(
-      8, static_cast<int>(std::lround(st.params.cabal_matching_kfactor *
-                                      std::log2(std::max(4, n)))));
+  const int k_trials = fingerprint_trials(st);
   const auto szu = static_cast<std::size_t>(sz);
   const auto ktu = static_cast<std::size_t>(k_trials);
+  StreamCtx streams = st.streams;
 
-  auto& par = *st.par;
-  auto& fp = st.scratch.fp;
-
-  // Step 2 (parallel shards): every member fills its row of k_trials
-  // geometric draws from its private counter-based stream; rows are
-  // per-member disjoint, so shard boundaries cannot change the bits.
-  // The same pass records each member's index in fp.index (vertex ->
-  // member index), read below through index_of.
+  // Step 2: every member fills its row of k_trials geometric draws from
+  // its private counter-based stream and records its member index.
+  streams.set_round(base + 1);
   fp.x.resize(szu * ktu);
-  if (fp.index.size() < static_cast<std::size_t>(n)) {
-    fp.index.resize(static_cast<std::size_t>(n));
+  for (int i = 0; i < sz; ++i) {
+    const int v = members[static_cast<std::size_t>(i)];
+    index[v] = i;
+    Rng rng = streams.rng_for(static_cast<std::uint64_t>(v));
+    int* row = fp.x.data() + static_cast<std::size_t>(i) * ktu;
+    for (int t = 0; t < k_trials; ++t) row[t] = rng.next_geometric_half();
   }
-  st.bump_trial_round();
-  par.shards(sz, [&](int, std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) {
-      const int v = members[static_cast<std::size_t>(i)];
-      fp.index[static_cast<std::size_t>(v)] = static_cast<int>(i);
-      Rng rng = st.trial_rng(static_cast<std::uint64_t>(v));
-      int* row = fp.x.data() + static_cast<std::size_t>(i) * ktu;
-      for (int t = 0; t < k_trials; ++t) row[t] = rng.next_geometric_half();
-    }
-  });
 
-  // Clique maximum Y_K, aggregated on BFS trees in the model; one
-  // deterministic sequential reduction here, charged with its measured
-  // encoded size. The maxima buffer is scratch-owned (capacity reused).
+  // Clique maximum Y_K, aggregated on BFS trees in the model; its encoded
+  // size is what the single-clique form charges. The maxima buffer is
+  // scratch-owned (capacity reused).
   auto& yk = fp.yk;
   yk.maxima.assign(ktu, sketch::kEmpty);
   for (int i = 0; i < sz; ++i) {
@@ -228,27 +214,23 @@ void fingerprint_matching_into(State& st, int clique_id,
           std::max(yk.maxima[static_cast<std::size_t>(t)], row[t]);
     }
   }
-  if (charge) st.rt->charge(3, std::max(1, sketch::encoded_bits(yk)));
 
   // Steps 3-4: local ids via prefix sums (O(1) rounds) and trial filtering
-  // via O(k_trials)-bit aggregated bitmaps. Unique-maximum detection is
-  // per-trial disjoint (parallel shards over trials).
-  if (charge) st.rt->charge(4, k_trials);
+  // via O(k_trials)-bit aggregated bitmaps: the unique maximum of each
+  // trial, if any.
   fp.argmax.resize(ktu);
-  par.shards(k_trials, [&](int, std::int64_t b, std::int64_t e) {
-    for (std::int64_t t = b; t < e; ++t) {
-      int count = 0, arg = -1;
-      for (int i = 0; i < sz; ++i) {
-        if (fp.x[static_cast<std::size_t>(i) * ktu +
-                 static_cast<std::size_t>(t)] ==
-            yk.maxima[static_cast<std::size_t>(t)]) {
-          ++count;
-          arg = i;
-        }
+  for (int t = 0; t < k_trials; ++t) {
+    int count = 0, arg = -1;
+    for (int i = 0; i < sz; ++i) {
+      if (fp.x[static_cast<std::size_t>(i) * ktu +
+               static_cast<std::size_t>(t)] ==
+          yk.maxima[static_cast<std::size_t>(t)]) {
+        ++count;
+        arg = i;
       }
-      fp.argmax[static_cast<std::size_t>(t)] = count == 1 ? arg : -1;
     }
-  });
+    fp.argmax[static_cast<std::size_t>(t)] = count == 1 ? arg : -1;
+  }
 
   // A_i = {v != u_i : Y_v != Y_K}, where Y_v is the maximum over v's
   // in-clique neighbors, holds the members that detect an anti-edge to
@@ -258,10 +240,10 @@ void fingerprint_matching_into(State& st, int clique_id,
   // therefore anti(u_i) ∩ members, a walk over u_i's a_v anti-neighbors,
   // and the |K| x deg x k_trials pass that built every Y_v is not needed
   // (the ledger never charged it separately).
-  // fp.index is never cleared and holds no negative entry, so an entry
+  // `index` is never cleared and holds no negative entry, so an entry
   // counts only when it points back at its vertex.
   const auto index_of = [&](int x) {
-    const int i = fp.index[static_cast<std::size_t>(x)];
+    const int i = index[x];
     return i < sz && members[static_cast<std::size_t>(i)] == x ? i : -1;
   };
   const auto anti_of = [&](int ui) {
@@ -287,48 +269,40 @@ void fingerprint_matching_into(State& st, int clique_id,
     fp.trial_u[static_cast<std::size_t>(t)] = ui;
   }
 
-  // Steps 7-9 (parallel shards over trials): the per-trial min-wise hash,
-  // derived from the trial's private counter-based stream, selects the
-  // anti-neighbor w_i. Hash description: O(log|K| * log 1/eps) bits.
-  if (charge) {
-    st.rt->charge(3, 4 * ceil_log2(static_cast<std::uint64_t>(
-                           std::max(2, sz))));
-  }
-  st.bump_trial_round();
+  // Steps 7-9: the per-trial min-wise hash, derived from the trial's
+  // private counter-based stream, selects the anti-neighbor w_i. Hash
+  // description: O(log|K| * log 1/eps) bits.
+  streams.set_round(base + 2);
   fp.trial_w.resize(ktu);
-  par.shards(k_trials, [&](int, std::int64_t b, std::int64_t e) {
-    for (std::int64_t t = b; t < e; ++t) {
-      fp.trial_w[static_cast<std::size_t>(t)] = -1;
-      const int ui = fp.trial_u[static_cast<std::size_t>(t)];
-      if (ui < 0) continue;
-      Rng rng = st.trial_rng(static_cast<std::uint64_t>(t));
-      MinWiseHash hash(static_cast<std::uint64_t>(std::max(2, sz)), 0.5,
-                       rng);
-      int best = -1;
-      std::uint64_t best_h = 0;
-      for (const int x : anti_of(ui)) {
-        const int i = index_of(x);
-        if (i < 0) continue;
-        const auto hi = hash(static_cast<std::uint64_t>(i));
-        if (best < 0 || hi < best_h || (hi == best_h && i < best)) {
-          best = i;
-          best_h = hi;
-        }
+  for (int t = 0; t < k_trials; ++t) {
+    fp.trial_w[static_cast<std::size_t>(t)] = -1;
+    const int ui = fp.trial_u[static_cast<std::size_t>(t)];
+    if (ui < 0) continue;
+    Rng rng = streams.rng_for(static_cast<std::uint64_t>(t));
+    MinWiseHash hash(static_cast<std::uint64_t>(std::max(2, sz)), 0.5, rng);
+    int best = -1;
+    std::uint64_t best_h = 0;
+    for (const int x : anti_of(ui)) {
+      const int i = index_of(x);
+      if (i < 0) continue;
+      const auto hi = hash(static_cast<std::uint64_t>(i));
+      if (best < 0 || hi < best_h || (hi == best_h && i < best)) {
+        best = i;
+        best_h = hi;
       }
-      fp.trial_w[static_cast<std::size_t>(t)] = best;
     }
-  });
+    fp.trial_w[static_cast<std::size_t>(t)] = best;
+  }
 
   // Step 10: discard trials whose unique max was sampled as an
   // anti-neighbor elsewhere. Step 11: each w keeps a single trial.
-  // (Sequential commit in trial order.)
+  // (Commit in trial order.)
   fp.sampled_w.assign(szu, 0);
   for (int t = 0; t < k_trials; ++t) {
     const int wi = fp.trial_w[static_cast<std::size_t>(t)];
     if (wi >= 0) fp.sampled_w[static_cast<std::size_t>(wi)] = 1;
   }
   fp.w_seen.assign(szu, 0);
-  if (charge) st.rt->charge(2, k_trials);
   for (int t = 0; t < k_trials; ++t) {
     const int ui = fp.trial_u[static_cast<std::size_t>(t)];
     const int wi = fp.trial_w[static_cast<std::size_t>(t)];
@@ -344,6 +318,92 @@ void fingerprint_matching_into(State& st, int clique_id,
   }
   // The matching must be vertex-disjoint: u's are distinct by condition
   // (c), w's by step 11, and u's never appear as w's by step 10.
+}
+
+// The shared vertex -> member index array, grown to n entries.
+int* member_index(State& st) {
+  auto& index = st.scratch.fp_index;
+  if (index.size() < static_cast<std::size_t>(st.h().n())) {
+    index.resize(static_cast<std::size_t>(st.h().n()));
+  }
+  return index.data();
+}
+
+}  // namespace
+
+void fingerprint_matching_charge(State& st) {
+  const int n = st.h().n();
+  const int k_trials = fingerprint_trials(st);
+  // Fingerprint aggregation + trial bitmaps + min-wise hash rounds +
+  // output dissemination (Lemma 6.3's O(1/eps^2) rounds).
+  st.rt->charge(3, 2 * k_trials + 64);
+  st.rt->charge(4, k_trials);
+  st.rt->charge(3, 4 * ceil_log2(static_cast<std::uint64_t>(
+                         std::max(2, n))));
+  st.rt->charge(2, k_trials);
+}
+
+void fingerprint_matching_into(State& st, int clique_id,
+                               const std::vector<int>* subset, bool charge,
+                               std::vector<std::pair<int, int>>* out) {
+  const auto& members =
+      subset ? *subset
+             : st.dc.acd.members[static_cast<std::size_t>(clique_id)];
+  const int sz = static_cast<int>(members.size());
+  if (sz < 2) return;
+  const std::uint64_t base = st.streams.round();
+  auto& fp = st.wscratch.at(0).fp;
+  match_clique(st, members, base, member_index(st), fp, out);
+  st.streams.set_round(base + 2);
+  if (charge) {
+    // Y_K's tree aggregation at its encoded size, the trial bitmaps, the
+    // min-wise hash description and the output dissemination.
+    const int k_trials = fingerprint_trials(st);
+    st.rt->charge(3, std::max(1, sketch::encoded_bits(fp.yk)));
+    st.rt->charge(4, k_trials);
+    st.rt->charge(3, 4 * ceil_log2(static_cast<std::uint64_t>(
+                           std::max(2, sz))));
+    st.rt->charge(2, k_trials);
+  }
+}
+
+void fingerprint_matching_batch(State& st, const std::vector<int>& cliques,
+                                const GroupLists* subsets,
+                                std::vector<std::pair<int, int>>* out) {
+  if (cliques.empty()) return;
+  const auto members_of = [&](std::size_t j) -> const std::vector<int>& {
+    return subsets ? subsets->at(static_cast<int>(j))
+                   : st.dc.acd.members[static_cast<std::size_t>(cliques[j])];
+  };
+  // Clique j starts at stream round base[j] and uses two rounds when it
+  // has two or more participants, none otherwise (as its own call would).
+  auto& base = st.scratch.fp_base;
+  base.resize(cliques.size() + 1);
+  base[0] = st.streams.round();
+  for (std::size_t j = 0; j < cliques.size(); ++j) {
+    base[j + 1] = base[j] + (members_of(j).size() >= 2 ? 2 : 0);
+  }
+  int* index = member_index(st);
+  // A worker whose shard is empty runs nothing, so every buffer is
+  // cleared here, not in the task.
+  const int workers = st.par->workers();
+  for (int w = 0; w < workers; ++w) st.wscratch.at(w).fp_pairs.clear();
+  st.par->shards(static_cast<std::int64_t>(cliques.size()),
+                 [&](int w, std::int64_t b, std::int64_t e) {
+    auto& ws = st.wscratch.at(w);
+    for (auto j = static_cast<std::size_t>(b);
+         j < static_cast<std::size_t>(e); ++j) {
+      const auto& members = members_of(j);
+      if (members.size() < 2) continue;
+      match_clique(st, members, base[j], index, ws.fp, &ws.fp_pairs);
+    }
+  });
+  // Shards are static and contiguous, so worker order is clique order.
+  for (int w = 0; w < workers; ++w) {
+    const auto& pairs = st.wscratch.at(w).fp_pairs;
+    out->insert(out->end(), pairs.begin(), pairs.end());
+  }
+  st.streams.set_round(base[cliques.size()]);
 }
 
 std::vector<std::pair<int, int>> fingerprint_matching(

@@ -40,13 +40,37 @@ std::vector<int> colorful_matching(State& st,
 // pairs, each pair non-adjacent, pairwise disjoint) to *out. Does not
 // color. `subset` restricts participation (e.g. to uncolored members when
 // topping up a too-small sampling matching); nullptr = the whole clique.
-// `charge` = false skips ledger charges: executions in vertex-disjoint
-// cliques are parallel, so a batch caller charges one execution shape
-// (fingerprint_matching_charge) for the whole batch. Appending lets the
-// batch callers collect every cabal's pairs in one reusable buffer.
+// Runs inline on the calling thread (worker 0's scratch): with r =
+// st.streams.round() on entry, the member draws come from stream round
+// r + 1 and the per-trial min-wise hashes from round r + 2, and the call
+// leaves the stream at r + 2. Fewer than two participants return at once
+// and move neither the stream nor the ledger. `charge` = false skips
+// ledger charges: executions in vertex-disjoint cliques are parallel, so
+// a batch caller charges one execution shape
+// (fingerprint_matching_charge) for the whole batch. Appending lets
+// callers collect every cabal's pairs in one reusable buffer.
 void fingerprint_matching_into(State& st, int clique_id,
                                const std::vector<int>* subset, bool charge,
                                std::vector<std::pair<int, int>>* out);
+
+// Algorithm 7 on every clique of `cliques`, one task per clique over one
+// fork of st.par, appending to *out exactly the pairs that calling
+// fingerprint_matching_into on the cliques in list order would append, in
+// that order, and leaving st.streams at the same round. Clique j's
+// participants are subsets->at(j) (nullptr = every clique whole). Clique
+// j runs at base[j], with base[0] = st.streams.round() on entry and
+// base[j + 1] = base[j] + 2 when clique j has two or more participants,
+// base[j] otherwise: each task draws from a copy of st.streams set to its
+// own rounds, and the stream ends at base[J]. Each worker appends to its
+// own pair buffer (WorkerScratch::fp_pairs); shards are static and
+// contiguous, so concatenating the buffers in worker order is clique
+// order. The cliques must be vertex-disjoint (they share one vertex ->
+// member index array). Charges nothing: callers charge
+// fingerprint_matching_charge once per batch. Allocation-free on warm
+// scratch.
+void fingerprint_matching_batch(State& st, const std::vector<int>& cliques,
+                                const GroupLists* subsets,
+                                std::vector<std::pair<int, int>>* out);
 
 // Convenience wrapper returning the matching as a fresh vector.
 std::vector<std::pair<int, int>> fingerprint_matching(

@@ -217,23 +217,27 @@ void coloring_noncabals(State& st) {
     // Cliques whose sampling matching is too small for their measured
     // x̃_max (sparse anti-edge regime) top up with the fingerprint
     // matching over their uncolored members. Cliques are vertex-disjoint,
-    // so the executions are parallel: one charge for the whole batch.
+    // so the executions are parallel: one batch, one charge. The batch
+    // lists must not live in easy/rest, which are filled below.
     st.rt->charge(1, 32);  // x̃_max aggregation
+    auto& topup = st.ph.fp_cliques;
+    auto& topup_unc = st.ph.groups;
+    topup.clear();
+    for (const int k : ids) {
+      if (st.palettes[static_cast<std::size_t>(k)].repeats() <
+          needed_matching(st, k)) {
+        topup.push_back(k);
+      }
+    }
+    topup_unc.reset(static_cast<int>(topup.size()));
+    for (std::size_t j = 0; j < topup.size(); ++j) {
+      st.append_uncolored_members(topup[j],
+                                  &topup_unc.at(static_cast<int>(j)));
+    }
     auto& all_pairs = st.ph.pairs;
     all_pairs.clear();
-    bool any_topup = false;
-    for (const int k : ids) {
-      if (st.palettes[static_cast<std::size_t>(k)].repeats() >=
-          needed_matching(st, k)) {
-        continue;
-      }
-      any_topup = true;
-      auto& unc = st.ph.unc;
-      unc.clear();
-      st.append_uncolored_members(k, &unc);
-      fingerprint_matching_into(st, k, &unc, /*charge=*/false, &all_pairs);
-    }
-    if (any_topup) fingerprint_matching_charge(st);
+    fingerprint_matching_batch(st, topup, &topup_unc, &all_pairs);
+    if (!topup.empty()) fingerprint_matching_charge(st);
     if (!all_pairs.empty()) color_anti_matching(st, all_pairs);
     // Cliques whose matching is big enough get colored outright.
     const double two_eps_delta = 2.0 * st.params.eps * st.delta();
@@ -313,22 +317,23 @@ void coloring_cabals(State& st) {
       std::max(1, static_cast<int>(2.2 * st.params.eps * st.delta()));
   colorful_matching_run(st, ids, [target](int) { return target; });
   st.rt->charge(1, 32);  // x̃_max aggregation
-  auto& all_pairs = st.ph.pairs;
-  all_pairs.clear();
-  bool any_redo = false;
+  auto& redo = st.ph.fp_cliques;
+  redo.clear();
   for (const int k : ids) {
     auto& pal = st.palettes[static_cast<std::size_t>(k)];
     if (pal.repeats() >= needed_matching(st, k)) continue;
     // Cancel the coloring in K (only the matching colored cabal vertices
     // so far) and run FingerprintMatching + pair coloring (Prop 4.15);
-    // parallel across the (vertex-disjoint) cabals, charged once.
-    any_redo = true;
+    // one batch across the (vertex-disjoint) cabals, charged once.
+    redo.push_back(k);
     for (const int v : st.dc.acd.members[static_cast<std::size_t>(k)]) {
       if (st.phi.colored(v)) st.unassign(v);
     }
-    fingerprint_matching_into(st, k, nullptr, /*charge=*/false, &all_pairs);
   }
-  if (any_redo) fingerprint_matching_charge(st);
+  auto& all_pairs = st.ph.pairs;
+  all_pairs.clear();
+  fingerprint_matching_batch(st, redo, nullptr, &all_pairs);
+  if (!redo.empty()) fingerprint_matching_charge(st);
   if (!all_pairs.empty()) color_anti_matching(st, all_pairs);
 
   auto& easy = st.ph.easy;

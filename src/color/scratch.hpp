@@ -59,6 +59,22 @@ struct WorkerScratch {
     int donor, c_recol, u, c_don;
   };
   std::vector<DonationOp> don_ops;
+  // Fingerprint-matching scratch (Algorithm 7) for the clique this worker
+  // runs: the flat |K| x k_trials draw matrix plus the per-trial and
+  // per-member flag arrays, so one worker runs any number of cliques
+  // allocation-free in steady state. `fp_pairs` collects the pairs of the
+  // worker's cliques in a batch (fingerprint_matching_batch).
+  struct FingerprintScratch {
+    std::vector<int> x;         // member x trial geometric draws (flat)
+    std::vector<int> argmax;    // per-trial unique-max member, or -1
+    std::vector<int> trial_u;   // per-trial surviving u_i, or -1
+    std::vector<int> trial_w;   // per-trial sampled anti-neighbor, or -1
+    std::vector<char> used_as_max;  // member already a unique max
+    std::vector<char> sampled_w;    // member sampled as some w_i
+    std::vector<char> w_seen;       // member already kept a trial as w
+    sketch::Fingerprint yk;         // clique maximum Y_K (maxima reused)
+  } fp;
+  std::vector<std::pair<int, int>> fp_pairs;
 };
 
 // The pool-owned per-worker scratch set: State sizes it to the round
@@ -182,7 +198,10 @@ struct PhaseScratch {
   std::vector<int> all;       // final safety-net sweeps
   std::vector<std::pair<int, int>> pairs;  // anti-matching (u, w) batches
   std::vector<std::pair<int, int>> pairs2; // per-cabal relay pair batches
-  GroupLists groups;          // inliers per clique / SCT candidate sets
+  std::vector<int> fp_cliques;  // cliques of a FingerprintMatching batch
+  // inliers per clique / SCT candidate sets / FingerprintMatching top-up
+  // participants
+  GroupLists groups;
   GroupLists groups2;
   VertexLists lists;          // low-degree learn/shatter color lists
   // Matching / put-aside orchestration (matching.cpp, putaside.cpp):
@@ -322,22 +341,13 @@ class TrialScratch {
   std::vector<int> fb_todo;
   std::vector<int> fb_next;
 
-  // Fingerprint-matching scratch (Algorithm 7): the flat |K| x k_trials
-  // draw matrix plus the per-trial and per-member flag arrays that
-  // replaced the seed's unordered_map/unordered_set temporaries. Owned
-  // here so one State runs any number of fingerprint matchings
-  // allocation-free in steady state.
-  struct FingerprintScratch {
-    std::vector<int> x;         // member x trial geometric draws (flat)
-    std::vector<int> argmax;    // per-trial unique-max member, or -1
-    std::vector<int> trial_u;   // per-trial surviving u_i, or -1
-    std::vector<int> trial_w;   // per-trial sampled anti-neighbor, or -1
-    std::vector<int> index;     // vertex -> member index (grow-only, n)
-    std::vector<char> used_as_max;  // member already a unique max
-    std::vector<char> sampled_w;    // member sampled as some w_i
-    std::vector<char> w_seen;       // member already kept a trial as w
-    sketch::Fingerprint yk;         // clique maximum Y_K (maxima reused)
-  } fp;
+  // Fingerprint-matching batch state (Algorithm 7, matching.cpp): the
+  // vertex -> member index array (grow-only, n entries), shared by the
+  // clique tasks of a batch because cliques are vertex-disjoint and
+  // anti(u) ⊆ K, so a task writes and reads only its own clique's entries;
+  // and the batch's per-clique first stream rounds.
+  std::vector<int> fp_index;
+  std::vector<std::uint64_t> fp_base;
 
  private:
   std::uint32_t epoch_ = 0;

@@ -12,8 +12,11 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <set>
 #include <thread>
 #include <vector>
+
+#include "common/thread_safety.hpp"
 
 namespace ccg::server {
 
@@ -35,20 +38,50 @@ bool send_all(int fd, const std::string& data) {
   return true;
 }
 
+// The open connections of one listener. accept_loop adds each accepted fd
+// before its handler starts, and a handler removes its fd under the lock
+// before closing it, so shutdown_all never reaches a closed (and perhaps
+// reused) descriptor.
+class Connections {
+ public:
+  void add(int fd) CCG_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    fds_.insert(fd);
+  }
+  void close(int fd) CCG_EXCLUDES(mu_) {
+    {
+      MutexLock lock(mu_);
+      fds_.erase(fd);
+    }
+    ::close(fd);
+  }
+  // Every handler blocked in recv gets end of stream, so a listener that
+  // stops can join handlers whose peers are idle.
+  void shutdown_all() CCG_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    for (const int fd : fds_) ::shutdown(fd, SHUT_RDWR);
+  }
+
+ private:
+  Mutex mu_;
+  std::set<int> fds_ CCG_GUARDED_BY(mu_);
+};
+
 // One connection: split the byte stream into lines, feed handle_line,
 // write back whatever it produced. `quit` flips the shared stop flag and
 // shuts the listener down so accept() unblocks. A line over kMaxLineBytes
 // gets `error line N: line too long` and closes this connection only.
 //
-// Concurrency note (intentionally mutex-free, nothing here to annotate
-// with capabilities): every local (buf/line/resp/fd) is owned by this
-// handler thread; cross-connection state is reached only through
+// Concurrency note: every local (buf/line/resp) is owned by this handler
+// thread; cross-connection state is reached only through
 // Server::handle_line, which locks the server's annotated Mutex
-// internally; and the shutdown handshake is the single `stop` atomic
-// (release-store here, acquire-load in accept_loop) plus shutdown() on
-// the listener fd — the kernel provides the unblocking edge.
+// internally, and through `conns`, which locks its own. The shutdown
+// handshake is the `stop` atomic (release-store here, acquire-load in
+// accept_loop) plus shutdown() on the listener fd, which unblocks
+// accept(), and then on every open connection (Connections::shutdown_all),
+// which unblocks the other handlers' recv().
 void serve_connection(Server* server, int fd, int listen_fd,
-                      std::atomic<bool>* stop) {
+                      std::atomic<bool>* stop, Connections* conns) {
   std::string buf, line, resp;
   char chunk[4096];
   int lineno = 0;
@@ -83,7 +116,7 @@ void serve_connection(Server* server, int fd, int listen_fd,
       break;
     }
   }
-  ::close(fd);
+  conns->close(fd);
   if (!open) {
     stop->store(true, std::memory_order_release);
     ::shutdown(listen_fd, SHUT_RDWR);
@@ -92,6 +125,7 @@ void serve_connection(Server* server, int fd, int listen_fd,
 
 int accept_loop(Server& server, int listen_fd) {
   std::atomic<bool> stop{false};
+  Connections conns;
   std::vector<std::thread> handlers;
   while (!stop.load(std::memory_order_acquire)) {
     const int fd = ::accept(listen_fd, nullptr, nullptr);
@@ -100,8 +134,14 @@ int accept_loop(Server& server, int listen_fd) {
       if (errno == EINTR) continue;
       break;
     }
-    handlers.emplace_back(serve_connection, &server, fd, listen_fd, &stop);
+    conns.add(fd);
+    handlers.emplace_back(serve_connection, &server, fd, listen_fd, &stop,
+                          &conns);
   }
+  // No handler is added past this point: end every connection still open,
+  // or a peer that stays idle would keep its handler, and this join, in
+  // recv() forever.
+  conns.shutdown_all();
   for (auto& t : handlers) t.join();
   ::close(listen_fd);
   return 0;

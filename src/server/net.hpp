@@ -14,7 +14,8 @@
 //     response and the connection keeps serving. A line longer than
 //     kMaxLineBytes gets `error line N: line too long` and that
 //     connection is closed. A `quit` from any connection shuts the
-//     listener down (and serve_* returns 0).
+//     listener down and ends every other open connection (a peer that is
+//     idle reads end of stream), and serve_* returns 0.
 //
 // Plain blocking POSIX sockets, loopback TCP only — this is a job
 // server for trusted co-located clients, not an internet endpoint.

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <set>
@@ -448,6 +449,32 @@ graph::Graph bridged_cliques() {
   return g;
 }
 
+// Dense words last in id order: the 64-clique K = [704, 768) fills word
+// 11, and member i has one external neighbor in each of the words 0-9
+// (0-10 when i % 16 == 0), drawn from the first 48 ids of the word, so
+// members share a few. In id order every member row starts with at least
+// 10 one-neighbor words and ends with its 63-neighbor word. Delta = 74,
+// so at eps 0.14 the buddy bound is floor(1.14 * 74) = 84 and
+// |N(u) ∪ N(v)| = 64 + x_u + x_v - s for members with x_u, x_v external
+// neighbors, s of them shared. Two 10-external members that share none
+// sit exactly on the bound (common == need == 62); a 10- and an
+// 11-external member that share none sit one past it. The 60 members with
+// 10 externals stay candidates and form the clique.
+graph::Graph dense_word_last_graph() {
+  Rng rng(43);
+  constexpr int kLow = 704, kBlock = 64;
+  graph::Graph g(kLow + kBlock);
+  for (int i = 0; i < kBlock; ++i) {
+    for (int j = i + 1; j < kBlock; ++j) g.add_edge(kLow + i, kLow + j);
+    const int externals = i % 16 == 0 ? 11 : 10;
+    for (int word = 0; word < externals; ++word) {
+      g.add_edge(kLow + i, 64 * word + static_cast<int>(rng.next_below(48)));
+    }
+  }
+  g.finalize();
+  return g;
+}
+
 TEST(Acd, OracleMatchesSetUnionReference) {
   Rng rng(91);
   graph::PlantedSpec spec;
@@ -478,6 +505,8 @@ TEST(Acd, OracleMatchesSetUnionReference) {
   // The relabelled planted instance scatters every clique over all ids,
   // so each row part holds members of every clique and the per-part
   // union-find forests only connect them once merged.
+  // "dense word last" stores each member row's 63-neighbor word last in
+  // id order (dense_word_last_graph); packed rows put it first.
   const std::vector<Case> cases = {
       {"planted", planted.g, 0.2},
       {"relabelled planted", relabelled(planted.g, 23), 0.2},
@@ -485,6 +514,7 @@ TEST(Acd, OracleMatchesSetUnionReference) {
       {"hub rows", hub_rows_graph(), 0.2},
       {"relabelled band", circulant_band(1100, 40, 29), 0.2, true, false, 16},
       {"bridged cliques", bridged_cliques(), 0.3},
+      {"dense word last", dense_word_last_graph(), 0.14, true, true, 11},
   };
   {
     const auto ref = reference_oracle_acd(bridged_cliques(), 0.3);
@@ -531,6 +561,21 @@ TEST(Acd, OracleMatchesSetUnionReference) {
                           scratch.word_off[v + 1] - scratch.word_off[v]);
       }
       EXPECT_GE(widest, c.min_row_words) << label;
+      // Packed rows store the words that hold two or more neighbors
+      // first, and `upto` is the running neighbor count in stored order.
+      for (const int v : scratch.high_rows) {
+        bool single_seen = false;
+        std::int32_t upto = 0;
+        for (auto i = scratch.word_off[v]; i < scratch.word_off[v + 1]; ++i) {
+          const auto& x = scratch.packed[static_cast<std::size_t>(i)];
+          const int count = std::popcount(x.mask);
+          ASSERT_FALSE(single_seen && count >= 2) << label << " row " << v;
+          single_seen |= count == 1;
+          upto += count;
+          ASSERT_EQ(x.upto, upto) << label << " row " << v;
+        }
+        ASSERT_EQ(upto, c.g.degree(v)) << label << " row " << v;
+      }
       // Buddy sets from the slot flags: slot j of row u is the edge to
       // u's j-th upper neighbor, in h.edges() order.
       std::vector<std::vector<int>> got(c.g.n());

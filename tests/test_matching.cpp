@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <map>
 #include <set>
 
@@ -378,6 +379,100 @@ TEST(FingerprintMatching, MatchesYvReference) {
         }
       }
     }
+  }
+  EXPECT_GT(total_pairs, 0u);
+}
+
+// Thread counts of the batch test: 1, 2, 4 and 8, plus CCG_TEST_THREADS
+// when it names another count.
+std::vector<int> batch_thread_counts() {
+  std::vector<int> counts{1, 2, 4, 8};
+  if (const char* env = std::getenv("CCG_TEST_THREADS")) {
+    const int t = std::max(1, std::atoi(env));
+    if (std::find(counts.begin(), counts.end(), t) == counts.end()) {
+      counts.push_back(t);
+    }
+  }
+  return counts;
+}
+
+TEST(FingerprintMatching, BatchMatchesPerCliqueCalls) {
+  // One batch must append exactly the pairs of single-clique calls in list
+  // order and leave the stream at the same round. Each step runs on the
+  // same two states in sequence: whole cliques in a shuffled list order;
+  // per-clique subsets with a 1-member and an empty subset in the middle
+  // (those cliques use no stream rounds); two cliques, so at 4 and 8
+  // workers some workers own an empty shard after holding pairs in the
+  // step before; and an empty batch.
+  std::size_t total_pairs = 0;
+  for (const int threads : batch_thread_counts()) {
+    color::Params params;
+    params.seed = 77;
+    graph::PlantedSpec spec = cabal_spec(90, 2, 4);
+    spec.num_cliques = 6;
+    auto lib = ccg::testing::make_planted_fixture(spec, params, 83, 8.0,
+                                                  threads);
+    auto ref = ccg::testing::make_planted_fixture(spec, params, 83, 8.0, 1);
+    const auto& members = lib->st->dc.acd.members;
+    ASSERT_EQ(members, ref->st->dc.acd.members);
+    // Start off round 0 and append after an existing pair.
+    for (auto* st : {lib->st.get(), ref->st.get()}) {
+      for (int i = 0; i < 3; ++i) st->bump_trial_round();
+    }
+    const std::vector<std::pair<int, int>> sentinel{{-1, -2}};
+    std::vector<std::pair<int, int>> got = sentinel, want = sentinel;
+
+    const auto keep = [](int j, std::size_t i) {
+      if (j == 1) return i == 0;  // one participant: no stream rounds
+      if (j == 2) return false;   // none: no stream rounds
+      return j % 2 == 0 || i % 3 != 0;
+    };
+    GroupLists subsets;
+    subsets.reset(6);
+    for (int j = 0; j < 6; ++j) {
+      const auto& m = members[j];
+      for (std::size_t i = 0; i < m.size(); ++i) {
+        if (keep(j, i)) subsets.at(j).push_back(m[i]);
+      }
+    }
+    ASSERT_EQ(subsets.at(1).size(), 1u);
+    ASSERT_TRUE(subsets.at(2).empty());
+
+    struct Step {
+      const char* name;
+      std::vector<int> cliques;
+      const GroupLists* subsets;
+    };
+    const std::vector<Step> steps = {
+        {"whole", {4, 1, 5, 0, 3, 2}, nullptr},
+        {"subsets", {0, 1, 2, 3, 4, 5}, &subsets},
+        {"two cliques", {5, 4}, nullptr},
+        {"empty", {}, nullptr},
+    };
+    for (const auto& step : steps) {
+      const std::string label =
+          std::string(step.name) + " threads=" + std::to_string(threads);
+      const auto round_before = lib->st->streams.round();
+      ASSERT_EQ(round_before, ref->st->streams.round()) << label;
+      const auto size_before = got.size();
+      fingerprint_matching_batch(*lib->st, step.cliques, step.subsets, &got);
+      for (std::size_t j = 0; j < step.cliques.size(); ++j) {
+        fingerprint_matching_into(
+            *ref->st, step.cliques[j],
+            step.subsets ? &step.subsets->at(static_cast<int>(j)) : nullptr,
+            /*charge=*/false, &want);
+      }
+      ASSERT_EQ(got, want) << label;
+      EXPECT_EQ(lib->st->streams.round(), ref->st->streams.round()) << label;
+      if (step.cliques.empty()) {
+        EXPECT_EQ(got.size(), size_before) << label;
+        EXPECT_EQ(lib->st->streams.round(), round_before) << label;
+      } else {
+        EXPECT_GT(got.size(), size_before) << label;
+      }
+    }
+    EXPECT_EQ(got.front(), sentinel.front());
+    total_pairs += got.size() - 1;
   }
   EXPECT_GT(total_pairs, 0u);
 }

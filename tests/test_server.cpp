@@ -799,5 +799,44 @@ TEST(ServerSocket, OverlongLineClosesOnlyThatConnection) {
   ::unlink(path.c_str());
 }
 
+TEST(ServerSocket, QuitReturnsWhileAnotherPeerIsIdle) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("ccg_test_server_idle_" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  ServerOptions so;
+  so.seed = 3;
+  Server srv(so);
+  std::atomic<int> code{-1};
+  std::thread listener([&] { code = serve_unix(srv, path); });
+
+  // A connects first, so the listener accepts it before B, and then stays
+  // idle: its handler sits in recv().
+  const int idle = connect_unix(path);
+  EXPECT_GE(idle, 0);
+  const int client = connect_unix(path);
+  EXPECT_GE(client, 0);
+  if (client >= 0) {
+    send_bytes(client, "quit\n");
+    EXPECT_EQ(read_to_end(client), "bye\n");
+    ::close(client);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (code.load() < 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(code.load(), 0) << "serve_unix still running 10 s after quit";
+  if (idle >= 0) {
+    if (code.load() == 0) {
+      char byte;
+      EXPECT_EQ(::recv(idle, &byte, 1, 0), 0) << "idle peer got no EOF";
+    }
+    ::close(idle);  // lets a listener that missed the quit return
+  }
+  listener.join();
+  ::unlink(path.c_str());
+}
+
 }  // namespace
 }  // namespace ccg::server
