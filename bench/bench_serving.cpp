@@ -6,9 +6,8 @@
 // allocations per job on a warm scheduler worker for the fast, auto and
 // low algorithms (fast must be exactly 0 — the reset-and-reuse contract
 // of svc::JobSlot, under the scheduler; auto and low stay within a small
-// budget), quantifies the cross-job caches (result replay, dense-context
-// preload), and emits per-job-class latency quantiles (p50/p95/p99) plus
-// jobs/sec into BENCH_serving.json.
+// budget), quantifies result-cache replay, and emits per-job-class
+// latency quantiles (p50/p95/p99) plus jobs/sec into BENCH_serving.json.
 //
 // bench/check_regression.py gates this file: fast_steady_allocs_per_job
 // must be 0, auto/low at most --max-steady-allocs, per-class p95 latency
@@ -83,7 +82,6 @@ struct WorkerRow {
   ccg::TimedStats stats;
   double jobs_per_sec = 0;
   std::uint64_t steals = 0;
-  std::uint64_t dense_captures = 0;
 };
 
 // Build one task from a request line the way the server does, with an
@@ -105,18 +103,17 @@ server::Task make_task(const std::string& id, const std::string& flags) {
   if (!t.job.explicit_seed) {
     t.job.params_seed = server::derive_serve_seed(kServerSeed, t.id);
   }
-  t.dense_key = server::dense_key(t.job);
   t.result_key = server::result_key(t.job);
   return t;
 }
 
 // Steady-state allocations per job on one warm scheduler worker: `count`
-// jobs of one recipe over a cached instance, result/dense caches off so
-// every job takes the real solve path. Two warmup passes (high-water
-// marks; see tests/test_svc_reuse.cpp for why two), then allocation and
-// time deltas over `passes` measured passes — submit, ring hop, steal
-// check, cache-hit instance lookup, solve, histogram record all
-// included.
+// jobs of one recipe over a cached instance, result cache off (a zero
+// budget) so every job takes the real solve path. Two warmup passes
+// (high-water marks; see tests/test_svc_reuse.cpp for why two), then
+// allocation and time deltas over `passes` measured passes — submit, ring
+// hop, steal check, cache-hit instance lookup, solve, histogram record
+// all included.
 struct SteadyState {
   double allocs_per_job = 0;
   double ns_per_job = 0;
@@ -124,14 +121,14 @@ struct SteadyState {
 
 SteadyState measure_scheduler_steady(const char* flags, int count,
                                      int passes) {
-  server::ServeCache cache{server::CacheBudgets{}};
+  server::CacheBudgets budgets;
+  budgets.result_bytes = 0;
+  server::ServeCache cache{budgets};
   server::SchedulerOptions sopt;
   sopt.workers = 1;
   sopt.queue_depth = 256;
   sopt.policy.manifest_seed = kServerSeed;
-  sopt.use_result_cache = false;
-  sopt.use_dense_cache = false;
-  server::Scheduler sched(sopt, &cache);
+  server::Scheduler sched(sopt, cache);
   sched.start();
 
   std::vector<server::Task> tasks;
@@ -181,7 +178,7 @@ ReplayStats measure_result_replay() {
   sopt.workers = 2;
   sopt.queue_depth = 256;
   sopt.policy.manifest_seed = kServerSeed;
-  server::Scheduler sched(sopt, &cache);
+  server::Scheduler sched(sopt, cache);
   sched.start();
 
   std::vector<server::Task> tasks;
@@ -214,46 +211,6 @@ ReplayStats measure_result_replay() {
   r.hit_ratio =
       static_cast<double>(after.result_hits - before.result_hits) / served;
   return r;
-}
-
-// Dense-context preload speedup: the high-degree run with its ACD/dense
-// prefix replayed from a snapshot vs. building it. Result cache off so
-// hits still execute the (post-prefix) pipeline.
-double measure_dense_speedup() {
-  const char* flags =
-      "--gen planted --delta 150 --cliques 4 --ext 4 --anti 2 --oracle "
-      "--eps 0.2 --algo high --seed 7";
-  const auto run_tasks = [&](bool use_dense, int count) {
-    server::ServeCache cache{server::CacheBudgets{}};
-    server::SchedulerOptions sopt;
-    sopt.workers = 1;
-    sopt.queue_depth = 256;
-    sopt.policy.manifest_seed = kServerSeed;
-    sopt.use_result_cache = false;
-    sopt.use_dense_cache = use_dense;
-    server::Scheduler sched(sopt, &cache);
-    sched.start();
-    std::vector<server::Task> tasks;
-    for (int i = 0; i < count; ++i) {
-      tasks.push_back(make_task("d" + std::to_string(i), flags));
-    }
-    // Prime: instance build (+ snapshot capture when enabled).
-    if (!sched.submit(&tasks[0])) std::exit(1);
-    sched.drain();
-    const auto t = ccg::timed(
-        [&] {
-          for (auto& task : tasks) {
-            if (!sched.submit(&task)) std::exit(1);
-          }
-          sched.drain();
-        },
-        1, 2);
-    sched.stop();
-    return t.min_ns / static_cast<double>(count);
-  };
-  const double miss_ns = run_tasks(false, 4);
-  const double hit_ns = run_tasks(true, 4);
-  return miss_ns / hit_ns;
 }
 
 }  // namespace
@@ -292,7 +249,6 @@ int main(int argc, char** argv) {
         static_cast<double>(kJobsPerPass) * 1e9 / row.stats.min_ns;
     const auto ctr = srv.scheduler().counters();
     row.steals = ctr.steals;
-    row.dense_captures = ctr.dense_captures;
     const std::string report = srv.report_json(/*include_timing=*/false);
     if (reference_report.empty()) {
       reference_report = report;
@@ -350,13 +306,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // ---- cross-job caches ----
+  // ---- result-cache replay ----
   const auto replay = measure_result_replay();
-  const double dense_speedup = measure_dense_speedup();
   std::printf("result replay: %.0f jobs/sec (hit ratio %.2f)\n",
               replay.jobs_per_sec, replay.hit_ratio);
-  std::printf("dense preload: %.2fx vs rebuilding the dense context\n",
-              dense_speedup);
 
   // ---- JSON ----
   ccg::JsonWriter j;
@@ -389,7 +342,6 @@ int main(int argc, char** argv) {
     j.key("speedup_vs_w1")
         .value(rows.front().stats.min_ns / row.stats.min_ns);
     j.key("steals").value(row.steals);
-    j.key("dense_captures").value(row.dense_captures);
     j.end_object();
   }
   j.end_array();
@@ -416,7 +368,6 @@ int main(int argc, char** argv) {
   j.key("low_steady_ns_per_job").value(low_steady.ns_per_job);
   j.key("result_replay_jobs_per_sec").value(replay.jobs_per_sec);
   j.key("result_replay_hit_ratio").value(replay.hit_ratio);
-  j.key("dense_preload_speedup").value(dense_speedup);
   j.key("total_wall_ns").value(rows.front().stats.min_ns);
   j.end_object();
 

@@ -55,10 +55,11 @@ int usage() {
       "  --degrade      retries exhausted: serve the sequential greedy\n"
       "                 (Delta+1)-coloring, flagged 'degraded'\n"
       "  --deadline-ms  per-attempt deadline default (0 = none)\n"
-      "  --cache-mb     total cross-job cache budget in MiB (default 64;\n"
-      "                 0 disables the instance/dense/result caches);\n"
-      "                 3/4 of it holds instances, charged by their full\n"
-      "                 heap, so a larger instance is rebuilt per job\n"
+      "  --cache-mb     cross-job cache budget in MiB (default 64; 0\n"
+      "                 disables the instance and result caches); 3/4 of\n"
+      "                 it holds instances, charged by their full heap, so\n"
+      "                 a larger instance is rebuilt per job, and 1/16\n"
+      "                 holds results\n"
       "  --unix         serve a Unix-domain socket instead of stdio\n"
       "  --tcp          serve loopback TCP on this port instead of stdio\n"
       "exit codes: 0 served, 2 usage/request error, 3 listener failure\n");
@@ -129,11 +130,10 @@ int main(int argc, char** argv) {
     return usage();
   }
 
-  // Split the total budget the way the defaults are proportioned:
-  // instances dominate, snapshots next, results are tiny.
+  // Split the budget the way the defaults are proportioned (64 MiB gives
+  // CacheBudgets{}): instances dominate, results are tiny.
   const std::size_t total = static_cast<std::size_t>(cache_mb) << 20;
   opt.cache.instance_bytes = total / 4 * 3;
-  opt.cache.dense_bytes = total / 16 * 3;
   opt.cache.result_bytes = total / 16;
 
   // Environment-armed failpoints (CCG_FAILPOINTS="site=throw;...") for

@@ -213,20 +213,6 @@ struct Options {
   // allocation-free; leave it on everywhere else.
   bool copy_colors = true;
 
-  // Dense-context cache hooks (expert tier; the server's cross-job cache
-  // is the intended caller — src/server/cache.hpp). When dense_preload is
-  // set and the call takes the high-degree dense pipeline, the ACD build
-  // is skipped and the snapshot restored; the run is bit-identical to the
-  // uncached one, reported rounds/bits included. When dense_capture is
-  // set, the build's snapshot is written there (untouched if the call
-  // never reaches the dense pipeline — check DenseSnapshot::captured
-  // after priming it to false). The caller owns validity: a preload must come
-  // from the same (instance, seed, eps, oracle); threads may differ (the
-  // build is bit-identical across thread counts). Both borrowed for the
-  // duration of the call only.
-  const color::DenseSnapshot* dense_preload = nullptr;
-  color::DenseSnapshot* dense_capture = nullptr;
-
   static constexpr int kMaxThreads = 4096;
 };
 

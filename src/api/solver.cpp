@@ -363,19 +363,6 @@ void Solver::solve_impl(const Problem& p, const Options& o, Outcome* out) {
     st_->reset(*rt_, params);
   }
   st_->set_cancel(&cancel_);
-  // Arm the dense-context cache hooks only when this call actually runs
-  // the high-degree dense pipeline (build_dense_context is its phase 1,
-  // so the captured ledger delta and stream round are exact). Other
-  // routes never touch the hooks: a primed capture stays untouched, and
-  // a stale preload cannot corrupt a run it does not apply to.
-  const bool dense_route =
-      o.algo == Algo::kHighDegree ||
-      (o.algo == Algo::kAuto && !b.vg &&
-       rt_->delta() >= params.delta_low(h.n()));
-  if (dense_route) {
-    st_->dense_preload = o.dense_preload;
-    st_->dense_capture = o.dense_capture;
-  }
   out->n = h.n();
   out->machines = b.cg->n_machines();
   out->result.num_colors = rt_->delta() + 1;

@@ -7,12 +7,9 @@
 
 namespace ccg::cluster {
 
-void Runtime::charge(int h_rounds, int message_bits,
-                     std::int64_t total_bits) {
+void Runtime::charge(int h_rounds, int message_bits) {
   const int depth = std::max(1, cg_->epoch_depth());
-  for (int i = 0; i < h_rounds; ++i) {
-    ledger_->charge(depth, message_bits, total_bits);
-  }
+  for (int i = 0; i < h_rounds; ++i) ledger_->charge(depth, message_bits);
 }
 
 HTree Runtime::build_htree(const std::vector<int>& subset, int root,
@@ -45,13 +42,6 @@ HTree Runtime::build_htree(const std::vector<int>& subset, int root,
   }
   t.height = *std::max_element(t.depth.begin(), t.depth.end());
   return t;
-}
-
-HTree Runtime::spanning_htree(const std::vector<int>& subset,
-                              int max_hops) const {
-  CCG_CHECK(!subset.empty());
-  const int root = *std::min_element(subset.begin(), subset.end());
-  return build_htree(subset, root, max_hops);
 }
 
 std::vector<std::int64_t> Runtime::prefix_sums(

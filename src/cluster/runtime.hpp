@@ -56,7 +56,7 @@ class Runtime {
 
   // Charge `h_rounds` parallel super-steps whose largest per-link message
   // is `message_bits` bits.
-  void charge(int h_rounds, int message_bits, std::int64_t total_bits = 0);
+  void charge(int h_rounds, int message_bits);
 
   // ---- Lemma 3.2: parallel BFS on vertex-disjoint subgraphs ----
   // BFS tree of H[subset] from `root`, truncated at max_hops. Vertices of
@@ -64,9 +64,6 @@ class Runtime {
   // Cost at call site: max_hops H-rounds (O(log n)-bit messages).
   HTree build_htree(const std::vector<int>& subset, int root,
                     int max_hops) const;
-
-  // Convenience: HTree spanning `subset` rooted at its minimum-id vertex.
-  HTree spanning_htree(const std::vector<int>& subset, int max_hops) const;
 
   // ---- tree aggregation / broadcast over an HTree ----
   // Bottom-up combine; returns the root value. Cost: height H-rounds.

@@ -53,8 +53,6 @@ void State::reset(cluster::Runtime& runtime, const Params& p) {
   retry_count = 0;
   cancel = nullptr;
   par->set_cancel(nullptr);
-  dense_preload = nullptr;
-  dense_capture = nullptr;
   streams.reseed(p.seed);
 }
 

@@ -102,28 +102,6 @@ struct DenseContext {
   }
 };
 
-// A saved dense-structure build: everything build_dense_context computes
-// from (instance, seed, eps, oracle), plus what replaying it must restore
-// — the ledger charge of the original build and the stream-space position
-// it left behind. The server's cross-job cache (src/server/cache.hpp)
-// captures one per (instance key, seed, eps, oracle) and preloads it into
-// later jobs: the decomposition is bit-identical across thread counts
-// (test_acd_parallel), so a preloaded run reproduces the uncached run's
-// bits exactly — including its reported rounds/bits, via Ledger::replay.
-struct DenseSnapshot {
-  acd::AcdResult acd;
-  acd::DenseInfo info;
-  double ell = 0;
-  std::vector<int> reserved;
-  int reserved_cap = 0;
-  net::PhaseCost cost;             // ledger charge of the original build
-  std::uint64_t stream_round = 0;  // StreamCtx round after the build
-  // Set by the capture branch of build_dense_context. A primed capture
-  // left false means the run never reached the dense build (kAuto routed
-  // low-degree, or an earlier failure) — the caller must not cache it.
-  bool captured = false;
-};
-
 // Everything a phase needs. One State instance per pipeline run.
 struct State {
   cluster::Runtime* rt = nullptr;
@@ -140,17 +118,6 @@ struct State {
   int fallback_count = 0;  // safety-net interventions (should be ~0)
   int retry_count = 0;     // phase-level retries after failed postconditions
   const CancelToken* cancel = nullptr;  // optional deadline/cancel (Solver)
-
-  // Dense-context cache hooks, armed per run by the owner (ccg::Solver via
-  // Options) and disarmed by reset(). When dense_preload is set,
-  // build_dense_context skips the ACD build and restores the snapshot
-  // (colors, ledger totals and stream position all land bit-identical to
-  // the uncached run). When dense_capture is set, it writes the snapshot
-  // of the build it just performed there. Both may be set: a miss then
-  // fills the cache. Preload validity (same instance/seed/eps/oracle) is
-  // the owner's contract — State cannot check it.
-  const DenseSnapshot* dense_preload = nullptr;
-  DenseSnapshot* dense_capture = nullptr;
 
   State(cluster::Runtime& runtime, const Params& p)
       : rt(&runtime),

@@ -191,23 +191,4 @@ SetSampler representative_set_sampler(int num_colors, int prefix,
   };
 }
 
-SetSampler clique_palette_set_sampler(State& st,
-                                      std::function<int(int)> prefix_of) {
-  return [&st, prefix_of](int v, int x, Rng& rng, std::vector<int>* out) {
-    out->clear();
-    const int k = st.dc.clique_of(v);
-    if (k < 0) return;
-    const auto& pal = st.palettes[static_cast<std::size_t>(k)];
-    const int lo = prefix_of(v);
-    const int free = pal.free_count(lo, pal.num_colors() - 1);
-    if (free <= 0) return;
-    out->reserve(static_cast<std::size_t>(x));
-    for (int i = 0; i < x; ++i) {
-      const int idx = static_cast<int>(
-          rng.next_below(static_cast<std::uint64_t>(free)));
-      out->push_back(pal.select_free(lo, pal.num_colors() - 1, idx));
-    }
-  };
-}
-
 }  // namespace ccg::color

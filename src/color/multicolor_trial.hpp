@@ -58,10 +58,6 @@ SetSampler reserved_set_sampler(std::function<int(int)> r_of);
 // small-buffer storage — no heap traffic on the warm pipeline paths.
 SetSampler reserved_set_sampler(const State& st);
 
-// x colors uniform in L(K_v) \ [prefix_of(v)) via palette queries.
-SetSampler clique_palette_set_sampler(State& st,
-                                      std::function<int(int)> prefix_of);
-
 // Algorithm 16 with the genuine representative-set families of
 // Definition C.5: Y(v) is a uniform member of a globally known family over
 // {prefix, ..., num_colors-1}; X(v) is x uniform picks inside Y(v). The

@@ -17,27 +17,6 @@ namespace ccg::color {
 
 void build_dense_context(State& st) {
   const int n = st.h().n();
-  if (st.dense_preload != nullptr) {
-    // Cache hit: restore the saved decomposition instead of rebuilding.
-    // The three restores below are exactly what makes the rest of the run
-    // bit-identical to the uncached one — the dc fields feed every dense
-    // phase, Ledger::replay re-charges the build's rounds/bits so the
-    // report agrees, and set_round moves the draw-stream space to where
-    // the original build left it so every later draw matches.
-    const DenseSnapshot& snap = *st.dense_preload;
-    st.dc.acd = snap.acd;
-    st.dc.info = snap.info;
-    st.dc.ell = snap.ell;
-    st.dc.reserved = snap.reserved;
-    st.dc.reserved_cap = snap.reserved_cap;
-    st.rt->ledger().replay(snap.cost);
-    st.streams.set_round(snap.stream_round);
-    st.init_palettes();
-    return;
-  }
-  const net::PhaseCost totals_before =
-      st.dense_capture != nullptr ? st.rt->ledger().totals_snapshot()
-                                  : net::PhaseCost{};
   acd::AcdParams ap;
   ap.eps = st.params.eps;
   ap.t = st.params.fingerprint_t;
@@ -45,10 +24,11 @@ void build_dense_context(State& st) {
   ap.measure_bits = st.params.measure_bits;
   ap.par = st.par.get();
   // Decompose into State-owned storage: result arrays and the ACD working
-  // set (CSR buddy graph, component queues, fingerprint matrices) are
-  // grow-only members of State, so a warm run reuses every buffer. Draws
-  // come from the shared stream space (counter-based per-(round, entity)
-  // RNG), making the decomposition bit-identical for every thread count.
+  // set (buddy slot flags, packed oracle rows, union-find forests,
+  // fingerprint samples) are grow-only members of State, so a warm run
+  // reuses every buffer. Draws come from the shared stream space
+  // (counter-based per-(round, entity) RNG), making the decomposition
+  // bit-identical for every thread count.
   acd::compute_acd(*st.rt, ap, st.streams, &st.dc.acd, &st.acd_scratch);
 
   st.dc.ell = st.params.ell(n);
@@ -65,21 +45,6 @@ void build_dense_context(State& st) {
         1, std::min(st.dc.reserved_cap,
                     static_cast<int>(std::lround(
                         st.params.reserved_factor * base))));
-  }
-  if (st.dense_capture != nullptr) {
-    // Snapshot the build for the cross-job cache. cost_delta is exact
-    // here because this build is the first ledger activity after the
-    // owner's reset (run_high_degree phase 1); likewise the entry stream
-    // round is always 0, so saving the absolute round is safe.
-    DenseSnapshot& snap = *st.dense_capture;
-    snap.acd = st.dc.acd;
-    snap.info = st.dc.info;
-    snap.ell = st.dc.ell;
-    snap.reserved = st.dc.reserved;
-    snap.reserved_cap = st.dc.reserved_cap;
-    snap.cost = net::cost_delta(totals_before, st.rt->ledger().totals_snapshot());
-    snap.stream_round = st.streams.round();
-    snap.captured = true;
   }
   st.init_palettes();
 }

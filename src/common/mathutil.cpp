@@ -27,11 +27,6 @@ int log_star(double x) {
   return k;
 }
 
-double log2_pow(double x, double p) {
-  if (x <= 1.0) return 0.0;
-  return std::pow(std::log2(x), p);
-}
-
 double log_pow_1_1(double x) {
   if (x <= 1.0) return 0.0;
   return std::pow(std::log2(x), 1.1);

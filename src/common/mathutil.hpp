@@ -14,9 +14,6 @@ int ceil_log2(std::uint64_t x);
 // Iterated logarithm: number of times log2 must be applied to reach <= 1.
 int log_star(double x);
 
-// log2(x)^p convenience for round-budget formulas.
-double log2_pow(double x, double p);
-
 // Natural-log based log(x)^1.1, the paper's ell parameter shape (Eq. 1).
 double log_pow_1_1(double x);
 

@@ -55,12 +55,6 @@ std::uint64_t Rng::next_below(std::uint64_t bound) {
   }
 }
 
-std::int64_t Rng::next_int(std::int64_t lo, std::int64_t hi) {
-  CCG_CHECK(lo <= hi);
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(next_below(span));
-}
-
 double Rng::next_double() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }

@@ -54,9 +54,6 @@ class Rng {
   // Uniform in [0, bound). bound > 0. Unbiased (rejection sampling).
   std::uint64_t next_below(std::uint64_t bound);
 
-  // Uniform integer in [lo, hi] inclusive.
-  std::int64_t next_int(std::int64_t lo, std::int64_t hi);
-
   // Uniform double in [0, 1).
   double next_double();
 
@@ -106,10 +103,9 @@ class StreamCtx {
 
   std::uint64_t round() const { return round_; }
 
-  // Jump straight to `round` (same seed). This is the restore half of the
-  // dense-context snapshot (color::DenseSnapshot): replaying a cached
-  // phase must leave the stream space exactly where the original build
-  // left it, or every later draw would diverge from the uncached run.
+  // Jump straight to `round` (same seed). fingerprint_matching_batch gives
+  // each clique's task a copy set to that clique's own rounds, then moves
+  // the shared stream to where clique-by-clique calls would leave it.
   void set_round(std::uint64_t round) {
     round_ = round;
     rehash();

@@ -94,12 +94,6 @@ void write_dimacs(const Graph& g, std::ostream& out) {
   }
 }
 
-void write_dimacs_file(const Graph& g, const std::string& path) {
-  std::ofstream out(path);
-  CCG_CHECK_MSG(out.good(), "cannot open " << path);
-  write_dimacs(g, out);
-}
-
 void write_coloring(const std::vector<int>& colors, std::ostream& out) {
   for (std::size_t v = 0; v < colors.size(); ++v) {
     out << "v " << (v + 1) << " " << (colors[v] + 1) << "\n";

@@ -43,7 +43,6 @@ Graph read_dimacs(std::istream& in);
 Graph read_dimacs_file(const std::string& path);
 
 void write_dimacs(const Graph& g, std::ostream& out);
-void write_dimacs_file(const Graph& g, const std::string& path);
 
 // Writes "v <vertex> <color>" lines (1-based), the conventional coloring
 // output alongside DIMACS instances.

@@ -44,14 +44,6 @@ double sparsity(const Graph& g, int v, int delta) {
   return (pairs - sum / 2.0) / static_cast<double>(delta);
 }
 
-std::vector<double> all_sparsities(const Graph& g, int delta) {
-  std::vector<double> out(static_cast<std::size_t>(g.n()));
-  for (int v = 0; v < g.n(); ++v) {
-    out[static_cast<std::size_t>(v)] = sparsity(g, v, delta);
-  }
-  return out;
-}
-
 DenseDegrees dense_degrees(const Graph& g, const std::vector<int>& clique_of) {
   const auto n = static_cast<std::size_t>(g.n());
   CCG_CHECK(clique_of.size() == n);
@@ -82,33 +74,6 @@ DenseDegrees dense_degrees(const Graph& g, const std::vector<int>& clique_of) {
         size[static_cast<std::size_t>(kv)] - 1 - internal;
   }
   return dd;
-}
-
-CliqueAverages clique_averages(const Graph& g,
-                               const std::vector<int>& clique_of,
-                               int num_cliques) {
-  const auto dd = dense_degrees(g, clique_of);
-  CliqueAverages out;
-  out.avg_external.assign(static_cast<std::size_t>(num_cliques), 0.0);
-  out.avg_anti.assign(static_cast<std::size_t>(num_cliques), 0.0);
-  out.size.assign(static_cast<std::size_t>(num_cliques), 0);
-  for (int v = 0; v < g.n(); ++v) {
-    const int c = clique_of[static_cast<std::size_t>(v)];
-    if (c < 0) continue;
-    out.avg_external[static_cast<std::size_t>(c)] +=
-        dd.external[static_cast<std::size_t>(v)];
-    out.avg_anti[static_cast<std::size_t>(c)] +=
-        dd.anti[static_cast<std::size_t>(v)];
-    ++out.size[static_cast<std::size_t>(c)];
-  }
-  for (int c = 0; c < num_cliques; ++c) {
-    const auto s = static_cast<double>(out.size[static_cast<std::size_t>(c)]);
-    if (s > 0) {
-      out.avg_external[static_cast<std::size_t>(c)] /= s;
-      out.avg_anti[static_cast<std::size_t>(c)] /= s;
-    }
-  }
-  return out;
 }
 
 }  // namespace ccg::graph

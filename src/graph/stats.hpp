@@ -20,8 +20,6 @@ int common_neighbors(const Graph& g, int u, int v);
 // `delta` is the maximum degree used in the formula (pass g.max_degree()).
 double sparsity(const Graph& g, int v, int delta);
 
-std::vector<double> all_sparsities(const Graph& g, int delta);
-
 // Given a dense-cluster assignment (clique_of[v] >= 0 for dense vertices,
 // -1 for sparse), the per-vertex external degree e_v = |N(v) \ K_v| and
 // anti-degree a_v = |K_v \ N(v)| - 1 omitted... a_v counts non-neighbors
@@ -31,15 +29,5 @@ struct DenseDegrees {
   std::vector<int> anti;      // a_v; 0 for sparse vertices
 };
 DenseDegrees dense_degrees(const Graph& g, const std::vector<int>& clique_of);
-
-// Average external / anti degree per clique id.
-struct CliqueAverages {
-  std::vector<double> avg_external;  // indexed by clique id
-  std::vector<double> avg_anti;
-  std::vector<int> size;
-};
-CliqueAverages clique_averages(const Graph& g,
-                               const std::vector<int>& clique_of,
-                               int num_cliques);
 
 }  // namespace ccg::graph

@@ -8,10 +8,9 @@
 namespace ccg::net {
 
 void Ledger::accrue(PhaseCost& pc, std::int64_t h, std::int64_t g,
-                    std::int64_t bits, int msg_bits, int link_round_bits) {
+                    int msg_bits, int link_round_bits) {
   pc.h_rounds += h;
   pc.g_rounds += g;
-  pc.total_bits += bits;
   pc.max_message_bits = std::max(pc.max_message_bits, msg_bits);
   pc.max_bits_per_link_round =
       std::max(pc.max_bits_per_link_round, link_round_bits);
@@ -22,54 +21,32 @@ void Ledger::reset(int bandwidth_bits) {
   bandwidth_ = bandwidth_bits;
   totals_.h_rounds = 0;
   totals_.g_rounds = 0;
-  totals_.total_bits = 0;
   totals_.max_message_bits = 0;
   totals_.max_bits_per_link_round = 0;
   open_phases_.clear();
   closed_phases_.clear();
 }
 
-void Ledger::charge(int depth, int message_bits, std::int64_t total_bits) {
+void Ledger::charge(int depth, int message_bits) {
   CCG_CHECK(depth >= 1 && message_bits >= 0);
   const std::int64_t chunks =
       message_bits == 0 ? 1 : ceil_div(message_bits, bandwidth_);
   const std::int64_t g = static_cast<std::int64_t>(depth) * chunks;
   const int link_round_bits = std::min(message_bits, bandwidth_);
-  accrue(totals_, 1, g, total_bits, message_bits, link_round_bits);
+  accrue(totals_, 1, g, message_bits, link_round_bits);
   for (auto& pc : open_phases_) {
-    accrue(pc, 1, g, total_bits, message_bits, link_round_bits);
+    accrue(pc, 1, g, message_bits, link_round_bits);
   }
 }
 
-void Ledger::charge_repeat(int times, int depth, int message_bits,
-                           std::int64_t total_bits) {
-  for (int i = 0; i < times; ++i) charge(depth, message_bits, total_bits);
+void Ledger::charge_repeat(int times, int depth, int message_bits) {
+  for (int i = 0; i < times; ++i) charge(depth, message_bits);
 }
 
 void Ledger::charge_g_only(std::int64_t g_rounds) {
   CCG_CHECK(g_rounds >= 0);
-  accrue(totals_, 0, g_rounds, 0, 0, 0);
-  for (auto& pc : open_phases_) accrue(pc, 0, g_rounds, 0, 0, 0);
-}
-
-void Ledger::replay(const PhaseCost& cost) {
-  accrue(totals_, cost.h_rounds, cost.g_rounds, cost.total_bits,
-         cost.max_message_bits, cost.max_bits_per_link_round);
-  for (auto& pc : open_phases_) {
-    accrue(pc, cost.h_rounds, cost.g_rounds, cost.total_bits,
-           cost.max_message_bits, cost.max_bits_per_link_round);
-  }
-}
-
-PhaseCost cost_delta(const PhaseCost& before, const PhaseCost& after) {
-  PhaseCost d;
-  d.name = after.name;
-  d.h_rounds = after.h_rounds - before.h_rounds;
-  d.g_rounds = after.g_rounds - before.g_rounds;
-  d.total_bits = after.total_bits - before.total_bits;
-  d.max_message_bits = after.max_message_bits;
-  d.max_bits_per_link_round = after.max_bits_per_link_round;
-  return d;
+  accrue(totals_, 0, g_rounds, 0, 0);
+  for (auto& pc : open_phases_) accrue(pc, 0, g_rounds, 0, 0);
 }
 
 void Ledger::begin_phase(const std::string& name) {

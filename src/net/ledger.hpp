@@ -31,7 +31,6 @@ struct PhaseCost {
   std::string name;
   std::int64_t h_rounds = 0;
   std::int64_t g_rounds = 0;
-  std::int64_t total_bits = 0;        // sum of per-link payload bits
   int max_message_bits = 0;           // largest logical message
   int max_bits_per_link_round = 0;    // after chunking; always <= B
 };
@@ -53,29 +52,15 @@ class Ledger {
 
   // Charge one H-round: depth = G-hops traversed by the slowest cluster
   // (support-tree depth, or 1 for pure inter-cluster exchange);
-  // message_bits = largest per-link logical message; total_bits = optional
-  // aggregate traffic for throughput stats.
-  void charge(int depth, int message_bits, std::int64_t total_bits = 0);
+  // message_bits = largest per-link logical message.
+  void charge(int depth, int message_bits);
 
   // Charge k extra H-rounds with the same shape (convenience for loops that
   // repeat an identical epoch).
-  void charge_repeat(int times, int depth, int message_bits,
-                     std::int64_t total_bits = 0);
+  void charge_repeat(int times, int depth, int message_bits);
 
   // Charge raw G-rounds without an H-round (machine-local steps).
   void charge_g_only(std::int64_t g_rounds);
-
-  // Re-charge a previously metered cost block verbatim: sums add, maxima
-  // max-merge, and the block accrues to every open phase like live
-  // charges do. This is how a cached phase (the cross-job dense-context
-  // cache, src/server/cache.hpp) replays the communication cost of the
-  // build it skipped, keeping cached and uncached runs ledger-identical.
-  void replay(const PhaseCost& cost);
-
-  // Snapshot of the running totals (name = "total"). Pairing two
-  // snapshots around a phase yields the exact PhaseCost delta replay()
-  // needs (see cost_delta below).
-  PhaseCost totals_snapshot() const { return totals_; }
 
   // Phase bookkeeping. Phases may nest; costs accrue to every open phase.
   void begin_phase(const std::string& name);
@@ -83,7 +68,6 @@ class Ledger {
 
   std::int64_t h_rounds() const { return totals_.h_rounds; }
   std::int64_t g_rounds() const { return totals_.g_rounds; }
-  std::int64_t total_bits() const { return totals_.total_bits; }
   int max_message_bits() const { return totals_.max_message_bits; }
   int max_bits_per_link_round() const {
     return totals_.max_bits_per_link_round;
@@ -95,20 +79,14 @@ class Ledger {
   std::string report() const;
 
  private:
-  void accrue(PhaseCost& pc, std::int64_t h, std::int64_t g,
-              std::int64_t bits, int msg_bits, int link_round_bits);
+  void accrue(PhaseCost& pc, std::int64_t h, std::int64_t g, int msg_bits,
+              int link_round_bits);
 
   int bandwidth_;
   PhaseCost totals_{"total"};
   std::vector<PhaseCost> open_phases_;
   std::vector<PhaseCost> closed_phases_;
 };
-
-// Exact cost of the span between two totals snapshots: sums subtract;
-// maxima keep the `after` value (maxima are monotone under accrual, so
-// when the span is the only activity — a snapshot pair taken around one
-// phase on an otherwise idle ledger — `after`'s maxima ARE the span's).
-PhaseCost cost_delta(const PhaseCost& before, const PhaseCost& after);
 
 // RAII phase scope.
 class PhaseScope {

@@ -1,16 +1,12 @@
 // Cross-job caches of the serving mode, under one LRU byte budget each.
 //
-// Three things are worth remembering across jobs and clients:
+// Two things are worth remembering across jobs and clients:
 //
 //   * prepared instances (svc::Instance) — a server sees the same
 //     recipes again and again across jobs and requests (manifest repeats
 //     included), so instances live in an LRU keyed on JobSpec::key with
 //     single-flight building (concurrent misses on one key build once,
 //     everyone shares the result);
-//   * dense-context snapshots (color::DenseSnapshot) — the ACD build is
-//     the dominant prefix of a high-degree run and is a pure function of
-//     (instance, seed, eps, oracle); replaying a snapshot reproduces the
-//     uncached run bit for bit (see build_dense_context);
 //   * whole results (svc::JobResult) — a repeated (recipe, seed, algo)
 //     request is answered without running at all; only clean first-
 //     attempt successes are cached so replays can't resurrect a fault.
@@ -30,7 +26,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "color/coloring.hpp"
 #include "common/thread_safety.hpp"
 #include "svc/service.hpp"
 
@@ -208,14 +203,11 @@ class LruCache {
 // every vector its cluster graph or virtual encoding holds (heap_bytes),
 // so an instance larger than the instance budget is never cached.
 std::size_t instance_bytes(const svc::Instance& inst);
-std::size_t dense_bytes(const color::DenseSnapshot& snap);
 std::size_t result_bytes(const svc::JobResult& r);
 
-// Cache keys beyond the instance key. The dense snapshot is a function
-// of (instance, seed, eps, oracle) — threads are deliberately absent
-// (the build is bit-identical across thread counts). A whole result
-// additionally depends on the algorithm.
-std::string dense_key(const svc::JobSpec& job);
+// The result cache's key: the instance key plus every execution knob a
+// result depends on (algorithm, seed, eps, oracle). Threads are
+// deliberately absent: results are bit-identical across thread counts.
 std::string result_key(const svc::JobSpec& job);
 
 // Only clean results enter the result cache: a first-attempt success
@@ -226,7 +218,6 @@ bool result_cacheable(const svc::JobResult& r);
 
 struct CacheBudgets {
   std::size_t instance_bytes = 48u << 20;
-  std::size_t dense_bytes = 12u << 20;
   std::size_t result_bytes = 4u << 20;
 };
 
@@ -235,7 +226,6 @@ struct CacheBudgets {
 struct ServeCache {
   explicit ServeCache(const CacheBudgets& budgets)
       : instances(budgets.instance_bytes, &server::instance_bytes),
-        dense(budgets.dense_bytes, &server::dense_bytes),
         results(budgets.result_bytes, &server::result_bytes) {}
 
   // Shared instance lookup: single-flight build through
@@ -248,7 +238,6 @@ struct ServeCache {
   }
 
   LruCache<svc::Instance> instances;
-  LruCache<color::DenseSnapshot> dense;
   LruCache<svc::JobResult> results;
 };
 

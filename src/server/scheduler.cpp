@@ -18,7 +18,7 @@ int resolve_workers(int requested) {
 
 }  // namespace
 
-Scheduler::Scheduler(const SchedulerOptions& opt, ServeCache* cache)
+Scheduler::Scheduler(const SchedulerOptions& opt, ServeCache& cache)
     : opt_(opt),
       cache_(cache),
       deques_(resolve_workers(opt.workers),
@@ -128,56 +128,21 @@ void Scheduler::worker_loop(int w) {
 // ccg-lint: zero-alloc
 void Scheduler::execute(int w, Task* t) {
   const auto t0 = clock_type::now();
-  bool from_cache = false;
-  if (opt_.use_result_cache && cache_ != nullptr &&
-      cache_->results.enabled()) {
-    if (auto hit = cache_->results.get(t->result_key)) {
-      // Whole-result replay: the cached result came from an identical
-      // (recipe, seed, algo) run, so every deterministic field already
-      // matches what running would produce.
-      t->result = *hit;
-      t->result.wall_ns = 0;
-      result_hits_.fetch_add(1, std::memory_order_relaxed);
-      from_cache = true;
-    }
-  }
-  if (!from_cache) {
-    std::shared_ptr<const svc::Instance> inst;
-    if (cache_ != nullptr) {
-      inst = cache_->instance_for(t->job);
-    } else {
-      // ccg-lint: allow(zero-alloc): cache-less run builds the instance cold
-      inst = std::make_shared<const svc::Instance>(
-          svc::build_instance(t->job));
-    }
-    svc::RunPolicy pol = opt_.policy;
-    std::shared_ptr<const color::DenseSnapshot> preload;
-    std::shared_ptr<color::DenseSnapshot> capture;
-    if (opt_.use_dense_cache && cache_ != nullptr &&
-        cache_->dense.enabled() &&
-        (t->job.algo == Algo::kHighDegree || t->job.algo == Algo::kAuto)) {
-      preload = cache_->dense.get(t->dense_key);
-      if (preload) {
-        pol.dense_preload = preload.get();
-        dense_hits_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        // ccg-lint: allow(zero-alloc): dense-cache miss primes a capture
-        capture = std::make_shared<color::DenseSnapshot>();
-        pol.dense_capture = capture.get();
-      }
-    }
-    slots_[static_cast<std::size_t>(w)].run(*inst, t->job, pol, &t->result);
-    // `captured` stays false unless the run actually reached the dense
-    // build (kAuto may dispatch low-degree; failures bail before it).
-    if (capture && capture->captured) {
-      cache_->dense.put(t->dense_key, std::move(capture));
-      dense_captures_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (opt_.use_result_cache && cache_ != nullptr &&
-        cache_->results.enabled() && result_cacheable(t->result)) {
+  if (auto hit = cache_.results.get(t->result_key)) {
+    // Whole-result replay: the cached result came from an identical
+    // (recipe, seed, algo) run, so every deterministic field already
+    // matches what running would produce.
+    t->result = *hit;
+    t->result.wall_ns = 0;
+    result_hits_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    const auto inst = cache_.instance_for(t->job);
+    slots_[static_cast<std::size_t>(w)].run(*inst, t->job, opt_.policy,
+                                            &t->result);
+    if (cache_.results.enabled() && result_cacheable(t->result)) {
       // ccg-lint: allow(zero-alloc): first completion populates the cache
       auto cached = std::make_shared<const svc::JobResult>(t->result);
-      cache_->results.put(t->result_key, std::move(cached));
+      cache_.results.put(t->result_key, std::move(cached));
     }
   }
   const double ns = static_cast<double>(
@@ -204,8 +169,6 @@ Scheduler::Counters Scheduler::counters() const {
   c.shed = shed_.load(std::memory_order_relaxed);
   c.steals = steals_.load(std::memory_order_relaxed);
   c.result_hits = result_hits_.load(std::memory_order_relaxed);
-  c.dense_hits = dense_hits_.load(std::memory_order_relaxed);
-  c.dense_captures = dense_captures_.load(std::memory_order_relaxed);
   return c;
 }
 

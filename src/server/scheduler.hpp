@@ -20,9 +20,9 @@
 // data (counted in `stats`).
 //
 // Each worker owns a JobSlot (reused ccg::Solver arena — the warm
-// Algo::kFast path stays 0 allocs/job: ring-buffer deques, precomputed
-// cache keys, relaxed-atomic histograms; nothing on the execute path
-// allocates) plus one latency histogram per job class (the four Algo
+// Algo::kFast path stays 0 allocs/job: ring-buffer deques, a precomputed
+// result-cache key, relaxed-atomic histograms; nothing on the execute
+// path allocates) plus one latency histogram per job class (the four Algo
 // values), merged lock-free at report time into p50/p95/p99 per class.
 #pragma once
 
@@ -42,12 +42,12 @@
 namespace ccg::server {
 
 // One queued job. The submitter owns the Task (and keeps it alive until
-// drained); the scheduler only passes the pointer around. Cache keys are
-// precomputed at admission so the execute path never builds a string.
+// drained); the scheduler only passes the pointer around. The result-cache
+// key is precomputed at admission so the execute path never builds a
+// string.
 struct Task {
   std::string id;
   svc::JobSpec job;       // index + params_seed already derived
-  std::string dense_key;
   std::string result_key;
   svc::JobResult result;  // filled by the worker that runs the task
 };
@@ -58,8 +58,6 @@ struct SchedulerOptions {
   // Failure policy per job (retries seeded from policy.manifest_seed =
   // the server seed; see svc::derive_retry_seed).
   svc::RunPolicy policy;
-  bool use_result_cache = true;
-  bool use_dense_cache = true;
 };
 
 class Scheduler {
@@ -67,9 +65,9 @@ class Scheduler {
   // Latency classes = the four Algo values.
   static constexpr int kNumClasses = 4;
 
-  // `cache` may be nullptr (every job builds its own instance; no
-  // cross-job reuse) — the benches use that to isolate the solve path.
-  Scheduler(const SchedulerOptions& opt, ServeCache* cache);
+  // `cache` is shared by every worker and must outlive the scheduler. A
+  // cache whose CacheBudgets entry is 0 always misses (LruCache::enabled).
+  Scheduler(const SchedulerOptions& opt, ServeCache& cache);
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
@@ -97,8 +95,6 @@ class Scheduler {
     std::uint64_t shed = 0;
     std::uint64_t steals = 0;
     std::uint64_t result_hits = 0;
-    std::uint64_t dense_hits = 0;
-    std::uint64_t dense_captures = 0;
   };
   Counters counters() const;
 
@@ -116,7 +112,7 @@ class Scheduler {
   void execute(int w, Task* t);
 
   const SchedulerOptions opt_;
-  ServeCache* cache_;
+  ServeCache& cache_;
   exec::StealDeques<Task*> deques_;
   // Single-owner arenas: slots_[w] and metrics_[w] are touched only by
   // worker w's thread between start() and stop() (merge_latency reads the
@@ -139,8 +135,6 @@ class Scheduler {
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> result_hits_{0};
-  std::atomic<std::uint64_t> dense_hits_{0};
-  std::atomic<std::uint64_t> dense_captures_{0};
 };
 
 }  // namespace ccg::server

@@ -48,7 +48,7 @@ void cache_stats_json(JsonWriter& j, const char* name,
 }  // namespace
 
 Server::Server(const ServerOptions& opt)
-    : opt_(opt), cache_(opt.cache), sched_(scheduler_options(opt), &cache_) {
+    : opt_(opt), cache_(opt.cache), sched_(scheduler_options(opt), cache_) {
   sched_.start();
 }
 
@@ -114,7 +114,6 @@ Server::Admission Server::submit(std::string id, svc::JobSpec job) {
   auto task = std::make_unique<Task>();
   task->id = id;
   task->job = std::move(job);
-  task->dense_key = dense_key(task->job);
   task->result_key = result_key(task->job);
   // A shed task is dropped entirely, so its id stays free.
   if (!sched_.submit(task.get())) return Admission::kShed;
@@ -206,8 +205,6 @@ std::string Server::report_json(bool include_timing) {
     j.key("shed").value(ctr.shed);
     j.key("steals").value(ctr.steals);
     j.key("result_hits").value(ctr.result_hits);
-    j.key("dense_hits").value(ctr.dense_hits);
-    j.key("dense_captures").value(ctr.dense_captures);
     j.end_object();
   }
   j.end_object();
@@ -225,10 +222,7 @@ std::string Server::stats_json() {
   j.key("shed").value(ctr.shed);
   j.key("steals").value(ctr.steals);
   j.key("result_hits").value(ctr.result_hits);
-  j.key("dense_hits").value(ctr.dense_hits);
-  j.key("dense_captures").value(ctr.dense_captures);
   cache_stats_json(j, "instance_cache", cache_.instances);
-  cache_stats_json(j, "dense_cache", cache_.dense);
   cache_stats_json(j, "result_cache", cache_.results);
   LatencyHistogram by_class[Scheduler::kNumClasses];
   sched_.merge_latency(by_class);

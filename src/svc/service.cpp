@@ -33,8 +33,6 @@ bool is_midrun_failure(ErrorCode c) {
 // ccg-lint: zero-alloc
 void JobSlot::run_attempt(const Instance& inst, const JobSpec& job,
                           std::uint64_t seed, std::int64_t deadline_ms,
-                          const color::DenseSnapshot* dense_preload,
-                          color::DenseSnapshot* dense_capture,
                           JobResult* out) {
   // The manifest surface maps 1:1 onto the facade: the JobSpec's
   // execution knobs become ccg::Options, the prepared instance becomes a
@@ -49,8 +47,6 @@ void JobSlot::run_attempt(const Instance& inst, const JobSpec& job,
   opt.oracle = job.oracle;
   opt.deadline_ms = deadline_ms;
   opt.copy_colors = false;
-  opt.dense_preload = dense_preload;
-  opt.dense_capture = dense_capture;
 
   // Scheduler-level injection site: a fault here models the job dying
   // outside the Solver (whose facade never throws). Contained to this
@@ -98,7 +94,6 @@ void JobSlot::run_attempt(const Instance& inst, const JobSpec& job,
   out->num_cabals = outcome_.result.num_cabals;
   out->h_rounds = outcome_.result.h_rounds;
   out->g_rounds = outcome_.result.g_rounds;
-  out->total_bits = solver_->ledger().total_bits();
   out->max_bits_per_link_round = outcome_.result.max_bits_per_link_round;
 }
 
@@ -158,12 +153,7 @@ void JobSlot::run(const Instance& inst, const JobSpec& job,
         attempt == 0 ? job.params_seed
                      : derive_retry_seed(policy.manifest_seed, job.index,
                                          attempt);
-    // Cache hooks apply to attempt 0 only: retries run a different seed,
-    // so a snapshot captured (or preloaded) for the original seed would
-    // be wrong for them.
-    run_attempt(inst, job, seed, deadline_ms,
-                attempt == 0 ? policy.dense_preload : nullptr,
-                attempt == 0 ? policy.dense_capture : nullptr, out);
+    run_attempt(inst, job, seed, deadline_ms, out);
     if (out->ok) return;
     // Input errors are permanent: retrying the same bytes cannot help.
     if (!is_midrun_failure(out->code)) return;
@@ -249,7 +239,6 @@ void job_result_json(JsonWriter& j, const JobSpec& js, const JobResult& jr,
   j.key("uncolored").value(jr.uncolored);
   j.key("h_rounds").value(jr.h_rounds);
   j.key("g_rounds").value(jr.g_rounds);
-  j.key("total_bits").value(jr.total_bits);
   j.key("max_bits_per_link_round").value(jr.max_bits_per_link_round);
   j.key("congestion").value(jr.congestion);
   j.key("fallback_count").value(jr.fallback_count);

@@ -66,7 +66,6 @@ struct JobResult {
   int uncolored = 0;
   std::int64_t h_rounds = 0;
   std::int64_t g_rounds = 0;
-  std::int64_t total_bits = 0;
   int max_bits_per_link_round = 0;
   int fallback_count = 0;
   int retry_count = 0;
@@ -109,13 +108,6 @@ struct RunPolicy {
   // Default per-attempt deadline for jobs that do not set their own
   // JobSpec::deadline_ms (0 = none).
   std::int64_t deadline_ms = 0;
-  // Dense-context cache hooks (Options::dense_preload / dense_capture),
-  // forwarded to the Solver on attempt 0 only: retry attempts run a
-  // different seed, which invalidates any snapshot keyed on the original
-  // one. The caller (the server's cross-job cache) owns both objects and
-  // their validity contract.
-  const color::DenseSnapshot* dense_preload = nullptr;
-  color::DenseSnapshot* dense_capture = nullptr;
 };
 
 // The arena one scheduler worker owns: a ccg::Solver session plus a
@@ -161,8 +153,7 @@ class JobSlot {
  private:
   void run_attempt(const Instance& inst, const JobSpec& job,
                    std::uint64_t seed, std::int64_t deadline_ms,
-                   const color::DenseSnapshot* dense_preload,
-                   color::DenseSnapshot* dense_capture, JobResult* out);
+                   JobResult* out);
   void degrade(const Instance& inst, JobResult* out);
 
   // unique_ptr rather than a member: Solver sessions are pinned

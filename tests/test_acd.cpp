@@ -12,8 +12,6 @@
 #include "acd/acd.hpp"
 #include "cluster/cluster_graph.hpp"
 #include "cluster/runtime.hpp"
-#include "color/coloring.hpp"
-#include "color/pipeline.hpp"
 #include "exec/parallel_round.hpp"
 #include "graph/generators.hpp"
 
@@ -238,39 +236,6 @@ TEST(Acd, NeighborhoodSplitMatchesBruteForce) {
                 0u)
           << label;
     }
-  }
-}
-
-TEST(Acd, NeighborhoodSplitSurvivesDenseSnapshotPreload) {
-  // A preloaded State restores the split the capturing build made; the
-  // restored rows must still be the brute-force ones.
-  const auto planted = split_instance();
-  const auto cg = cluster::ClusterGraph::singleton(planted.g);
-  for (const bool oracle : {true, false}) {
-    const std::string label = oracle ? "oracle" : "fingerprint";
-    color::Params params;
-    params.seed = 23;
-    params.eps = 0.2;
-    params.use_fingerprint_acd = !oracle;
-    color::DenseSnapshot snap;
-    {
-      net::Ledger ledger(cg.default_bandwidth());
-      cluster::Runtime rt(cg, ledger);
-      color::State st(rt, params);
-      st.dense_capture = &snap;
-      color::build_dense_context(st);
-    }
-    ASSERT_TRUE(snap.captured) << label;
-    net::Ledger ledger(cg.default_bandwidth());
-    cluster::Runtime rt(cg, ledger);
-    color::State st(rt, params);
-    st.dense_preload = &snap;
-    color::build_dense_context(st);
-    ASSERT_GT(st.dc.acd.num_cliques, 0) << label;
-    EXPECT_GT(expect_split_matches_brute_force(planted.g, st.dc.acd,
-                                               st.dc.info, oracle, label),
-              0u)
-        << label;
   }
 }
 

@@ -1,7 +1,7 @@
 // Serving subsystem (src/server/): protocol parsing against the shared
 // manifest error model (fuzz corpus included), LRU cache semantics and
-// single-flight builds, admission-control shedding, dense-snapshot
-// capture/preload bit-identity, and the serving determinism contract —
+// single-flight builds, admission-control shedding, a disabled result
+// cache, and the serving determinism contract —
 // the drained no-timing report is byte-identical for every worker count,
 // client interleaving, steal schedule and cache state, with faults,
 // retries and degradation armed.
@@ -291,7 +291,6 @@ Task make_task(const std::string& id, const std::string& flags,
   if (!t.job.explicit_seed) {
     t.job.params_seed = derive_serve_seed(server_seed, t.id);
   }
-  t.dense_key = dense_key(t.job);
   t.result_key = result_key(t.job);
   return t;
 }
@@ -302,7 +301,6 @@ void expect_same_deterministic_result(const svc::JobResult& a,
   EXPECT_EQ(a.num_colors, b.num_colors);
   EXPECT_EQ(a.h_rounds, b.h_rounds);
   EXPECT_EQ(a.g_rounds, b.g_rounds);
-  EXPECT_EQ(a.total_bits, b.total_bits);
   EXPECT_EQ(a.fallback_count, b.fallback_count);
   EXPECT_EQ(a.num_cliques, b.num_cliques);
   EXPECT_EQ(a.attempts, b.attempts);
@@ -314,7 +312,7 @@ TEST(ServerScheduler, ShedsAtQueueDepthDeterministically) {
   opt.workers = 2;
   opt.queue_depth = 4;
   opt.policy.manifest_seed = 404;
-  Scheduler sched(opt, &cache);
+  Scheduler sched(opt, cache);
   // Submit before start(): occupancy is exact, so the shed boundary is
   // deterministic — the first queue_depth submissions are accepted, the
   // rest shed.
@@ -346,7 +344,7 @@ TEST(ServerScheduler, ResultCacheReplaysIdenticalRequests) {
   SchedulerOptions opt;
   opt.workers = 1;
   opt.policy.manifest_seed = 404;
-  Scheduler sched(opt, &cache);
+  Scheduler sched(opt, cache);
   sched.start();
   // Same (recipe, seed, algo) under two ids: the second is answered from
   // the result cache, bit-identical except for the submission identity.
@@ -364,114 +362,54 @@ TEST(ServerScheduler, ResultCacheReplaysIdenticalRequests) {
   EXPECT_EQ(t2.result.wall_ns, 0.0);  // replay, nothing ran
 }
 
-TEST(ServerScheduler, DensePreloadIsBitIdenticalToRebuild) {
+TEST(ServerScheduler, ZeroResultBudgetSolvesEveryJob) {
   const char* flags =
       "--gen planted --delta 110 --cliques 3 --ext 8 --anti 2 --oracle "
       "--eps 0.2 --algo high --seed 7";
-  // Reference: no cache at all.
+  // Same (recipe, seed, algo) under two ids, with the result cache off:
+  // both jobs run the dense pipeline.
+  CacheBudgets budgets;
+  budgets.result_bytes = 0;
+  ServeCache cache{budgets};
   SchedulerOptions opt;
   opt.workers = 1;
   opt.policy.manifest_seed = 404;
-  Scheduler bare(opt, nullptr);
-  bare.start();
-  auto ref = make_task("ref", flags);
-  ASSERT_TRUE(bare.submit(&ref));
-  bare.drain();
-  bare.stop();
-  // Cached: first run captures the dense snapshot, second preloads it.
-  ServeCache cache{CacheBudgets{}};
-  opt.use_result_cache = false;  // force both runs through the solver
-  Scheduler sched(opt, &cache);
+  Scheduler sched(opt, cache);
   sched.start();
-  auto warm = make_task("warm", flags);
-  auto hit = make_task("hit", flags);
-  ASSERT_TRUE(sched.submit(&warm));
+  auto t1 = make_task("first", flags);
+  auto t2 = make_task("second", flags);
+  ASSERT_TRUE(sched.submit(&t1));
   sched.drain();
-  ASSERT_TRUE(sched.submit(&hit));
+  ASSERT_TRUE(sched.submit(&t2));
   sched.drain();
   sched.stop();
-  EXPECT_EQ(sched.counters().dense_captures, 1u);
-  EXPECT_EQ(sched.counters().dense_hits, 1u);
-  ASSERT_TRUE(ref.result.ok);
-  expect_same_deterministic_result(ref.result, warm.result);
-  expect_same_deterministic_result(ref.result, hit.result);
-}
+  EXPECT_EQ(sched.counters().result_hits, 0u);
 
-// ---------------------------------------------------------------------
-// Dense snapshot at the Solver level
-// ---------------------------------------------------------------------
-
-TEST(DenseSnapshot, CaptureThenPreloadReproducesTheRunBitForBit) {
-  const auto inst = svc::build_instance(svc::parse_job_flags(
-      "--gen planted --delta 100 --cliques 3 --ext 8 --anti 2"));
+  // Reference: a direct solve of the same instance with the Options the
+  // job slot builds.
+  const auto inst = svc::build_instance(t1.job);
   ASSERT_TRUE(inst.error.empty()) << inst.error;
-  Options opt;
-  opt.algo = Algo::kHighDegree;
-  opt.seed = 77;
-  opt.eps = 0.2;
-  opt.threads = env_threads();
-
+  Options o;
+  o.algo = Algo::kHighDegree;
+  o.threads = env_threads();
+  o.seed = 7;
+  o.eps = 0.2;
+  o.oracle = true;
+  Solver solver;
   Outcome ref;
-  {
-    Solver s;
-    s.solve(Problem::cluster(inst.cg), opt, &ref);
-    ASSERT_TRUE(ref.ok()) << ref.error.message;
+  solver.solve(Problem::cluster(inst.cg), o, &ref);
+  ASSERT_TRUE(ref.ok()) << ref.error.message;
+  EXPECT_GT(ref.result.num_cliques, 0);
+  for (const Task* t : {&t1, &t2}) {
+    const auto& r = t->result;
+    ASSERT_TRUE(r.ok) << t->id << ": " << r.error;
+    EXPECT_GT(r.wall_ns, 0.0) << t->id;
+    EXPECT_EQ(r.num_colors, ref.result.num_colors) << t->id;
+    EXPECT_EQ(r.h_rounds, ref.result.h_rounds) << t->id;
+    EXPECT_EQ(r.g_rounds, ref.result.g_rounds) << t->id;
+    EXPECT_EQ(r.num_cliques, ref.result.num_cliques) << t->id;
+    EXPECT_EQ(r.fallback_count, ref.result.fallback_count) << t->id;
   }
-  color::DenseSnapshot snap;
-  Outcome captured;
-  {
-    Solver s;
-    Options o = opt;
-    o.dense_capture = &snap;
-    s.solve(Problem::cluster(inst.cg), o, &captured);
-    ASSERT_TRUE(captured.ok());
-  }
-  EXPECT_TRUE(snap.captured);
-  // The cache charges the neighborhood split to the snapshot's bytes.
-  color::DenseSnapshot bare = snap;
-  bare.info.ext_off = std::vector<std::int64_t>();
-  bare.info.anti_off = std::vector<std::int64_t>();
-  bare.info.ext_adj = std::vector<int>();
-  bare.info.anti_adj = std::vector<int>();
-  EXPECT_GT(snap.info.ext_adj.size(), 0u);
-  EXPECT_EQ(dense_bytes(snap) - dense_bytes(bare),
-            snap.info.ext_off.capacity() * sizeof(std::int64_t) +
-                snap.info.anti_off.capacity() * sizeof(std::int64_t) +
-                snap.info.ext_adj.capacity() * sizeof(int) +
-                snap.info.anti_adj.capacity() * sizeof(int));
-  Outcome preloaded;
-  {
-    Solver s;
-    Options o = opt;
-    o.dense_preload = &snap;
-    s.solve(Problem::cluster(inst.cg), o, &preloaded);
-    ASSERT_TRUE(preloaded.ok());
-  }
-  // The capture run and the preload run are both bit-identical to the
-  // hook-free reference: same coloring, same reported rounds and bits.
-  for (const Outcome* o : {&captured, &preloaded}) {
-    EXPECT_EQ(o->result.colors, ref.result.colors);
-    EXPECT_EQ(o->result.num_colors, ref.result.num_colors);
-    EXPECT_EQ(o->result.h_rounds, ref.result.h_rounds);
-    EXPECT_EQ(o->result.g_rounds, ref.result.g_rounds);
-    EXPECT_EQ(o->result.num_cliques, ref.result.num_cliques);
-  }
-}
-
-TEST(DenseSnapshot, LowDegreeRouteLeavesCaptureUntouched) {
-  const auto inst = svc::build_instance(
-      svc::parse_job_flags("--gen gnm --n 300 --m 900"));
-  ASSERT_TRUE(inst.error.empty());
-  color::DenseSnapshot snap;
-  Options opt;
-  opt.algo = Algo::kAuto;  // small delta: routes low-degree
-  opt.seed = 5;
-  opt.dense_capture = &snap;
-  Solver s;
-  Outcome out;
-  s.solve(Problem::cluster(inst.cg), opt, &out);
-  ASSERT_TRUE(out.ok());
-  EXPECT_FALSE(snap.captured);
 }
 
 // ---------------------------------------------------------------------

@@ -29,12 +29,10 @@ guarantees" documents each one from the user's side):
                      is unique and matches the `subsystem.site` grammar
                      ([a-z0-9_]+(\.[a-z0-9_]+)+).
 
-Frontend tiers (the rules run on a frontend-independent IR):
-  1. libclang (python clang.cindex), driven by compile_commands.json;
-  2. `clang++ -Xclang -ast-dump=json -fsyntax-only`, same driver;
-  3. a built-in textual tokenizer + call-graph builder, so the linter
-     (and its selftests) run on gcc-only machines with no clang at all.
-`--frontend auto` walks the tiers top down and falls back on any error.
+The rules run on function records (spans, qualified names, call edges,
+markers) that a built-in textual scanner extracts, and on the call graph
+it resolves from them, so the linter needs only Python 3: no clang, no
+build tree.
 
 Findings print file:line plus the call chain from the rule's root.
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
@@ -52,10 +50,8 @@ Suppressions:
 
 import argparse
 import bisect
-import json
 import os
 import re
-import subprocess
 import sys
 
 RULES = ("shared-rng", "zero-alloc", "no-throw", "failpoint-name")
@@ -249,7 +245,7 @@ def _strip_comments(text):
 
 
 class FunctionIR:
-    """Frontend-independent function record."""
+    """One function the textual frontend found."""
 
     def __init__(self, name, rel, line, body_start, end_line):
         self.name = name          # qualified, e.g. ccg::Solver::run_fast
@@ -441,174 +437,6 @@ def textual_frontend(sources, verbose=False):
     for src in sources:
         funcs.extend(_functions_from_textual(src, verbose))
     return funcs
-
-
-# ---------------------------------------------------------------------------
-# libclang frontend
-# ---------------------------------------------------------------------------
-
-def _filter_args(args):
-    out = []
-    skip = False
-    for a in args[1:]:
-        if skip:
-            skip = False
-            continue
-        if a in ("-c", "-o"):
-            skip = a == "-o"
-            continue
-        if a.endswith((".cpp", ".cc", ".cxx", ".o")):
-            continue
-        out.append(a)
-    return out
-
-
-def libclang_frontend(compile_commands, root, verbose=False):
-    import clang.cindex as ci  # noqa: raises ImportError -> fallback
-    index = ci.Index.create()
-    funcs = {}
-    fn_kinds = {ci.CursorKind.FUNCTION_DECL, ci.CursorKind.CXX_METHOD,
-                ci.CursorKind.CONSTRUCTOR, ci.CursorKind.DESTRUCTOR,
-                ci.CursorKind.CONVERSION_FUNCTION,
-                ci.CursorKind.FUNCTION_TEMPLATE}
-    for entry in compile_commands:
-        path = os.path.join(entry.get("directory", "."), entry["file"])
-        path = os.path.normpath(path)
-        args = _filter_args(entry.get("arguments")
-                            or entry.get("command", "").split())
-        tu = index.parse(path, args=args)
-        for cur in tu.cursor.walk_preorder():
-            if cur.kind not in fn_kinds or not cur.is_definition():
-                continue
-            loc = cur.location
-            if loc.file is None:
-                continue
-            fpath = os.path.realpath(loc.file.name)
-            if not fpath.startswith(os.path.realpath(root) + os.sep):
-                continue
-            rel = os.path.relpath(fpath, root)
-            key = (rel, loc.line)
-            if key in funcs:
-                continue
-            parts = [cur.spelling]
-            p = cur.semantic_parent
-            while p is not None and p.kind != ci.CursorKind.TRANSLATION_UNIT:
-                if p.spelling:
-                    parts.append(p.spelling)
-                p = p.semantic_parent
-            f = FunctionIR("::".join(reversed(parts)), rel, loc.line,
-                           loc.line, cur.extent.end.line)
-            for sub in cur.walk_preorder():
-                if sub.kind == ci.CursorKind.CALL_EXPR:
-                    ref = sub.referenced
-                    callee = (ref.spelling if ref is not None
-                              else sub.spelling)
-                    if callee:
-                        f.calls.append((callee, sub.location.line))
-            funcs[key] = f
-        if verbose:
-            print(f"  libclang: parsed {entry['file']}", file=sys.stderr)
-    return list(funcs.values())
-
-
-# ---------------------------------------------------------------------------
-# clang -ast-dump=json frontend
-# ---------------------------------------------------------------------------
-
-def astdump_frontend(compile_commands, root, verbose=False):
-    funcs = {}
-    clangxx = os.environ.get("CCG_LINT_CLANGXX", "clang++")
-    for entry in compile_commands:
-        path = os.path.join(entry.get("directory", "."), entry["file"])
-        path = os.path.normpath(path)
-        args = _filter_args(entry.get("arguments")
-                            or entry.get("command", "").split())
-        cmd = [clangxx, "-fsyntax-only", "-Xclang", "-ast-dump=json",
-               *args, path]
-        out = subprocess.run(cmd, capture_output=True, text=True,
-                             check=False)
-        if out.returncode != 0 and not out.stdout:
-            raise RuntimeError(f"{clangxx} failed on {path}: "
-                               f"{out.stderr[:400]}")
-        node = json.loads(out.stdout)
-        state = {"file": None}
-        _walk_ast(node, [], funcs, root, state)
-        if verbose:
-            print(f"  ast-dump: parsed {entry['file']}", file=sys.stderr)
-    return list(funcs.values())
-
-
-def _ast_line(node, key="loc"):
-    loc = node.get(key) or {}
-    if "spellingLoc" in loc:
-        loc = loc["spellingLoc"]
-    return loc.get("line"), loc.get("file")
-
-
-def _walk_ast(node, scope, funcs, root, state):
-    if not isinstance(node, dict):
-        return
-    kind = node.get("kind", "")
-    line, fname = _ast_line(node)
-    if fname:
-        state["file"] = fname
-    pushed = False
-    if kind in ("NamespaceDecl", "CXXRecordDecl") and node.get("name"):
-        scope.append(node["name"])
-        pushed = True
-    if kind in ("FunctionDecl", "CXXMethodDecl", "CXXConstructorDecl",
-                "CXXDestructorDecl", "CXXConversionDecl"):
-        inner = node.get("inner") or []
-        has_body = any(isinstance(x, dict) and x.get("kind") == "CompoundStmt"
-                       for x in inner)
-        fpath = state.get("file")
-        if has_body and fpath and line:
-            rp = os.path.realpath(fpath if os.path.isabs(fpath)
-                                  else os.path.join(root, fpath))
-            if rp.startswith(os.path.realpath(root) + os.sep):
-                rel = os.path.relpath(rp, root)
-                rng = node.get("range", {}).get("end", {})
-                end = rng.get("line", line)
-                name = "::".join(scope + [node.get("name") or "?"])
-                key = (rel, line)
-                if key not in funcs:
-                    f = FunctionIR(name, rel, line, line, end)
-                    _collect_ast_calls(inner, f, line)
-                    funcs[key] = f
-    for child in node.get("inner") or []:
-        _walk_ast(child, scope, funcs, root, state)
-    if pushed:
-        scope.pop()
-
-
-def _collect_ast_calls(nodes, f, default_line):
-    for node in nodes:
-        if not isinstance(node, dict):
-            continue
-        if node.get("kind", "").endswith("CallExpr"):
-            name = _callee_name(node)
-            line = node.get("range", {}).get("begin", {}).get(
-                "line", default_line)
-            if name:
-                f.calls.append((name, line))
-        _collect_ast_calls(node.get("inner") or [], f, default_line)
-
-
-def _callee_name(node):
-    for child in node.get("inner") or []:
-        if not isinstance(child, dict):
-            continue
-        k = child.get("kind", "")
-        if k in ("DeclRefExpr", "MemberExpr"):
-            ref = child.get("referencedDecl") or {}
-            if ref.get("name"):
-                return ref["name"]
-            if child.get("name"):
-                return child["name"]
-        name = _callee_name(child)
-        if name:
-            return name
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -912,39 +740,10 @@ def collect_sources(root, src_dirs):
     return sources
 
 
-def load_compile_commands(build_dir):
-    path = os.path.join(build_dir, "compile_commands.json")
-    if not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
-
-
-def build_ir(frontend, sources, compile_commands, root, verbose):
-    tried = []
-    order = ([frontend] if frontend != "auto"
-             else ["libclang", "ast-dump", "textual"])
-    for tier in order:
-        try:
-            if tier == "libclang":
-                if not compile_commands:
-                    raise RuntimeError("no compile_commands.json")
-                funcs = libclang_frontend(compile_commands, root, verbose)
-            elif tier == "ast-dump":
-                if not compile_commands:
-                    raise RuntimeError("no compile_commands.json")
-                funcs = astdump_frontend(compile_commands, root, verbose)
-            else:
-                funcs = textual_frontend(sources.values(), verbose)
-            if not funcs:
-                raise RuntimeError("frontend produced no functions")
-            return tier, funcs
-        except Exception as e:  # noqa: fall through to the next tier
-            tried.append(f"{tier}: {e}")
-            if frontend != "auto":
-                raise SystemExit(f"ccg_lint: frontend '{tier}' failed: {e}")
-    raise SystemExit("ccg_lint: every frontend failed:\n  "
-                     + "\n  ".join(tried))
+def fail(message):
+    # Operational errors exit 2; exit 1 means findings.
+    print(f"ccg_lint: {message}", file=sys.stderr)
+    sys.exit(2)
 
 
 def main(argv=None):
@@ -955,14 +754,9 @@ def main(argv=None):
                     "R4 failpoint-name).")
     ap.add_argument("--root", default=None,
                     help="repository root (default: parent of tools/)")
-    ap.add_argument("--build-dir", default=None,
-                    help="directory holding compile_commands.json "
-                         "(default: <root>/build)")
     ap.add_argument("--src", action="append", default=None,
                     help="source directory to scan (repeatable; default: "
                          "src and include under the root)")
-    ap.add_argument("--frontend", default="auto",
-                    choices=["auto", "libclang", "ast-dump", "textual"])
     ap.add_argument("--allowlist", default=None,
                     help="allowlist file (default: "
                          "<root>/tools/ccg_lint_allow.txt)")
@@ -977,7 +771,6 @@ def main(argv=None):
 
     root = os.path.realpath(
         args.root or os.path.join(os.path.dirname(__file__), ".."))
-    build_dir = args.build_dir or os.path.join(root, "build")
     src_dirs = args.src or ["src", "include"]
     allowlist_path = args.allowlist
     if allowlist_path is None:
@@ -988,18 +781,14 @@ def main(argv=None):
     rules = [r.strip() for r in args.rules.split(",") if r.strip()]
     for r in rules:
         if r not in RULES:
-            raise SystemExit(f"ccg_lint: unknown rule '{r}' "
-                             f"(known: {', '.join(RULES)})")
+            fail(f"unknown rule '{r}' (known: {', '.join(RULES)})")
 
-    compile_commands = load_compile_commands(build_dir)
     sources = collect_sources(root, src_dirs)
     if not sources:
-        raise SystemExit(f"ccg_lint: no sources found under {src_dirs}")
-    frontend, funcs = build_ir(args.frontend, sources, compile_commands,
-                               root, args.verbose)
-    # Clang frontends parse whole TUs; keep only functions inside the
-    # lint scope so out-of-scope code neither roots nor relays a rule.
-    funcs = [f for f in funcs if f.rel in sources]
+        fail(f"no sources found under {src_dirs}")
+    funcs = textual_frontend(sources.values(), args.verbose)
+    if not funcs:
+        fail(f"no functions found under {src_dirs}")
     attach_markers(funcs, sources)
     allowlist = load_allowlist(allowlist_path)
 
@@ -1031,7 +820,7 @@ def main(argv=None):
     n_files = len(sources)
     status = f"{len(findings)} finding(s)" if findings else "clean"
     print(f"ccg_lint: {status} — {n_files} file(s), {n_funcs} function(s), "
-          f"frontend={frontend}, rules={','.join(rules)}", file=sys.stderr)
+          f"rules={','.join(rules)}", file=sys.stderr)
     return 1 if findings else 0
 
 

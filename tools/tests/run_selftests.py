@@ -8,9 +8,8 @@ back clean. The r2_allow fixture runs twice — once bare (must flag) and
 once with its allowlist (must pass) — so the allowlist plumbing itself
 is under test, not just the rules.
 
-Runs with the textual frontend so the selftest is hermetic: it needs
-only a Python interpreter, never a clang installation. Exit 0 if every
-case behaves, 1 otherwise.
+The selftest is hermetic: it needs only a Python interpreter. Exit 0 if
+every case behaves, 1 otherwise.
 """
 
 import os
@@ -61,7 +60,7 @@ def run_case(case):
     name, fixture, extra, want_exit, want, ban = case
     cmd = [sys.executable, LINT,
            "--root", os.path.join(FIXTURES, fixture),
-           "--src", ".", "--frontend", "textual"] + extra
+           "--src", "."] + extra
     proc = subprocess.run(cmd, capture_output=True, text=True)
     out = proc.stdout + proc.stderr
     problems = []
