@@ -45,7 +45,7 @@ int main() {
     // Vertex 0: true degree 23; link count = sum of parallel links.
     int links = 0;
     for (const int u : cg.h().neighbors(0)) {
-      links += static_cast<int>(cg.links(0, u).size());
+      links += cg.link_count(0, u);
     }
     bench::row({bench::fmt(lpe), bench::fmt(cg.h().degree(0)),
                 bench::fmt(links),

@@ -117,10 +117,10 @@ class Problem {
   }
   // A plain finalized conflict graph; solve() wraps it in a singleton
   // layout (H = G, the CONGEST case). Every call pays for the wrap: one
-  // copy of the graph (CSR, upper-row offsets, bitset rows), one cluster
-  // per vertex and one link per edge in flat arrays, O(n + m) time and
-  // about 16 more bytes per edge. Serving loops that revisit one instance
-  // should build the cluster graph once and pass Problem::cluster instead.
+  // copy of the graph (CSR and its two offset arrays) and one cluster per
+  // vertex, O(n + m) time; the singleton stores no links. Serving loops
+  // that revisit one instance should build the cluster graph once and
+  // pass Problem::cluster instead.
   static Problem graph(const graph::Graph& g) {
     Problem p(Kind::kGraph);
     p.g_ = &g;

@@ -9,7 +9,6 @@
 #include "common/bits.hpp"
 #include "common/mathutil.hpp"
 #include "exec/parallel_round.hpp"
-#include "graph/stats.hpp"
 #include "sketch/approx_count.hpp"
 
 namespace ccg::acd {

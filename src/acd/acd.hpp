@@ -6,7 +6,8 @@
 //   1. estimate degrees d̂(v); low-degree vertices answer No on all edges;
 //   2. for surviving edges, estimate F ≈ |N(u) ∪ N(v)| from the union of
 //      neighborhood fingerprints; an edge is a *buddy edge* when
-//      F <= (1 + 1.5 xi') Delta (Lemma 5.8's xi-buddy predicate);
+//      F <= (1 + xi) Delta (Lemma 5.8's xi-buddy predicate, with the single
+//      slack xi of AcdParams in place of the paper's cascaded xi');
 //   3. count per-vertex buddy degrees (fingerprints again); vertices with
 //      >= (1 - 2 xi) Delta buddy edges are dense candidates;
 //   4. almost-cliques = connected components of the buddy graph restricted

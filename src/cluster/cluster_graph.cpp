@@ -1,7 +1,6 @@
 #include "cluster/cluster_graph.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <queue>
 
 #include "common/mathutil.hpp"
@@ -63,16 +62,29 @@ void finish_cluster(Cluster& c) {
   c.diameter = farthest(far_node).second;
 }
 
+// H's edge slot of H-edge {u, v}; a non-edge has no links.
+std::size_t link_slot(const graph::Graph& h, int u, int v) {
+  const std::int64_t e = h.edge_slot(u, v);
+  CCG_CHECK_MSG(e >= 0, "no links for H-edge " << u << "," << v);
+  return static_cast<std::size_t>(e);
+}
+
 }  // namespace
 
-std::span<const std::pair<int, int>> ClusterGraph::links(int u,
-                                                         int v) const {
-  const std::int64_t e = h_.edge_slot(u, v);
-  CCG_CHECK_MSG(e >= 0, "no links for H-edge " << u << "," << v);
-  const auto b = link_off_[static_cast<std::size_t>(e)];
-  return {link_pairs_.data() + b,
-          static_cast<std::size_t>(link_off_[static_cast<std::size_t>(e) + 1] -
-                                   b)};
+int ClusterGraph::link_count(int u, int v) const {
+  const std::size_t e = link_slot(h_, u, v);
+  if (!machines_) return 1;
+  return static_cast<int>(link_off_[e + 1] - link_off_[e]);
+}
+
+std::pair<int, int> ClusterGraph::link(int u, int v, int i) const {
+  const std::size_t e = link_slot(h_, u, v);
+  if (!machines_) {
+    CCG_CHECK(i == 0);
+    return {std::min(u, v), std::max(u, v)};
+  }
+  CCG_CHECK(i >= 0 && i < link_off_[e + 1] - link_off_[e]);
+  return link_pairs_[static_cast<std::size_t>(link_off_[e] + i)];
 }
 
 std::size_t ClusterGraph::heap_bytes() const {
@@ -107,16 +119,6 @@ ClusterGraph ClusterGraph::singleton(graph::Graph h) {
     c.members = {v};
     c.parent = {-1};
     finish_cluster(c);
-  }
-  // One link per H-edge slot: the edge itself.
-  const auto m = static_cast<std::size_t>(cg.h_.m());
-  cg.link_off_.resize(m + 1);
-  std::iota(cg.link_off_.begin(), cg.link_off_.end(), std::int64_t{0});
-  cg.link_pairs_.reserve(m);
-  for (int u = 0; u < n; ++u) {
-    for (const int v : cg.h_.upper_neighbors(u)) {
-      cg.link_pairs_.emplace_back(u, v);
-    }
   }
   cg.dilation_ = 0;
   cg.max_height_ = 0;

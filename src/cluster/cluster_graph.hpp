@@ -8,7 +8,8 @@
 //
 // Three constructions are provided:
 //  * singleton  — every machine is its own cluster: H = G, the CONGEST case
-//                 (one copy of the graph serves as both H and G).
+//                 (one copy of the graph serves as both H and G, and each
+//                 H-edge is its own link, so no link table is stored).
 //  * expand     — start from the conflict graph H and *build* G by blowing
 //                 every vertex up into a cluster of a chosen shape. This is
 //                 the controlled direction used by benches; the BridgePath
@@ -21,7 +22,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -88,18 +88,22 @@ class ClusterGraph {
 
   // G-links realizing H-edge {u, v} (either argument order) as machine
   // pairs, normalized so that pair.first lives in the lower-id cluster of
-  // {u, v}. Non-empty for every H-edge; may contain many parallel links.
-  // Order: singleton has the one link (u, v); expand lists its distinct
-  // draws ascending by (first, second); from_partition lists them in G's
-  // edges() order. The span stays valid while this ClusterGraph lives.
-  // Throws ContractViolation when {u, v} is not an H-edge.
-  std::span<const std::pair<int, int>> links(int u, int v) const;
+  // {u, v}: link_count(u, v) >= 1 of them (parallel links allowed), and
+  // link(u, v, i) is the i-th, 0 <= i < link_count(u, v). Order: a
+  // singleton's one link is (min(u, v), max(u, v)), computed rather than
+  // stored; expand lists its distinct draws ascending by (first, second);
+  // from_partition lists them in G's edges() order. Both throw
+  // ContractViolation when {u, v} is not an H-edge, and link() also when i
+  // is out of range.
+  int link_count(int u, int v) const;
+  std::pair<int, int> link(int u, int v, int i) const;
 
   // Default per-link bandwidth B = beta * ceil(log2 n_machines).
   int default_bandwidth(int beta = 4) const;
 
   // Heap bytes held: H, the machine graph when it is not H, the clusters,
-  // the machine-to-cluster map and the link arrays (vector capacities).
+  // the machine-to-cluster map and the link arrays (vector capacities; a
+  // singleton's link arrays are empty).
   std::size_t heap_bytes() const;
 
  private:
@@ -109,7 +113,7 @@ class ClusterGraph {
   std::vector<Cluster> clusters_;
   // Links as CSR over H's edge slots (graph::Graph::edge_slot): slot e owns
   // link_pairs_[link_off_[e], link_off_[e + 1]); link_off_ has m + 1
-  // entries.
+  // entries. Both are empty for a singleton, whose links are H's edges.
   std::vector<std::int64_t> link_off_;
   std::vector<std::pair<int, int>> link_pairs_;
   int dilation_ = 0;

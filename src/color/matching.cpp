@@ -102,9 +102,11 @@ void colorful_matching_run(State& st, const std::vector<int>& clique_ids,
     // color, keep a maximal pairwise-non-adjacent even-size subset of the
     // same-color survivors; they all adopt the color (used >= twice =>
     // every adopted vertex provides reuse slack). Buckets materialize by
-    // sorting a clique's (color, vertex) pairs. A clique's commit touches
-    // only its own members and its own palette, so the cliques commit
-    // independently and the result is the same for any shard split.
+    // sorting a clique's (color, vertex) pairs. Two members of K are
+    // non-adjacent exactly when one lies in the other's anti row. A
+    // clique's commit touches only its own members and its own palette, so
+    // the cliques commit independently and the result is the same for any
+    // shard split.
     const auto live = static_cast<std::int64_t>(seg.size()) - 1;
     par.shards(live, [&](int w, std::int64_t b, std::int64_t e) {
       auto& keyed = st.wscratch.at(w).keyed;
@@ -128,13 +130,11 @@ void colorful_matching_run(State& st, const std::vector<int>& clique_ids,
             chosen.clear();
             for (std::size_t i = lo; i < hi; ++i) {
               const int v = keyed[i].second;
-              bool ok = true;
-              for (const int u : chosen) {
-                if (h.has_edge(v, u)) {
-                  ok = false;
-                  break;
-                }
-              }
+              const auto anti = info.anti(v);
+              const bool ok =
+                  std::all_of(chosen.begin(), chosen.end(), [&](int u) {
+                    return std::binary_search(anti.begin(), anti.end(), u);
+                  });
               if (ok) chosen.push_back(v);
             }
             if (chosen.size() % 2 == 1) chosen.pop_back();

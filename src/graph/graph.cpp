@@ -59,49 +59,7 @@ void Graph::finalize() {
     CCG_CHECK_MSG(std::adjacent_find(b, e) == e,
                   "duplicate edge at vertex " << v);
   }
-  // CSR arrays are complete; flip the flag before building the bitsets,
-  // which read back through degree()/neighbors().
   finalized_ = true;
-  build_bitsets();
-}
-
-void Graph::build_bitsets() {
-  bitset_row_.clear();
-  bits_.clear();
-  words_per_row_ = (static_cast<std::int64_t>(n_) + 63) / 64;
-  if (n_ == 0 || words_per_row_ == 0) return;
-  const std::int64_t max_rows =
-      kBitsetMemoryCapBytes / (8 * words_per_row_);
-  if (max_rows == 0) return;
-
-  std::vector<int> candidates;
-  for (int v = 0; v < n_; ++v) {
-    if (degree(v) >= kBitsetMinDegree) candidates.push_back(v);
-  }
-  if (candidates.empty()) return;
-  if (static_cast<std::int64_t>(candidates.size()) > max_rows) {
-    // Densest rows first; ties by id for determinism.
-    std::sort(candidates.begin(), candidates.end(), [this](int a, int b) {
-      const int da = degree(a), db = degree(b);
-      return da != db ? da > db : a < b;
-    });
-    candidates.resize(static_cast<std::size_t>(max_rows));
-  }
-
-  bitset_row_.assign(static_cast<std::size_t>(n_), -1);
-  bits_.assign(static_cast<std::size_t>(candidates.size()) *
-                   static_cast<std::size_t>(words_per_row_),
-               0);
-  for (std::size_t row = 0; row < candidates.size(); ++row) {
-    const int v = candidates[row];
-    bitset_row_[static_cast<std::size_t>(v)] =
-        static_cast<std::int32_t>(row);
-    auto* words = bits_.data() + row * static_cast<std::size_t>(words_per_row_);
-    for (const std::int32_t u : neighbors(v)) {
-      words[static_cast<std::size_t>(u) >> 6] |=
-          1ull << (static_cast<unsigned>(u) & 63);
-    }
-  }
 }
 
 std::int64_t Graph::edge_slot(int u, int v) const {
@@ -115,8 +73,6 @@ std::int64_t Graph::edge_slot(int u, int v) const {
 
 bool Graph::has_edge(int u, int v) const {
   CCG_CHECK(finalized_);
-  if (has_bitset_row(u)) return bitset_test(u, v);
-  if (has_bitset_row(v)) return bitset_test(v, u);
   const auto a = neighbors(u);
   const auto b = neighbors(v);
   const auto& small = a.size() <= b.size() ? a : b;
@@ -174,8 +130,7 @@ std::vector<std::pair<int, int>> Graph::edges() const {
 
 std::size_t Graph::heap_bytes() const {
   return capacity_bytes(pending_) + capacity_bytes(offsets_) +
-         capacity_bytes(upper_off_) + capacity_bytes(csr_) +
-         capacity_bytes(bitset_row_) + capacity_bytes(bits_);
+         capacity_bytes(upper_off_) + capacity_bytes(csr_);
 }
 
 std::pair<Graph, std::vector<int>> Graph::induced_subgraph(

@@ -5,9 +5,9 @@
 // buffer during the build phase; finalize() packs them into one flat
 // int32 neighbor array plus an offsets array (sorted per row, duplicates
 // and self-loops rejected) and locks the structure. All queries run on the
-// flat arrays: neighbors(v) is a contiguous span, has_edge is O(1) via a
-// per-row adjacency bitset for dense rows (almost-clique regime) and
-// O(log deg) binary search otherwise.
+// flat arrays: neighbors(v) is a contiguous span and has_edge is an
+// O(log deg) binary search of the smaller row. Beyond the CSR the graph
+// holds only its two (n + 1)-entry offset arrays.
 #pragma once
 
 #include <cstddef>
@@ -84,24 +84,8 @@ class Graph {
   // in edges(); -1 when u and v are not adjacent. A binary search of the
   // lower endpoint's upper row.
   std::int64_t edge_slot(int u, int v) const;
+  // Binary search of the smaller of the two rows: O(log deg).
   bool has_edge(int u, int v) const;
-
-  // True iff v's row carries the O(1) adjacency bitset.
-  bool has_bitset_row(int v) const {
-    return !bitset_row_.empty() &&
-           bitset_row_[static_cast<std::size_t>(v)] >= 0;
-  }
-  // O(1) membership test against v's bitset row; only valid when
-  // has_bitset_row(v).
-  bool bitset_test(int v, int u) const {
-    const auto* words =
-        bits_.data() + static_cast<std::size_t>(
-                           bitset_row_[static_cast<std::size_t>(v)]) *
-                           static_cast<std::size_t>(words_per_row_);
-    return (words[static_cast<std::size_t>(u) >> 6] >>
-            (static_cast<unsigned>(u) & 63)) &
-           1u;
-  }
 
   int max_degree() const;
   bool is_connected() const;
@@ -117,19 +101,11 @@ class Graph {
   std::pair<Graph, std::vector<int>> induced_subgraph(
       const std::vector<int>& keep) const;
 
-  // Heap bytes held (vector capacities: staging buffer, CSR, upper-row
-  // offsets and bitset rows).
+  // Heap bytes held (vector capacities: staging buffer, CSR and the two
+  // offset arrays).
   std::size_t heap_bytes() const;
 
  private:
-  void build_bitsets();
-
-  // Rows at least this dense get an adjacency bitset, subject to the
-  // memory cap below (densest rows win). 64 covers the almost-clique
-  // regime (degree ~ Delta) that matching.cpp hammers with has_edge.
-  static constexpr int kBitsetMinDegree = 64;
-  static constexpr std::int64_t kBitsetMemoryCapBytes = 32ll << 20;
-
   int n_ = 0;
   std::int64_t m_ = 0;
   bool finalized_ = false;
@@ -144,12 +120,6 @@ class Graph {
   std::vector<std::int64_t> offsets_{0};
   std::vector<std::int64_t> upper_off_{0};
   std::vector<std::int32_t> csr_;
-
-  // O(1) has_edge fast path: bitset_row_[v] indexes a words_per_row_-wide
-  // slice of bits_, or -1 when v has no bitset row.
-  std::vector<std::int32_t> bitset_row_;
-  std::vector<std::uint64_t> bits_;
-  std::int64_t words_per_row_ = 0;
 };
 
 }  // namespace ccg::graph

@@ -5,19 +5,6 @@
 namespace ccg::graph {
 
 int common_neighbors(const Graph& g, int u, int v) {
-  // O(scanned deg) via the adjacency bitset when either row carries one;
-  // scan the smaller row whenever both do.
-  if (g.has_bitset_row(u) || g.has_bitset_row(v)) {
-    const bool probe_u = g.has_bitset_row(u) &&
-                         (!g.has_bitset_row(v) || g.degree(v) <= g.degree(u));
-    const int probe = probe_u ? u : v;
-    const int scan = probe_u ? v : u;
-    int count = 0;
-    for (const int w : g.neighbors(scan)) {
-      count += g.bitset_test(probe, w);
-    }
-    return count;
-  }
   const auto a = g.neighbors(u);
   const auto b = g.neighbors(v);
   int count = 0;

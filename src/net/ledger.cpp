@@ -7,9 +7,9 @@
 
 namespace ccg::net {
 
-void Ledger::accrue(PhaseCost& pc, std::int64_t h, std::int64_t g,
-                    int msg_bits, int link_round_bits) {
-  pc.h_rounds += h;
+void Ledger::accrue(PhaseCost& pc, std::int64_t g, int msg_bits,
+                    int link_round_bits) {
+  ++pc.h_rounds;
   pc.g_rounds += g;
   pc.max_message_bits = std::max(pc.max_message_bits, msg_bits);
   pc.max_bits_per_link_round =
@@ -33,20 +33,8 @@ void Ledger::charge(int depth, int message_bits) {
       message_bits == 0 ? 1 : ceil_div(message_bits, bandwidth_);
   const std::int64_t g = static_cast<std::int64_t>(depth) * chunks;
   const int link_round_bits = std::min(message_bits, bandwidth_);
-  accrue(totals_, 1, g, message_bits, link_round_bits);
-  for (auto& pc : open_phases_) {
-    accrue(pc, 1, g, message_bits, link_round_bits);
-  }
-}
-
-void Ledger::charge_repeat(int times, int depth, int message_bits) {
-  for (int i = 0; i < times; ++i) charge(depth, message_bits);
-}
-
-void Ledger::charge_g_only(std::int64_t g_rounds) {
-  CCG_CHECK(g_rounds >= 0);
-  accrue(totals_, 0, g_rounds, 0, 0);
-  for (auto& pc : open_phases_) accrue(pc, 0, g_rounds, 0, 0);
+  accrue(totals_, g, message_bits, link_round_bits);
+  for (auto& pc : open_phases_) accrue(pc, g, message_bits, link_round_bits);
 }
 
 void Ledger::begin_phase(const std::string& name) {

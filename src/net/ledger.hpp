@@ -55,13 +55,6 @@ class Ledger {
   // message_bits = largest per-link logical message.
   void charge(int depth, int message_bits);
 
-  // Charge k extra H-rounds with the same shape (convenience for loops that
-  // repeat an identical epoch).
-  void charge_repeat(int times, int depth, int message_bits);
-
-  // Charge raw G-rounds without an H-round (machine-local steps).
-  void charge_g_only(std::int64_t g_rounds);
-
   // Phase bookkeeping. Phases may nest; costs accrue to every open phase.
   void begin_phase(const std::string& name);
   void end_phase();
@@ -79,7 +72,8 @@ class Ledger {
   std::string report() const;
 
  private:
-  void accrue(PhaseCost& pc, std::int64_t h, std::int64_t g, int msg_bits,
+  // Adds one H-round of g G-rounds to pc.
+  void accrue(PhaseCost& pc, std::int64_t g, int msg_bits,
               int link_round_bits);
 
   int bandwidth_;

@@ -66,8 +66,8 @@ Fingerprint measured_tree_aggregate(
 
 // The G-side machine of the designated link for H-edge {v, u} on v's side.
 int designated_machine(const cluster::ClusterGraph& cg, int v, int u) {
-  const auto& link = cg.links(v, u).front();
-  return v < u ? link.first : link.second;
+  const auto [lo, hi] = cg.link(v, u, 0);
+  return v < u ? lo : hi;
 }
 
 }  // namespace

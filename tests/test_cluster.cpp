@@ -18,6 +18,14 @@
 namespace ccg::cluster {
 namespace {
 
+// The links of H-edge {u, v}, link(u, v, 0) through the last.
+std::vector<std::pair<int, int>> links_of(const ClusterGraph& cg, int u,
+                                          int v) {
+  std::vector<std::pair<int, int>> out;
+  for (int i = 0; i < cg.link_count(u, v); ++i) out.push_back(cg.link(u, v, i));
+  return out;
+}
+
 TEST(ClusterGraph, SingletonIsCongest) {
   auto h = graph::cycle(6);
   const auto cg = ClusterGraph::singleton(h);
@@ -29,7 +37,7 @@ TEST(ClusterGraph, SingletonIsCongest) {
     EXPECT_EQ(cg.cluster(v).size(), 1);
     EXPECT_EQ(cg.cluster(v).leader(), v);
   }
-  EXPECT_EQ(cg.links(0, 1).size(), 1u);
+  EXPECT_EQ(cg.link_count(0, 1), 1);
 }
 
 class ExpandShapes : public ::testing::TestWithParam<ClusterShape> {};
@@ -65,7 +73,7 @@ TEST_P(ExpandShapes, StructureInvariants) {
   // Every H-edge has >= 1 link; endpoints in right clusters (first in the
   // lower-id cluster).
   for (const auto& [u, v] : h.edges()) {
-    const auto& links = cg.links(u, v);
+    const auto links = links_of(cg, u, v);
     EXPECT_GE(links.size(), 1u);
     EXPECT_LE(links.size(), 2u);
     for (const auto& [mu, mv] : links) {
@@ -99,8 +107,8 @@ reference_links(const ClusterGraph& cg) {
   return ref;
 }
 
-// links(u, v) and links(v, u) equal the reference element by element on
-// every H-edge, and edge_slot numbers the H-edges in edges() order.
+// The links of (u, v) and of (v, u) equal the reference element by element
+// on every H-edge, and edge_slot numbers the H-edges in edges() order.
 void expect_links_match_reference(const ClusterGraph& cg,
                                   const std::string& label) {
   const auto ref = reference_links(cg);
@@ -111,10 +119,10 @@ void expect_links_match_reference(const ClusterGraph& cg,
     EXPECT_EQ(cg.h().edge_slot(u, v), static_cast<std::int64_t>(i)) << label;
     EXPECT_EQ(cg.h().edge_slot(v, u), static_cast<std::int64_t>(i)) << label;
     const auto& want = ref.at({u, v});
-    for (const auto got : {cg.links(u, v), cg.links(v, u)}) {
-      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
-          << label << ": H-edge " << u << "," << v;
-    }
+    EXPECT_EQ(links_of(cg, u, v), want) << label << ": H-edge " << u << ","
+                                        << v;
+    EXPECT_EQ(links_of(cg, v, u), want) << label << ": H-edge " << v << ","
+                                        << u;
   }
 }
 
@@ -148,11 +156,32 @@ TEST(ClusterGraphLinks, MatchThePerEdgeListReference) {
 
 TEST(ClusterGraphLinks, NonEdgeIsContractViolation) {
   const auto cg = ClusterGraph::singleton(graph::path(4));
-  EXPECT_EQ(cg.links(2, 1).size(), 1u);
-  EXPECT_THROW(cg.links(0, 2), ContractViolation);
-  EXPECT_THROW(cg.links(1, 1), ContractViolation);
-  EXPECT_THROW(cg.links(3, 4), ContractViolation);
+  EXPECT_EQ(cg.link_count(2, 1), 1);
+  for (const auto& [u, v] :
+       std::vector<std::pair<int, int>>{{0, 2}, {1, 1}, {3, 4}}) {
+    EXPECT_THROW(cg.link_count(u, v), ContractViolation) << u << "," << v;
+    EXPECT_THROW(cg.link(u, v, 0), ContractViolation) << u << "," << v;
+  }
+  EXPECT_THROW(cg.link(2, 1, 1), ContractViolation);
   EXPECT_EQ(cg.h().edge_slot(0, 2), -1);
+}
+
+// A singleton's one link is the H-edge itself, (min, max) in either
+// argument order, and it stores no per-edge link table: beyond H it holds
+// only O(n) bytes (its clusters and the machine-to-cluster map).
+TEST(ClusterGraphLinks, SingletonComputesItsLinks) {
+  Rng rng(8);
+  const auto h = graph::gnm(400, 12000, rng);
+  const auto cg = ClusterGraph::singleton(h);
+  for (const auto& [u, v] : h.edges()) {  // u < v
+    EXPECT_EQ(cg.link(u, v, 0), std::pair(u, v));
+    EXPECT_EQ(cg.link(v, u, 0), std::pair(u, v));
+  }
+  const auto n = static_cast<std::size_t>(h.n());
+  const std::size_t per_vertex =
+      sizeof(int) + sizeof(Cluster) + 3 * sizeof(int);
+  ASSERT_GE(cg.heap_bytes(), h.heap_bytes());
+  EXPECT_LE(cg.heap_bytes() - h.heap_bytes(), n * per_vertex);
 }
 
 TEST(ClusterGraph, SingletonKeepsOneCopyOfH) {

@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -151,23 +153,42 @@ TEST(Graph, HasEdgeMatchesBruteForce) {
   }
 }
 
-TEST(Graph, BitsetRowsCoverDenseVertices) {
-  // A clique row is far above the bitset threshold; the O(1) path must be
-  // active there and agree with membership.
-  const auto g = complete(80);
-  for (int v = 0; v < g.n(); ++v) {
-    ASSERT_TRUE(g.has_bitset_row(v));
-    for (int u = 0; u < g.n(); ++u) {
-      EXPECT_EQ(g.bitset_test(v, u), u != v);
+TEST(Graph, HasEdgeAgreesWithMembership) {
+  // Dense rows (a clique) and sparse rows (a path) answer from the same
+  // binary search of the smaller CSR row.
+  const auto clique = complete(80);
+  for (int v = 0; v < clique.n(); ++v) {
+    for (int u = 0; u < clique.n(); ++u) {
+      EXPECT_EQ(clique.has_edge(v, u), u != v) << v << " " << u;
     }
   }
-  // A sparse graph gets no bitset rows; queries still work.
-  Graph path(100);
-  for (int v = 0; v + 1 < 100; ++v) path.add_edge(v, v + 1);
-  path.finalize();
-  EXPECT_FALSE(path.has_bitset_row(0));
-  EXPECT_TRUE(path.has_edge(3, 4));
-  EXPECT_FALSE(path.has_edge(3, 5));
+  const auto line = path(100);
+  for (int v = 0; v < line.n(); ++v) {
+    for (int u = 0; u < line.n(); ++u) {
+      EXPECT_EQ(line.has_edge(v, u), u == v - 1 || u == v + 1)
+          << v << " " << u;
+    }
+  }
+}
+
+TEST(Graph, HeapBytesAreTheCsrAndOffsetsPlusLinear) {
+  // A planted Delta = 128 graph, whose block rows are all dense. It may
+  // hold its CSR, the two (n + 1)-entry offset arrays and at most one more
+  // word per vertex; an n-bit adjacency row per dense vertex (n / 8 bytes
+  // each) would exceed that slack several times over.
+  Rng rng(11);
+  PlantedSpec spec;
+  spec.delta = 128;
+  spec.num_cliques = 4;
+  spec.anti_deg = 2;
+  spec.external_deg = 8;
+  const auto g = make_planted_acd(spec, rng).g;
+  const auto n = static_cast<std::size_t>(g.n());
+  ASSERT_GE(g.max_degree(), 100);
+  const std::size_t csr =
+      static_cast<std::size_t>(2 * g.m()) * sizeof(std::int32_t);
+  const std::size_t offsets = 2 * (n + 1) * sizeof(std::int64_t);
+  EXPECT_LE(g.heap_bytes(), csr + offsets + n * sizeof(std::int64_t));
 }
 
 TEST(Graph, InducedSubgraphIdRemapInvariants) {

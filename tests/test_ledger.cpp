@@ -54,20 +54,6 @@ TEST(Ledger, EndPhaseWithoutBeginThrows) {
   EXPECT_THROW(ledger.end_phase(), ContractViolation);
 }
 
-TEST(Ledger, ChargeRepeat) {
-  Ledger ledger(32);
-  ledger.charge_repeat(5, 2, 16);
-  EXPECT_EQ(ledger.h_rounds(), 5);
-  EXPECT_EQ(ledger.g_rounds(), 10);
-}
-
-TEST(Ledger, GOnly) {
-  Ledger ledger(32);
-  ledger.charge_g_only(7);
-  EXPECT_EQ(ledger.h_rounds(), 0);
-  EXPECT_EQ(ledger.g_rounds(), 7);
-}
-
 TEST(Ledger, ChunkBoundaryExactlyBandwidthIsOneChunk) {
   // message_bits == B must charge exactly one chunk per depth unit: the
   // off-by-one regression this guards is ceil(B/B) accidentally becoming 2.

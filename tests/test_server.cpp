@@ -226,18 +226,21 @@ TEST(ServerCache, SingleFlightBuildsOnce) {
   EXPECT_GE(s.misses, 1u);
 }
 
-// What an instance must at least be charged: the CSR of H, the CSR of the
-// machine graph when it is not H, and the links (one offset per H-edge and
-// one 8-byte machine pair per G-link).
+// What an instance must at least be charged: the CSR of H and, when the
+// machine graph is not H, its CSR and the links (one offset per H-edge and
+// one 8-byte machine pair per G-link). A singleton stores no links: its
+// links are H's edges.
 std::size_t cluster_graph_floor(const cluster::ClusterGraph& cg) {
   const auto csr = [](const graph::Graph& g) {
     return static_cast<std::size_t>(2 * g.m()) * sizeof(std::int32_t);
   };
-  std::size_t b = csr(cg.h()) +
-                  static_cast<std::size_t>(cg.h().m()) * sizeof(std::int64_t);
-  if (&cg.machines() != &cg.h()) b += csr(cg.machines());
+  std::size_t b = csr(cg.h());
+  if (&cg.machines() == &cg.h()) return b;
+  b += csr(cg.machines()) +
+       static_cast<std::size_t>(cg.h().m()) * sizeof(std::int64_t);
   for (const auto& [u, v] : cg.h().edges()) {
-    b += cg.links(u, v).size() * sizeof(std::pair<int, int>);
+    b += static_cast<std::size_t>(cg.link_count(u, v)) *
+         sizeof(std::pair<int, int>);
   }
   return b;
 }
