@@ -47,9 +47,11 @@ int main() {
     const int d = 4096;
     const int bandwidth = 4 * 13;
     for (const int t : {128, 512, 2048}) {
-      sketch::Fingerprint fp = sketch::empty_fingerprint(t);
+      sketch::Fingerprint fp, x;
+      sketch::reset_empty(t, &fp);
       for (int j = 0; j < d; ++j) {
-        sketch::combine_into(fp, sketch::sample_fingerprint(t, rng));
+        sketch::sample_fingerprint_into(t, rng, &x);
+        sketch::combine_into(fp, x);
       }
       const int cb = sketch::encoded_bits(fp);
       const int nb = sketch::naive_encoded_bits(fp);

@@ -80,7 +80,10 @@ int main() {
     params.eps = 0.2;
     params.t = t;
     Rng run_rng(1000 + t);
-    const auto res = acd::compute_acd(rt, params, run_rng);
+    StreamCtx streams(run_rng.next_u64());
+    acd::AcdScratch scratch;
+    acd::AcdResult res;
+    acd::compute_acd(rt, params, streams, &res, &scratch);
     const auto q = compare(planted, res);
     bench::row({bench::fmt(t), bench::fmt(q.dense_recall, 3),
                 bench::fmt(q.sparse_precision, 3),
@@ -100,7 +103,10 @@ int main() {
     params.eps = eps;
     params.t = 4096;
     Rng run_rng(2000);
-    const auto res = acd::compute_acd(rt, params, run_rng);
+    StreamCtx streams(run_rng.next_u64());
+    acd::AcdScratch scratch;
+    acd::AcdResult res;
+    acd::compute_acd(rt, params, streams, &res, &scratch);
     const auto q = compare(planted, res);
     bench::row({bench::fmt(eps, 2), bench::fmt(q.dense_recall, 3),
                 bench::fmt(ledger.h_rounds())});

@@ -36,9 +36,9 @@ int main() {
         auto params = bench::bench_params(planted.g.n(), 7);
         color::State st(rt, params);
         color::build_dense_context(st);
-        const auto achieved = color::colorful_matching(
-            st, {0}, [&](int) { return 4 * anti; });
-        std_m = achieved[0];
+        color::colorful_matching_run(st, {0},
+                                     [&](int) { return 4 * anti; });
+        std_m = st.palettes[0].repeats();
       }
       // Fingerprint matching (Algorithm 7).
       int fp_m = 0;
@@ -51,7 +51,9 @@ int main() {
         auto params = bench::bench_params(planted.g.n(), 8);
         color::State st(rt, params);
         color::build_dense_context(st);
-        const auto pairs = color::fingerprint_matching(st, 0);
+        std::vector<std::pair<int, int>> pairs;
+        color::fingerprint_matching_into(st, 0, nullptr, /*charge=*/true,
+                                         &pairs);
         fp_m = static_cast<int>(pairs.size());
         h_rounds = ledger.h_rounds();
         // Coverage: a_v <= M_K for the fraction Prop 4.15 demands.

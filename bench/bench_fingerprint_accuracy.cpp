@@ -25,9 +25,11 @@ int main() {
         double err_sum = 0;
         int hits = 0;
         for (int rep = 0; rep < reps; ++rep) {
-          sketch::Fingerprint fp = sketch::empty_fingerprint(t);
+          sketch::Fingerprint fp, x;
+          sketch::reset_empty(t, &fp);
           for (int j = 0; j < d; ++j) {
-            sketch::combine_into(fp, sketch::sample_fingerprint(t, rng));
+            sketch::sample_fingerprint_into(t, rng, &x);
+            sketch::combine_into(fp, x);
           }
           const double est = sketch::estimate_count(fp);
           const double rel = std::abs(est - d) / d;

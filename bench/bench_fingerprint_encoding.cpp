@@ -24,9 +24,11 @@ int main() {
       double codec = 0, naive = 0;
       int dev_ok = 0;
       for (int rep = 0; rep < reps; ++rep) {
-        sketch::Fingerprint fp = sketch::empty_fingerprint(t);
+        sketch::Fingerprint fp, x;
+        sketch::reset_empty(t, &fp);
         for (int j = 0; j < d; ++j) {
-          sketch::combine_into(fp, sketch::sample_fingerprint(t, rng));
+          sketch::sample_fingerprint_into(t, rng, &x);
+          sketch::combine_into(fp, x);
         }
         codec += sketch::encoded_bits(fp);
         naive += sketch::naive_encoded_bits(fp);
@@ -51,14 +53,16 @@ int main() {
     const int d = 4096;
     // Split d variables over 8 machines; aggregate down a chain measuring
     // each hop's message.
-    std::vector<sketch::Fingerprint> partial(
-        8, sketch::empty_fingerprint(t));
+    std::vector<sketch::Fingerprint> partial(8);
+    for (auto& p : partial) sketch::reset_empty(t, &p);
+    sketch::Fingerprint x;
     for (int j = 0; j < d; ++j) {
-      sketch::combine_into(partial[static_cast<std::size_t>(j % 8)],
-                           sketch::sample_fingerprint(t, rng2));
+      sketch::sample_fingerprint_into(t, rng2, &x);
+      sketch::combine_into(partial[static_cast<std::size_t>(j % 8)], x);
     }
     bench::row({"hop", "bits", "bits/t"});
-    sketch::Fingerprint acc = sketch::empty_fingerprint(t);
+    sketch::Fingerprint acc;
+    sketch::reset_empty(t, &acc);
     for (int i = 0; i < 8; ++i) {
       sketch::combine_into(acc, partial[static_cast<std::size_t>(i)]);
       const int bits = sketch::encoded_bits(acc);

@@ -24,8 +24,9 @@ BENCHMARK(BM_GeometricHalf);
 static void BM_FingerprintCombine(benchmark::State& state) {
   const int t = static_cast<int>(state.range(0));
   Rng rng(2);
-  auto a = sketch::sample_fingerprint(t, rng);
-  const auto b = sketch::sample_fingerprint(t, rng);
+  sketch::Fingerprint a, b;
+  sketch::sample_fingerprint_into(t, rng, &a);
+  sketch::sample_fingerprint_into(t, rng, &b);
   for (auto _ : state) {
     sketch::combine_into(a, b);
     benchmark::DoNotOptimize(a);
@@ -37,9 +38,11 @@ BENCHMARK(BM_FingerprintCombine)->Arg(64)->Arg(256)->Arg(1024);
 static void BM_FingerprintEncode(benchmark::State& state) {
   const int t = static_cast<int>(state.range(0));
   Rng rng(3);
-  sketch::Fingerprint fp = sketch::empty_fingerprint(t);
+  sketch::Fingerprint fp, x;
+  sketch::reset_empty(t, &fp);
   for (int j = 0; j < 1000; ++j) {
-    sketch::combine_into(fp, sketch::sample_fingerprint(t, rng));
+    sketch::sample_fingerprint_into(t, rng, &x);
+    sketch::combine_into(fp, x);
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(sketch::encoded_bits(fp));
@@ -50,9 +53,11 @@ BENCHMARK(BM_FingerprintEncode)->Arg(64)->Arg(256)->Arg(1024);
 static void BM_FingerprintEstimate(benchmark::State& state) {
   const int t = static_cast<int>(state.range(0));
   Rng rng(4);
-  sketch::Fingerprint fp = sketch::empty_fingerprint(t);
+  sketch::Fingerprint fp, x;
+  sketch::reset_empty(t, &fp);
   for (int j = 0; j < 1000; ++j) {
-    sketch::combine_into(fp, sketch::sample_fingerprint(t, rng));
+    sketch::sample_fingerprint_into(t, rng, &x);
+    sketch::combine_into(fp, x);
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(sketch::estimate_count(fp));

@@ -46,20 +46,26 @@ Outcome drive(int delta, int anti, double ls_factor,
 
   // Matching + SCT + reserved MCT drive each cabal to the Prop 4.19
   // precondition: only the put-aside sets uncolored.
+  std::vector<std::pair<int, int>> pairs;
   for (const int k : cabals) {
-    const auto pairs = color::fingerprint_matching(st, k);
+    pairs.clear();
+    color::fingerprint_matching_into(st, k, nullptr, /*charge=*/true,
+                                     &pairs);
     if (!pairs.empty()) color::color_anti_matching(st, pairs);
   }
   const int r = std::max(4, static_cast<int>(st.dc.ell));
-  const auto put = color::compute_putaside(st, cabals, r);
+  color::GroupLists put;
+  bool property3_ok = true;
+  color::compute_putaside(st, cabals, r, &put, &property3_ok);
   std::vector<std::vector<int>> s_of(cabals.size());
   for (std::size_t i = 0; i < cabals.size(); ++i) {
-    std::set<int> in_put(put.sets[i].begin(), put.sets[i].end());
+    const auto& set = put.at(static_cast<int>(i));
+    std::set<int> in_put(set.begin(), set.end());
     for (const int v : st.uncolored_members(cabals[i])) {
       if (!in_put.count(v)) s_of[i].push_back(v);
     }
   }
-  color::synchronized_color_trial(st, cabals, s_of);
+  color::synchronized_color_trial(st, cabals, s_of, nullptr);
   std::vector<int> leftover;
   for (const auto& s : s_of) {
     for (const int v : s) {
@@ -69,15 +75,13 @@ Outcome drive(int delta, int anti, double ls_factor,
   color::MctOptions opt;
   opt.max_rounds = 48;
   opt.slack = [&st](int v) { return std::max(1, st.dc.r_of(v) / 2); };
-  auto left = color::multicolor_trial(
-      st, leftover,
-      color::reserved_set_sampler([&st](int v) { return st.dc.r_of(v); }),
-      opt);
-  if (!left.empty()) color::fallback_finish(st, left);
+  color::multicolor_trial(st, &leftover, color::reserved_set_sampler(st),
+                          opt);
+  if (!leftover.empty()) color::fallback_finish(st, leftover);
 
   // The measured step: ColorPutAsideSets alone.
   const auto before = ledger.h_rounds();
-  const auto stats = color::color_putaside_sets(st, cabals, put.sets);
+  const auto stats = color::color_putaside_sets(st, cabals, put.view());
   cluster::check_proper_total(st.h(), st.phi.vec(), st.num_colors());
   Outcome o;
   o.h_rounds = ledger.h_rounds() - before;

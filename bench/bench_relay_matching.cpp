@@ -94,7 +94,9 @@ int main() {
     spec.external_deg = 2;
     auto f = testing::make_planted_fixture(
         spec, color::Params::defaults_for(2 * delta, 61 + delta), 67);
-    const auto pairs = color::fingerprint_matching(*f->st, 0);
+    std::vector<std::pair<int, int>> pairs;
+    color::fingerprint_matching_into(*f->st, 0, nullptr, /*charge=*/true,
+                                     &pairs);
     if (pairs.empty()) {
       bench::row({bench::fmt(delta), "0", "-", "-"});
       continue;

@@ -52,7 +52,8 @@ int main() {
                 st.dc.info.clique_size[static_cast<std::size_t>(k)]);
         s_of.push_back(std::move(unc));
       }
-      const auto res = color::synchronized_color_trial(st, ids, s_of);
+      std::vector<color::SyncTrialResult> res;
+      color::synchronized_color_trial(st, ids, s_of, &res);
       int participated = 0, colored = 0;
       for (const auto& r : res) {
         participated += r.participated;

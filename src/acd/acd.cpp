@@ -460,15 +460,6 @@ void compute_acd(cluster::Runtime& rt, const AcdParams& params,
                        "Delta; lower AcdParams::eps");
 }
 
-AcdResult compute_acd(cluster::Runtime& rt, const AcdParams& params,
-                      Rng& rng) {
-  StreamCtx streams(rng.next_u64());
-  AcdScratch scratch;
-  AcdResult res;
-  compute_acd(rt, params, streams, &res, &scratch);
-  return res;
-}
-
 bool verify_almost_cliques(const graph::Graph& h, const AcdResult& acd,
                            double eps_prime, std::string* why) {
   const int delta = h.max_degree();
@@ -621,15 +612,6 @@ void annotate_dense(cluster::Runtime& rt, const AcdResult& acd, double ell,
     info.is_cabal[static_cast<std::size_t>(k)] =
         info.avg_ext_est[static_cast<std::size_t>(k)] < ell;
   }
-}
-
-DenseInfo annotate_dense(cluster::Runtime& rt, const AcdResult& acd,
-                         double ell, int t, bool use_fingerprints,
-                         Rng& rng, exec::ParallelRound* par) {
-  StreamCtx streams(rng.next_u64());
-  DenseInfo info;
-  annotate_dense(rt, acd, ell, t, use_fingerprints, streams, par, &info);
-  return info;
 }
 
 }  // namespace ccg::acd

@@ -120,11 +120,6 @@ struct AcdScratch {
 void compute_acd(cluster::Runtime& rt, const AcdParams& params,
                  StreamCtx& streams, AcdResult* out, AcdScratch* scratch);
 
-// Convenience wrapper: fresh result, one-shot scratch, stream space seeded
-// from the caller's generator.
-AcdResult compute_acd(cluster::Runtime& rt, const AcdParams& params,
-                      Rng& rng);
-
 // Definition 4.2 checker: (2i) |K| <= (1+eps')Delta and (2ii) every v in K
 // has |N(v) ∩ K| >= (1-eps')|K|. Verified with slack factor eps' =
 // slack*eps to accommodate estimate noise (tests use slack values matching
@@ -183,19 +178,13 @@ void split_neighborhoods(const graph::Graph& h, const AcdResult& acd,
 // (Lemma 5.7), aggregates per-clique averages on clique BFS trees, and
 // classifies cabals against the threshold ell (paper: Theta(log^1.1 n)).
 // Also builds the neighborhood split; in oracle mode ẽ_v = |ext(v)|.
-// Stream-based primary form: draws (fingerprint mode only) come from
-// per-vertex counter streams, results are worker-count independent, and
-// `out` is rebound in place.
+// Draws (fingerprint mode only) come from per-vertex counter streams,
+// results are worker-count independent, and `out` is rebound in place.
 // `scratch` (optional) hosts the fingerprint-mode sampling buffers — pass
 // the compute_acd scratch so warm annotations stay allocation-free.
 void annotate_dense(cluster::Runtime& rt, const AcdResult& acd, double ell,
                     int t, bool use_fingerprints, StreamCtx& streams,
                     exec::ParallelRound* par, DenseInfo* out,
                     AcdScratch* scratch = nullptr);
-
-// Convenience wrapper (fresh DenseInfo, stream space seeded from rng).
-DenseInfo annotate_dense(cluster::Runtime& rt, const AcdResult& acd,
-                         double ell, int t, bool use_fingerprints,
-                         Rng& rng, exec::ParallelRound* par = nullptr);
 
 }  // namespace ccg::acd

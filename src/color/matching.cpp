@@ -151,18 +151,6 @@ void colorful_matching_run(State& st, const std::vector<int>& clique_ids,
   }
 }
 
-std::vector<int> colorful_matching(State& st,
-                                   const std::vector<int>& clique_ids,
-                                   const std::function<int(int)>& target) {
-  colorful_matching_run(st, clique_ids, target);
-  std::vector<int> achieved;
-  achieved.reserve(clique_ids.size());
-  for (const int k : clique_ids) {
-    achieved.push_back(st.palettes[static_cast<std::size_t>(k)].repeats());
-  }
-  return achieved;
-}
-
 namespace {
 
 // Algorithm 7's trial count k = max(8, round(kfactor * log2 n)).
@@ -406,13 +394,6 @@ void fingerprint_matching_batch(State& st, const std::vector<int>& cliques,
   st.streams.set_round(base[cliques.size()]);
 }
 
-std::vector<std::pair<int, int>> fingerprint_matching(
-    State& st, int clique_id, const std::vector<int>* subset, bool charge) {
-  std::vector<std::pair<int, int>> matching;
-  fingerprint_matching_into(st, clique_id, subset, charge, &matching);
-  return matching;
-}
-
 int color_anti_matching(State& st,
                         const std::vector<std::pair<int, int>>& pairs) {
   const auto& h = st.h();
@@ -444,8 +425,8 @@ int color_anti_matching(State& st,
        ++round) {
     const auto total = static_cast<std::int64_t>(todo.size());
     // Propose (parallel shards): every live pair draws its candidate from
-    // the pair's private counter-based stream and stamps both endpoints
-    // (the matching is vertex-disjoint, so the writes are too).
+    // the pair's private counter-based stream and stamps its index on both
+    // endpoints (the matching is vertex-disjoint, so the writes are too).
     sc.begin_round();
     st.bump_trial_round();
     par.shards(total, [&](int, std::int64_t b, std::int64_t e) {
@@ -455,8 +436,8 @@ int color_anti_matching(State& st,
         const int c = prefix + static_cast<int>(rng.next_below(
                                    static_cast<std::uint64_t>(span)));
         pair_cand[static_cast<std::size_t>(pi)] = c;
-        sc.propose_at(pairs[static_cast<std::size_t>(pi)].first, c);
-        sc.propose_at(pairs[static_cast<std::size_t>(pi)].second, c);
+        sc.propose_at(pairs[static_cast<std::size_t>(pi)].first, pi);
+        sc.propose_at(pairs[static_cast<std::size_t>(pi)].second, pi);
       }
     });
     // Verdict (parallel shards) against the frozen candidate table.
@@ -471,11 +452,17 @@ int color_anti_matching(State& st,
                   !st.phi.neighbor_uses(h, b2, c);
         if (ok) {
           // Conflicts with other pairs trying the same color: yield to the
-          // smaller minimum-endpoint id.
+          // pair with the smaller minimum endpoint.
           const int my_id = std::min(a, b2);
           for (const int endpoint : {a, b2}) {
             for (const int u : h.neighbors(endpoint)) {
-              if (sc.candidate(u) == c && u < my_id) {
+              const int qi = sc.candidate(u);
+              if (qi == TrialScratch::kNone ||
+                  pair_cand[static_cast<std::size_t>(qi)] != c) {
+                continue;
+              }
+              const auto& [qa, qb] = pairs[static_cast<std::size_t>(qi)];
+              if (std::min(qa, qb) < my_id) {
                 ok = false;
                 break;
               }
@@ -502,7 +489,9 @@ int color_anti_matching(State& st,
     st.rt->charge(3, log_bits);
     std::swap(todo, next);
   }
-  CCG_CHECK_MSG(todo.empty(), "anti-matching pairs left uncolored");
+  // Pairs still uncolored (no common free color left, or out of trials)
+  // stay uncolored for the later phases and the safety net.
+  st.retry_count += static_cast<int>(todo.size());
   return colored;
 }
 

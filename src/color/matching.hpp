@@ -5,10 +5,11 @@
 // that lets the clique palette outlast |K| > Delta + 1.
 //
 // Two algorithms, as in the paper:
-//  * colorful_matching — the sampling scheme of Lemma 4.9 (FGH+24): works
-//    w.h.p. when the average anti-degree is Omega(log n).
-//  * fingerprint_matching — Algorithm 7, the paper's novel routine for the
-//    densest cabals (a_K = O(log n)): repeated fingerprint trials locate
+//  * colorful_matching_run — the sampling scheme of Lemma 4.9 (FGH+24):
+//    works w.h.p. when the average anti-degree is Omega(log n).
+//  * fingerprint_matching_into (one clique) and fingerprint_matching_batch
+//    (many) — Algorithm 7, the paper's novel routine for the densest
+//    cabals (a_K = O(log n)): repeated fingerprint trials locate
 //    unique-maximum vertices; an anti-neighbor is sampled per trial via a
 //    min-wise hash; surviving (u_i, w_i) pairs form an anti-edge matching
 //    of size Omega(tau * â_K / eps) (Lemma 6.2).
@@ -28,13 +29,6 @@ namespace ccg::color {
 // allocation-free; read per-clique repeats off st.palettes afterwards.
 void colorful_matching_run(State& st, const std::vector<int>& clique_ids,
                            const std::function<int(int)>& target);
-
-// Convenience wrapper returning per-clique repeats achieved (aligned with
-// clique_ids); allocates the result, so the pipeline drivers call
-// colorful_matching_run instead.
-std::vector<int> colorful_matching(State& st,
-                                   const std::vector<int>& clique_ids,
-                                   const std::function<int(int)>& target);
 
 // Algorithm 7 on one cabal: appends a matching of anti-edges (vertex
 // pairs, each pair non-adjacent, pairwise disjoint) to *out. Does not
@@ -72,17 +66,13 @@ void fingerprint_matching_batch(State& st, const std::vector<int>& cliques,
                                 const GroupLists* subsets,
                                 std::vector<std::pair<int, int>>* out);
 
-// Convenience wrapper returning the matching as a fresh vector.
-std::vector<std::pair<int, int>> fingerprint_matching(
-    State& st, int clique_id, const std::vector<int>* subset = nullptr,
-    bool charge = true);
-
 // One parallel Algorithm 7 execution's ledger shape.
 void fingerprint_matching_charge(State& st);
 
 // Algorithm 6 steps 2-3: colors each anti-edge pair with a common
 // non-reserved color via synchronized pair-level trials. Returns the
-// number of pairs colored.
+// number of pairs colored. Pairs left after st.params.mct_max_rounds
+// trials stay uncolored, and their count is added to st.retry_count.
 int color_anti_matching(State& st,
                         const std::vector<std::pair<int, int>>& pairs);
 

@@ -10,13 +10,6 @@
 
 namespace ccg::color {
 
-std::vector<int> multicolor_trial(State& st, std::vector<int> S,
-                                  const SetSampler& sampler,
-                                  const MctOptions& opt) {
-  multicolor_trial(st, &S, sampler, opt);
-  return S;
-}
-
 void multicolor_trial(State& st, std::vector<int>* S_ptr,
                       const SetSampler& sampler, const MctOptions& opt) {
   auto& S = *S_ptr;
@@ -136,19 +129,6 @@ SetSampler uniform_set_sampler(int num_colors, int prefix) {
       out->push_back(prefix +
                      static_cast<int>(rng.next_below(
                          static_cast<std::uint64_t>(num_colors - prefix))));
-    }
-  };
-}
-
-SetSampler reserved_set_sampler(std::function<int(int)> r_of) {
-  return [r_of](int v, int x, Rng& rng, std::vector<int>* out) {
-    out->clear();
-    const int r = r_of(v);
-    if (r <= 0) return;
-    out->reserve(static_cast<std::size_t>(x));
-    for (int i = 0; i < x; ++i) {
-      out->push_back(
-          static_cast<int>(rng.next_below(static_cast<std::uint64_t>(r))));
     }
   };
 }

@@ -32,15 +32,9 @@ struct MctOptions {
   std::function<int(int v)> slack;
 };
 
-// Runs MCT over S until everything is colored or the budget runs out.
-// Returns the leftover uncolored vertices (empty on success).
-std::vector<int> multicolor_trial(State& st, std::vector<int> S,
-                                  const SetSampler& sampler,
-                                  const MctOptions& opt);
-
-// In-place variant: on return *S holds the leftover uncolored vertices
-// (empty on success). Phase drivers pass a reused scratch buffer and avoid
-// the by-value copy + returned vector.
+// Runs MCT over *S until everything is colored or the budget runs out; on
+// return *S holds the leftover uncolored vertices (empty on success).
+// Phase drivers pass a reused scratch buffer.
 void multicolor_trial(State& st, std::vector<int>* S,
                       const SetSampler& sampler, const MctOptions& opt);
 
@@ -49,13 +43,11 @@ void multicolor_trial(State& st, std::vector<int>* S,
 // x colors uniform in {prefix, ..., num_colors-1}.
 SetSampler uniform_set_sampler(int num_colors, int prefix);
 
-// x colors uniform in [0, r_of(v)) — the reserved-color space used in
-// cabals (Algorithm 5 step 5) and in Complete's phase II.
-SetSampler reserved_set_sampler(std::function<int(int)> r_of);
-
-// Same with r_of = st.dc.r_of (the common case). Captures only the State
-// reference, so constructing the sampler stays inside std::function's
-// small-buffer storage — no heap traffic on the warm pipeline paths.
+// x colors uniform in [0, st.dc.r_of(v)) — the reserved-color space used
+// in cabals (Algorithm 5 step 5) and in Complete's phase II. Captures only
+// the State reference, so constructing the sampler stays inside
+// std::function's small-buffer storage — no heap traffic on the warm
+// pipeline paths.
 SetSampler reserved_set_sampler(const State& st);
 
 // Algorithm 16 with the genuine representative-set families of

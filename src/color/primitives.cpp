@@ -69,12 +69,6 @@ int try_color_round(State& st, const std::vector<int>& S,
   return adopted;
 }
 
-int try_color_rounds(State& st, std::vector<int> S,
-                     const ColorSampler& sampler, double activation,
-                     int rounds) {
-  return try_color_rounds(st, &S, sampler, activation, rounds);
-}
-
 int try_color_rounds(State& st, std::vector<int>* S,
                      const ColorSampler& sampler, double activation,
                      int rounds) {
@@ -121,12 +115,6 @@ ColorSampler clique_palette_sampler(State& st) {
         rng.next_below(static_cast<std::uint64_t>(free)));
     return pal.select_free(lo, pal.num_colors() - 1, idx);
   };
-}
-
-std::vector<int> uncolored_of(const State& st, const std::vector<int>& S) {
-  std::vector<int> out;
-  uncolored_of(st, S, &out);
-  return out;
 }
 
 void uncolored_of(const State& st, const std::vector<int>& S,

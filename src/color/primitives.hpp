@@ -25,15 +25,10 @@ using ColorSampler = std::function<int(int v, Rng& rng)>;
 int try_color_round(State& st, const std::vector<int>& S,
                     const ColorSampler& sampler, double activation);
 
-// `rounds` TryColor rounds; S is pruned of colored vertices as it goes.
-// Returns total newly colored.
-int try_color_rounds(State& st, std::vector<int> S,
-                     const ColorSampler& sampler, double activation,
-                     int rounds);
-
-// In-place variant: prunes *S as rounds progress (on return *S holds the
-// still-uncolored survivors). Lets phase drivers run rounds on a reused
-// scratch buffer without the by-value copy.
+// `rounds` TryColor rounds; *S is pruned of colored vertices as rounds
+// progress (on return it holds the still-uncolored survivors), so phase
+// drivers run rounds on a reused scratch buffer. Returns total newly
+// colored.
 int try_color_rounds(State& st, std::vector<int>* S,
                      const ColorSampler& sampler, double activation,
                      int rounds);
@@ -54,11 +49,8 @@ ColorSampler clique_palette_sampler(State& st,
 // warm pipeline paths construct it without heap traffic.
 ColorSampler clique_palette_sampler(State& st);
 
-// Uncolored vertices of S (helper).
-std::vector<int> uncolored_of(const State& st, const std::vector<int>& S);
-
-// Buffer-out variant of uncolored_of: fills `out` (cleared first). `out`
-// must not alias S. Reuse the buffer to stay allocation-free.
+// Uncolored vertices of S into `out` (cleared first). `out` must not alias
+// S. Reuse the buffer to stay allocation-free.
 void uncolored_of(const State& st, const std::vector<int>& S,
                   std::vector<int>* out);
 

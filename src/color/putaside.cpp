@@ -210,16 +210,6 @@ int compute_putaside(State& st, const std::vector<int>& cabal_ids, int r,
   return attempts;
 }
 
-PutAsideResult compute_putaside(State& st, const std::vector<int>& cabal_ids,
-                                int r) {
-  GroupLists sets;
-  PutAsideResult result;
-  result.attempts =
-      compute_putaside(st, cabal_ids, r, &sets, &result.property3_ok);
-  result.sets.assign(sets.view().begin(), sets.view().end());
-  return result;
-}
-
 namespace {
 
 // TryFreeColors (Algorithm 8, step 2): direct hashed sampling from the

@@ -26,12 +26,6 @@
 
 namespace ccg::color {
 
-struct PutAsideResult {
-  std::vector<std::vector<int>> sets;  // aligned with cabal_ids
-  bool property3_ok = true;  // Lemma 4.18 (3) measured
-  int attempts = 1;
-};
-
 // r = number of reserved colors in cabals (identical across cabals,
 // Section 4.3). Eligible vertices are the uncolored inliers of each cabal.
 // Writes the sets (aligned with cabal_ids) into caller-owned grow-only
@@ -40,10 +34,6 @@ struct PutAsideResult {
 // measured Lemma 4.18 (3) check.
 int compute_putaside(State& st, const std::vector<int>& cabal_ids, int r,
                      GroupLists* sets, bool* property3_ok);
-
-// Convenience wrapper returning freshly allocated sets.
-PutAsideResult compute_putaside(State& st, const std::vector<int>& cabal_ids,
-                                int r);
 
 struct DonationStats {
   int free_path_cliques = 0;      // cabals that took TryFreeColors

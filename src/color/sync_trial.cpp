@@ -130,12 +130,4 @@ void synchronized_color_trial(State& st,
                         std::max(2, h.n()))));
 }
 
-std::vector<SyncTrialResult> synchronized_color_trial(
-    State& st, const std::vector<int>& clique_ids,
-    std::span<const std::vector<int>> S_of) {
-  std::vector<SyncTrialResult> results;
-  synchronized_color_trial(st, clique_ids, S_of, &results);
-  return results;
-}
-
 }  // namespace ccg::color

@@ -36,9 +36,4 @@ void synchronized_color_trial(State& st,
                               std::span<const std::vector<int>> S_of,
                               std::vector<SyncTrialResult>* results);
 
-// Convenience wrapper returning the tallies as a fresh vector.
-std::vector<SyncTrialResult> synchronized_color_trial(
-    State& st, const std::vector<int>& clique_ids,
-    std::span<const std::vector<int>> S_of);
-
 }  // namespace ccg::color

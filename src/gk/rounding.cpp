@@ -82,7 +82,8 @@ double assignment_cost(const color::State& st, const std::vector<int>& S,
 
 double estimate_duplicated_sum(const std::vector<long long>& dups, int t,
                                Rng& rng) {
-  auto fp = sketch::empty_fingerprint(t);
+  sketch::Fingerprint fp;
+  sketch::reset_empty(t, &fp);
   bool any = false;
   for (const long long m : dups) {
     if (m <= 0) continue;

@@ -7,13 +7,6 @@
 
 namespace ccg::sketch {
 
-std::vector<Fingerprint> sample_raw_fingerprints(int n, int t, Rng& rng) {
-  std::vector<Fingerprint> raw;
-  raw.reserve(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) raw.push_back(sample_fingerprint(t, rng));
-  return raw;
-}
-
 void sample_raw_fingerprints_stream(int n, int t, const StreamCtx& streams,
                                     exec::ParallelRound* par,
                                     std::vector<Fingerprint>* out) {
@@ -42,8 +35,8 @@ Fingerprint measured_tree_aggregate(
   for (int i = 0; i < cl.size(); ++i) {
     member_idx[cl.members[static_cast<std::size_t>(i)]] = i;
   }
-  std::vector<Fingerprint> partial(static_cast<std::size_t>(cl.size()),
-                                   empty_fingerprint(t));
+  std::vector<Fingerprint> partial(static_cast<std::size_t>(cl.size()));
+  for (auto& p : partial) reset_empty(t, &p);
   for (const auto& [machine, fp] : contribs) {
     const auto it = member_idx.find(machine);
     CCG_CHECK(it != member_idx.end());
@@ -126,23 +119,6 @@ void neighborhood_counts_into(cluster::Runtime& rt,
   }
 }
 
-CountResult neighborhood_counts(cluster::Runtime& rt,
-                                const std::vector<Fingerprint>& raw,
-                                const NeighborPredicate& pred,
-                                const CountOptions& opt) {
-  CountResult res;
-  neighborhood_counts_into(rt, raw, pred, opt, &res);
-  return res;
-}
-
-CountResult approximate_neighborhood_counts(cluster::Runtime& rt,
-                                            const NeighborPredicate& pred,
-                                            const CountOptions& opt,
-                                            Rng& rng) {
-  const auto raw = sample_raw_fingerprints(rt.h().n(), opt.t, rng);
-  return neighborhood_counts(rt, raw, pred, opt);
-}
-
 void edge_union_estimates_into(cluster::Runtime& rt,
                                const CountResult& neighborhood,
                                const CountOptions& opt,
@@ -171,14 +147,6 @@ void edge_union_estimates_into(cluster::Runtime& rt,
                                       : 2 * opt.t + 16;
     rt.charge(2, bits);
   }
-}
-
-std::vector<double> edge_union_estimates(cluster::Runtime& rt,
-                                         const CountResult& neighborhood,
-                                         const CountOptions& opt) {
-  std::vector<double> out;
-  edge_union_estimates_into(rt, neighborhood, opt, &out);
-  return out;
 }
 
 }  // namespace ccg::sketch

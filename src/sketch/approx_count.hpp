@@ -39,49 +39,32 @@ struct CountOptions {
 
 using NeighborPredicate = std::function<bool(int v, int u)>;
 
-// Raw per-vertex fingerprints (the X_{v,*} variables); shared by callers
-// that estimate several quantities from one sampling.
-std::vector<Fingerprint> sample_raw_fingerprints(int n, int t, Rng& rng);
-
-// Stream-based sampling: raw[v] is drawn from streams.rng_for(v) against
-// the *current* round (bump between samplings — see common/rng.hpp).
-// Sharded by `par` when present; draws are per-vertex disjoint, so the
-// bits are identical for every worker count, 1 and nullptr included.
+// Raw per-vertex fingerprints (the X_{v,*} variables), shared by callers
+// that estimate several quantities from one sampling: raw[v] is drawn
+// from streams.rng_for(v) against the *current* round (bump between
+// samplings — see common/rng.hpp). Sharded by `par` when present; draws
+// are per-vertex disjoint, so the bits are identical for every worker
+// count, 1 and nullptr included.
 void sample_raw_fingerprints_stream(int n, int t, const StreamCtx& streams,
                                     exec::ParallelRound* par,
                                     std::vector<Fingerprint>* out);
 
-// Y_v = combine over {u in N(v) : pred(v,u)} of raw[u]; estimates the
-// selected-neighborhood sizes. Cost: 1 H-round of max_message_bits bits.
-CountResult neighborhood_counts(cluster::Runtime& rt,
-                                const std::vector<Fingerprint>& raw,
-                                const NeighborPredicate& pred,
-                                const CountOptions& opt);
-
-// Reusing form: *out is rebound in place (estimate and every per-vertex
-// maxima buffer keep their capacity), so warm callers aggregate without
-// heap traffic when opt.measure_bits is off. The measured walk still
-// builds its per-cluster temporaries.
+// Y_v = coordinate-wise max over {u in N(v) : pred(v,u)} of raw[u];
+// estimates the selected-neighborhood sizes. Cost: 1 H-round of
+// max_message_bits bits. *out is rebound in place (estimate and every
+// per-vertex maxima buffer keep their capacity), so warm callers aggregate
+// without heap traffic when opt.measure_bits is off. The measured walk
+// still builds its per-cluster temporaries.
 void neighborhood_counts_into(cluster::Runtime& rt,
                               const std::vector<Fingerprint>& raw,
                               const NeighborPredicate& pred,
                               const CountOptions& opt, CountResult* out);
 
-// Convenience: sample raw fingerprints and count in one call.
-CountResult approximate_neighborhood_counts(cluster::Runtime& rt,
-                                            const NeighborPredicate& pred,
-                                            const CountOptions& opt,
-                                            Rng& rng);
-
 // For each H-edge (in h().edges() order), estimate |N(u) ∪ N(v)| from the
 // union of the endpoints' neighborhood fingerprints (Lemma 5.8 step 2).
-// Reuses Y from a prior neighborhood_counts run with the trivial predicate.
-std::vector<double> edge_union_estimates(cluster::Runtime& rt,
-                                         const CountResult& neighborhood,
-                                         const CountOptions& opt);
-
-// Reusing form: *out is assigned in place (capacity kept); the per-edge
-// joint fingerprint lives in one buffer reused across all edges.
+// Reuses Y from a prior neighborhood_counts_into run with the trivial
+// predicate. *out is assigned in place (capacity kept); the per-edge joint
+// fingerprint lives in one buffer reused across all edges.
 void edge_union_estimates_into(cluster::Runtime& rt,
                                const CountResult& neighborhood,
                                const CountOptions& opt,

@@ -13,33 +13,15 @@ bool Fingerprint::empty_set() const {
                      [](int y) { return y == kEmpty; });
 }
 
-Fingerprint sample_fingerprint(int t, Rng& rng) {
-  Fingerprint fp;
-  sample_fingerprint_into(t, rng, &fp);
-  return fp;
-}
-
 void sample_fingerprint_into(int t, Rng& rng, Fingerprint* out) {
   CCG_CHECK(t >= 1);
   out->maxima.resize(static_cast<std::size_t>(t));
   for (auto& y : out->maxima) y = rng.next_geometric_half();
 }
 
-Fingerprint empty_fingerprint(int t) {
-  Fingerprint fp;
-  reset_empty(t, &fp);
-  return fp;
-}
-
 void reset_empty(int t, Fingerprint* out) {
   CCG_CHECK(t >= 1);
   out->maxima.assign(static_cast<std::size_t>(t), kEmpty);
-}
-
-Fingerprint combine(const Fingerprint& a, const Fingerprint& b) {
-  Fingerprint out = a;
-  combine_into(out, b);
-  return out;
 }
 
 void combine_into(Fingerprint& acc, const Fingerprint& b) {

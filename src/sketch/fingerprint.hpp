@@ -29,20 +29,14 @@ struct Fingerprint {
 };
 
 // t geometric(1/2) variables for one element (a "raw" fingerprint of {v}).
-Fingerprint sample_fingerprint(int t, Rng& rng);
-
-// In-place form: resizes out->maxima (capacity kept) and refills, so a
-// reused Fingerprint is resampled without heap traffic.
+// Resizes out->maxima (capacity kept) and refills, so a reused Fingerprint
+// is resampled without heap traffic.
 void sample_fingerprint_into(int t, Rng& rng, Fingerprint* out);
 
-// Empty-set fingerprint with t coordinates.
-Fingerprint empty_fingerprint(int t);
-
-// In-place form of empty_fingerprint for reused storage.
+// Rebinds *out to the empty-set fingerprint with t coordinates.
 void reset_empty(int t, Fingerprint* out);
 
-// Coordinate-wise max.
-Fingerprint combine(const Fingerprint& a, const Fingerprint& b);
+// Coordinate-wise max into acc.
 void combine_into(Fingerprint& acc, const Fingerprint& b);
 
 // Lemma 5.2 estimator: from t maxima over d i.i.d. geometric(1/2)

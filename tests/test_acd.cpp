@@ -49,7 +49,10 @@ TEST_P(AcdOnPlanted, RecoversPlantedStructure) {
   params.eps = 0.2;
   params.t = 8000;  // wide fingerprints: near-exact estimates
   params.measure_bits = false;
-  const auto res = compute_acd(rt, params, rng);
+  StreamCtx streams(rng.next_u64());
+  AcdScratch scratch;
+  AcdResult res;
+  compute_acd(rt, params, streams, &res, &scratch);
 
   EXPECT_EQ(res.num_cliques, c.cliques);
   std::string why;
@@ -99,7 +102,10 @@ TEST(Acd, OracleModeMatchesPlantedExactly) {
   AcdParams params;
   params.eps = 0.2;
   params.use_fingerprints = false;
-  const auto res = compute_acd(rt, params, rng);
+  StreamCtx streams(rng.next_u64());
+  AcdScratch scratch;
+  AcdResult res;
+  compute_acd(rt, params, streams, &res, &scratch);
   EXPECT_EQ(res.num_cliques, 3);
   for (int v = 0; v < planted.g.n(); ++v) {
     EXPECT_EQ(res.clique_of[v] >= 0, planted.clique_of[v] >= 0);
@@ -115,7 +121,10 @@ TEST(Acd, PureSparseGraphHasNoCliques) {
   AcdParams params;
   params.eps = 0.1;
   params.use_fingerprints = false;
-  const auto res = compute_acd(rt, params, rng);
+  StreamCtx streams(rng.next_u64());
+  AcdScratch scratch;
+  AcdResult res;
+  compute_acd(rt, params, streams, &res, &scratch);
   EXPECT_EQ(res.num_cliques, 0);
 }
 
@@ -133,18 +142,23 @@ TEST(Acd, AnnotateDenseClassifiesCabals) {
   AcdParams params;
   params.eps = 0.1;
   params.use_fingerprints = false;
-  const auto res = compute_acd(rt, params, rng);
+  StreamCtx streams(rng.next_u64());
+  AcdScratch scratch;
+  AcdResult res;
+  compute_acd(rt, params, streams, &res, &scratch);
   ASSERT_EQ(res.num_cliques, 4);
 
-  // ell above the external degree: every clique is a cabal.
-  auto info = annotate_dense(rt, res, /*ell=*/10.0, 64, false, rng);
+  // ell above the external degree: every clique is a cabal. The oracle
+  // annotation draws nothing, so both calls share the stream space.
+  DenseInfo info;
+  annotate_dense(rt, res, /*ell=*/10.0, 64, false, streams, nullptr, &info);
   for (int k = 0; k < res.num_cliques; ++k) {
     EXPECT_TRUE(info.is_cabal[k]);
     EXPECT_NEAR(info.avg_ext_est[k], 4.0, 1.0);
     EXPECT_EQ(info.clique_size[k], 60 + 1 - 4);
   }
   // ell below: none are.
-  info = annotate_dense(rt, res, /*ell=*/2.0, 64, false, rng);
+  annotate_dense(rt, res, /*ell=*/2.0, 64, false, streams, nullptr, &info);
   for (int k = 0; k < res.num_cliques; ++k) {
     EXPECT_FALSE(info.is_cabal[k]);
   }
@@ -274,9 +288,11 @@ TEST(Acd, OracleFailsAfterOneDeterministicAttempt) {
   AcdParams params;
   params.eps = 0.3;
   params.use_fingerprints = false;
-  Rng rng(3);
+  StreamCtx streams(3);
+  AcdScratch scratch;
+  AcdResult res;
   try {
-    compute_acd(rt, params, rng);
+    compute_acd(rt, params, streams, &res, &scratch);
     FAIL() << "merged oracle decomposition accepted";
   } catch (const ContractViolation& e) {
     EXPECT_NE(std::string(e.what()).find("AcdParams::eps"),

@@ -87,7 +87,7 @@ TEST(TryColor, ReducesUncoloredAndStaysProper) {
   for (int v = 0; v < st.h().n(); ++v) all[v] = v;
   const int before = static_cast<int>(all.size());
   const int colored = try_color_rounds(
-      st, all, uniform_sampler(st.num_colors(), 0), 0.5, 6);
+      st, &all, uniform_sampler(st.num_colors(), 0), 0.5, 6);
   EXPECT_GT(colored, before / 3);
   cluster::check_proper_partial(st.h(), st.phi.vec());
   // Palette bookkeeping is consistent with the coloring.
@@ -116,9 +116,8 @@ TEST(MultiColorTrial, ColorsSlackVerticesCompletely) {
   opt.max_rounds = 40;
   const int slack = st.num_colors() - g.max_degree();  // >= 1
   opt.slack = [slack](int) { return std::max(1, slack); };
-  const auto left = multicolor_trial(
-      st, all, uniform_set_sampler(st.num_colors(), 0), opt);
-  EXPECT_TRUE(left.empty());
+  multicolor_trial(st, &all, uniform_set_sampler(st.num_colors(), 0), opt);
+  EXPECT_TRUE(all.empty());
   cluster::check_proper_partial(st.h(), st.phi.vec());
 }
 
@@ -187,7 +186,8 @@ TEST(SyncTrial, ColorsMostOfTheCliqueDistinctly) {
     unc.resize(keep);
     s_of.push_back(std::move(unc));
   }
-  const auto res = synchronized_color_trial(st, ids, s_of);
+  std::vector<SyncTrialResult> res;
+  synchronized_color_trial(st, ids, s_of, &res);
   cluster::check_proper_partial(st.h(), st.phi.vec());
   for (std::size_t i = 0; i < ids.size(); ++i) {
     // Lemma 4.13: leftovers O(max{e_K, ell}); generous constant 8.

@@ -145,8 +145,12 @@ TEST(FailureInjection, ManyParallelLinksDontConfuseDegrees) {
   cluster::Runtime rt(cg, ledger);
   sketch::CountOptions opt;
   opt.t = 1500;
-  const auto counts = sketch::approximate_neighborhood_counts(
-      rt, [](int, int) { return true; }, opt, rng);
+  std::vector<sketch::Fingerprint> raw;
+  sketch::sample_raw_fingerprints_stream(
+      h.n(), opt.t, StreamCtx(rng.next_u64()), nullptr, &raw);
+  sketch::CountResult counts;
+  sketch::neighborhood_counts_into(
+      rt, raw, [](int, int) { return true; }, opt, &counts);
   int close = 0;
   for (int v = 0; v < h.n(); ++v) {
     if (std::abs(counts.estimate[static_cast<std::size_t>(v)] -

@@ -92,7 +92,7 @@ TEST(LowDeg, ShatteringLeavesSmallComponents) {
   const int rounds = 2 * static_cast<int>(std::ceil(
                              std::log2(std::log2(n)))) +
                      2;
-  color::try_color_rounds(st, all, sampler, 0.8, rounds);
+  color::try_color_rounds(st, &all, sampler, 0.8, rounds);
 
   // Largest uncolored component.
   std::vector<char> seen(static_cast<std::size_t>(n), 0);

@@ -33,10 +33,9 @@ TEST(ColorfulMatching, BuildsReuseSlack) {
   auto& st = *f->st;
   std::vector<int> ids{0, 1, 2};
   const int target = 8;
-  const auto achieved =
-      colorful_matching(st, ids, [target](int) { return target; });
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_GE(achieved[i], target) << "clique " << ids[i];
+  colorful_matching_run(st, ids, [target](int) { return target; });
+  for (const int k : ids) {
+    EXPECT_GE(st.palettes[k].repeats(), target) << "clique " << k;
   }
   cluster::check_proper_partial(st.h(), st.phi.vec());
   // Every colored vertex shares its color with another member of its
@@ -58,7 +57,7 @@ TEST(ColorfulMatching, SameColorPairsAreAntiEdges) {
                                               19, 4.0);
   auto& st = *f->st;
   std::vector<int> ids{0, 1, 2};
-  colorful_matching(st, ids, [](int) { return 6; });
+  colorful_matching_run(st, ids, [](int) { return 6; });
   for (int k = 0; k < 3; ++k) {
     std::map<int, std::vector<int>> by_color;
     for (const int v : st.dc.acd.members[k]) {
@@ -225,7 +224,8 @@ TEST(FingerprintMatching, FindsValidAntiMatching) {
   auto f = ccg::testing::make_planted_fixture(cabal_spec(100, 2, 4),
                                               params, 23, 8.0);
   auto& st = *f->st;
-  const auto pairs = fingerprint_matching(st, 0);
+  std::vector<std::pair<int, int>> pairs;
+  fingerprint_matching_into(st, 0, nullptr, /*charge=*/true, &pairs);
   EXPECT_GE(pairs.size(), 2u);
   std::set<int> seen;
   for (const auto& [u, w] : pairs) {
@@ -246,7 +246,8 @@ TEST(FingerprintMatching, SizeCoversAntiDegree) {
   for (const int anti : {2, 6}) {
     auto f = ccg::testing::make_planted_fixture(
         cabal_spec(120, anti, 4), params, 29 + anti, 8.0);
-    const auto pairs = fingerprint_matching(*f->st, 0);
+    std::vector<std::pair<int, int>> pairs;
+    fingerprint_matching_into(*f->st, 0, nullptr, /*charge=*/true, &pairs);
     EXPECT_GE(pairs.size(), static_cast<std::size_t>(anti))
         << "anti=" << anti;
   }
@@ -259,7 +260,8 @@ TEST(FingerprintMatching, EmptyOnTrueClique) {
   params.seed = 11;
   auto f = ccg::testing::make_planted_fixture(cabal_spec(60, 0, 4), params,
                                               31, 8.0);
-  const auto pairs = fingerprint_matching(*f->st, 0);
+  std::vector<std::pair<int, int>> pairs;
+  fingerprint_matching_into(*f->st, 0, nullptr, /*charge=*/true, &pairs);
   EXPECT_TRUE(pairs.empty());
 }
 
@@ -370,8 +372,10 @@ TEST(FingerprintMatching, MatchesYvReference) {
             }
             members = sub;
           }
-          const auto got = fingerprint_matching(
-              *lib->st, k, use_subset ? &members : nullptr);
+          std::vector<std::pair<int, int>> got;
+          fingerprint_matching_into(*lib->st, k,
+                                    use_subset ? &members : nullptr,
+                                    /*charge=*/true, &got);
           const auto want = reference_yv_matching(*ref->st, members);
           EXPECT_EQ(got, want) << "anti=" << anti << " threads=" << threads
                                << " subset=" << use_subset << " clique " << k;
@@ -489,19 +493,24 @@ TEST(MatchingDeterminism, BitIdenticalAcrossThreadCounts) {
     auto par = ccg::testing::make_planted_fixture(cabal_spec(90, 4, 8),
                                                   params, 59, 4.0, threads);
     std::vector<int> ids{0, 1, 2};
-    const auto ach_base =
-        colorful_matching(*base->st, ids, [](int) { return 6; });
-    const auto ach_par =
-        colorful_matching(*par->st, ids, [](int) { return 6; });
-    EXPECT_EQ(ach_base, ach_par) << "threads " << threads;
+    colorful_matching_run(*base->st, ids, [](int) { return 6; });
+    colorful_matching_run(*par->st, ids, [](int) { return 6; });
+    for (const int k : ids) {
+      EXPECT_EQ(base->st->palettes[k].repeats(),
+                par->st->palettes[k].repeats())
+          << "threads " << threads << " clique " << k;
+    }
     ASSERT_EQ(base->st->phi.vec(), par->st->phi.vec())
         << "threads " << threads;
 
     const auto unc_base = base->st->uncolored_members(0);
     const auto unc_par = par->st->uncolored_members(0);
     ASSERT_EQ(unc_base, unc_par);
-    const auto pairs_base = fingerprint_matching(*base->st, 0, &unc_base);
-    const auto pairs_par = fingerprint_matching(*par->st, 0, &unc_par);
+    std::vector<std::pair<int, int>> pairs_base, pairs_par;
+    fingerprint_matching_into(*base->st, 0, &unc_base, /*charge=*/true,
+                              &pairs_base);
+    fingerprint_matching_into(*par->st, 0, &unc_par, /*charge=*/true,
+                              &pairs_par);
     ASSERT_EQ(pairs_base, pairs_par) << "threads " << threads;
 
     if (!pairs_base.empty()) {
@@ -519,7 +528,8 @@ TEST(ColorAntiMatching, ColorsAllPairsProperly) {
   auto f = ccg::testing::make_planted_fixture(cabal_spec(100, 2, 4),
                                               params, 37, 8.0);
   auto& st = *f->st;
-  const auto pairs = fingerprint_matching(st, 0);
+  std::vector<std::pair<int, int>> pairs;
+  fingerprint_matching_into(st, 0, nullptr, /*charge=*/true, &pairs);
   ASSERT_GE(pairs.size(), 1u);
   const int colored = color_anti_matching(st, pairs);
   EXPECT_EQ(colored, static_cast<int>(pairs.size()));
@@ -531,6 +541,32 @@ TEST(ColorAntiMatching, ColorsAllPairsProperly) {
   }
   // M_K equals the number of pairs (each color counted once extra).
   EXPECT_EQ(st.palettes[0].repeats(), static_cast<int>(pairs.size()));
+}
+
+TEST(ColorAntiMatching, YieldsToSmallerPairThenLeavesBlockedPairUncolored) {
+  // Pairs (1, 3) and (0, 2), one edge 2-3, and one non-reserved color, so
+  // both pairs draw it in every round. (1, 3) must yield to (0, 2), whose
+  // minimum endpoint is smaller, although its neighbor 2 is larger than 1.
+  // The color is then taken at 2, so (1, 3) stays uncolored through every
+  // trial and is counted as a retry instead of failing the call.
+  const auto g = graph::Graph::from_edges(4, {{2, 3}});
+  const auto cg = cluster::ClusterGraph::singleton(g);
+  net::Ledger ledger(cg.default_bandwidth());
+  cluster::Runtime rt(cg, ledger);
+  color::Params params;
+  if (const char* env = std::getenv("CCG_TEST_THREADS")) {
+    params.threads = std::max(1, std::atoi(env));
+  }
+  State st(rt, params);
+  st.dc.reserved_cap = 1;
+  ASSERT_EQ(st.num_colors(), 2);
+  EXPECT_EQ(color_anti_matching(st, {{1, 3}, {0, 2}}), 1);
+  EXPECT_EQ(st.retry_count, 1);
+  EXPECT_EQ(st.phi.get(0), 1);
+  EXPECT_EQ(st.phi.get(2), 1);
+  EXPECT_FALSE(st.phi.colored(1));
+  EXPECT_FALSE(st.phi.colored(3));
+  cluster::check_proper_partial(st.h(), st.phi.vec());
 }
 
 }  // namespace

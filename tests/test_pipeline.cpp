@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "baseline/baselines.hpp"
+#include "ccg/solver.hpp"
 #include "cluster/validate.hpp"
 #include "graph/generators.hpp"
 #include "helpers.hpp"
@@ -141,6 +142,50 @@ TEST(PipelineLowDegree, PolylogRegimeWithStructure) {
   const auto res =
       lowdeg::color_low_degree(rt, pipeline_params(planted.g.n(), 29));
   cluster::check_proper_total(planted.g, res.colors, res.num_colors);
+}
+
+TEST(PipelineHighDegree, FingerprintPathSeedsThatFailedAntiMatching) {
+  // `ccg_cli --gen planted --delta 128 --cliques 4 --ext 16 --anti 4
+  // --sparse 200 --layout star --cluster-size 3 --algo high --seed S`
+  // returned kInternal on these seeds: on 11, 18 and 179 two adjacent
+  // anti-matching pairs drew one color and neither yielded, and on the
+  // others some pairs had no common free color left. The instances are
+  // built as ccg_cli builds them; leaving bits unmeasured keeps every
+  // failure and runs faster.
+  for (const std::uint64_t s : {2, 5, 11, 18, 32, 123, 179, 187}) {
+    Rng rng(s);
+    graph::PlantedSpec spec;
+    spec.delta = 128;
+    spec.num_cliques = 4;
+    spec.anti_deg = 4;
+    spec.external_deg = 16;
+    spec.num_sparse = 200;
+    spec.sparse_avg_deg = spec.delta * 0.25;
+    const auto planted = graph::make_planted_acd(spec, rng);
+    cluster::ExpandSpec es;
+    es.shape = cluster::ClusterShape::kStar;
+    es.size = 3;
+    const auto cg = cluster::ClusterGraph::expand(planted.g, es, rng);
+    std::vector<int> base;
+    for (const int threads : {1, 4}) {
+      Options opt;
+      opt.algo = Algo::kHighDegree;
+      opt.params = color::Params::defaults_for(planted.g.n(), s + 1);
+      opt.params->measure_bits = false;
+      opt.params->threads = threads;
+      Solver solver;
+      const auto out = solver.solve(Problem::cluster(cg), opt);
+      ASSERT_TRUE(out.ok()) << "seed " << s << " threads " << threads
+                            << ": " << out.error.message;
+      cluster::check_proper_total(planted.g, out.result.colors,
+                                  out.result.num_colors);
+      if (threads == 1) {
+        base = out.result.colors;
+      } else {
+        EXPECT_EQ(out.result.colors, base) << "seed " << s;
+      }
+    }
+  }
 }
 
 TEST(PipelineDeterminism, FullPipelineBitIdenticalAcrossThreadCounts) {

@@ -86,7 +86,7 @@ TEST(PrimitivesScratch, TryColorRoundBitIdenticalToReference) {
       uniform_sampler(fast.g.max_degree() + 1, 0);
   const auto sampler_ref = uniform_sampler(ref.g.max_degree() + 1, 0);
 
-  std::vector<int> s_fast = all, s_ref = all;
+  std::vector<int> s_fast = all, s_ref = all, next;
   for (int round = 0; round < 12; ++round) {
     const int a = try_color_round(*fast.st, s_fast, sampler_fast, 0.5);
     const int b =
@@ -94,7 +94,8 @@ TEST(PrimitivesScratch, TryColorRoundBitIdenticalToReference) {
     ASSERT_EQ(a, b) << "round " << round;
     ASSERT_EQ(fast.st->phi.vec(), ref.st->phi.vec()) << "round " << round;
     prune_colored(*fast.st, &s_fast);
-    s_ref = uncolored_of(*ref.st, s_ref);
+    uncolored_of(*ref.st, s_ref, &next);
+    s_ref.swap(next);
     ASSERT_EQ(s_fast, s_ref) << "round " << round;
   }
   // Rounds must have made real progress for the comparison to mean much.
@@ -128,13 +129,11 @@ TEST(PrimitivesScratch, UncoloredOfBufferVariantMatches) {
   const auto sampler = uniform_sampler(h.g.max_degree() + 1, 0);
   try_color_round(*h.st, s, sampler, 0.7);
 
-  const auto by_value = uncolored_of(*h.st, s);
   std::vector<int> by_buffer;
   uncolored_of(*h.st, s, &by_buffer);
-  EXPECT_EQ(by_value, by_buffer);
   auto in_place = s;
   prune_colored(*h.st, &in_place);
-  EXPECT_EQ(by_value, in_place);
+  EXPECT_EQ(by_buffer, in_place);
 
   // Coloring::uncolored_neighbors agrees with uncolored_degree and with a
   // manual scan of the neighbor span.

@@ -120,8 +120,12 @@ TEST_P(CountSweep, EstimatesTrackTruth) {
   sketch::CountOptions opt;
   opt.t = t;
   opt.measure_bits = false;
-  const auto res = sketch::approximate_neighborhood_counts(
-      rt, [mod](int, int u) { return u % mod == 0; }, opt, rng);
+  std::vector<sketch::Fingerprint> raw;
+  sketch::sample_raw_fingerprints_stream(
+      h.n(), opt.t, StreamCtx(rng.next_u64()), nullptr, &raw);
+  sketch::CountResult res;
+  sketch::neighborhood_counts_into(
+      rt, raw, [mod](int, int u) { return u % mod == 0; }, opt, &res);
   double total_rel_err = 0;
   int counted = 0;
   for (int v = 0; v < h.n(); ++v) {
@@ -191,7 +195,7 @@ TEST_P(MatchingSweep, ReuseOnlyAndAntiEdgeOnly) {
   params.seed = static_cast<std::uint64_t>(delta + anti);
   auto f = ccg::testing::make_planted_fixture(spec, params, 71, 8.0);
   auto& st = *f->st;
-  color::colorful_matching(st, {0, 1}, [](int) { return 1 << 20; });
+  color::colorful_matching_run(st, {0, 1}, [](int) { return 1 << 20; });
   for (int k = 0; k < 2; ++k) {
     std::map<int, std::vector<int>> by_color;
     for (const int v : st.dc.acd.members[static_cast<std::size_t>(k)]) {
@@ -231,7 +235,7 @@ TEST_P(TryColorSweep, ProgressAndProperness) {
   std::vector<int> all(static_cast<std::size_t>(g.n()));
   for (int v = 0; v < g.n(); ++v) all[static_cast<std::size_t>(v)] = v;
   const int colored = color::try_color_rounds(
-      st, all, color::uniform_sampler(st.num_colors(), 0), act, 6);
+      st, &all, color::uniform_sampler(st.num_colors(), 0), act, 6);
   EXPECT_GT(colored, 0);
   cluster::check_proper_partial(g, st.phi.vec());
 }

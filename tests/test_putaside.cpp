@@ -33,22 +33,25 @@ TEST(PutAside, SetsAreIndependentAndSized) {
   auto& st = *f->st;
   const std::vector<int> cabals{0, 1, 2, 3};
   const int r = 10;
-  const auto res = compute_putaside(st, cabals, r);
-  ASSERT_EQ(res.sets.size(), 4u);
+  GroupLists put;
+  bool property3_ok = true;
+  compute_putaside(st, cabals, r, &put, &property3_ok);
+  const auto sets = put.view();
+  ASSERT_EQ(sets.size(), 4u);
   std::set<int> all;
-  for (std::size_t i = 0; i < res.sets.size(); ++i) {
-    EXPECT_EQ(res.sets[i].size(), static_cast<std::size_t>(r));
-    for (const int v : res.sets[i]) {
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    EXPECT_EQ(sets[i].size(), static_cast<std::size_t>(r));
+    for (const int v : sets[i]) {
       EXPECT_EQ(st.dc.clique_of(v), cabals[i]);
       EXPECT_FALSE(st.phi.colored(v));
       EXPECT_TRUE(all.insert(v).second);
     }
   }
   // Lemma 4.18 (2): no edges between put-aside sets of different cabals.
-  for (std::size_t i = 0; i < res.sets.size(); ++i) {
-    for (std::size_t j = i + 1; j < res.sets.size(); ++j) {
-      for (const int u : res.sets[i]) {
-        for (const int v : res.sets[j]) {
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    for (std::size_t j = i + 1; j < sets.size(); ++j) {
+      for (const int u : sets[i]) {
+        for (const int v : sets[j]) {
           EXPECT_FALSE(st.h().has_edge(u, v))
               << "edge between put-aside sets " << u << "-" << v;
         }
@@ -73,26 +76,28 @@ TEST_P(PutAsideColoring, FinishesTheCabalProperly) {
 
   // Colorful matching so the clique palette outlasts |K| (anti > 0).
   if (anti > 0) {
-    const auto pairs0 = fingerprint_matching(st, 0);
-    if (!pairs0.empty()) color_anti_matching(st, pairs0);
-    const auto pairs1 = fingerprint_matching(st, 1);
-    if (!pairs1.empty()) color_anti_matching(st, pairs1);
-    const auto pairs2 = fingerprint_matching(st, 2);
-    if (!pairs2.empty()) color_anti_matching(st, pairs2);
+    for (const int k : cabals) {
+      std::vector<std::pair<int, int>> pairs;
+      fingerprint_matching_into(st, k, nullptr, /*charge=*/true, &pairs);
+      if (!pairs.empty()) color_anti_matching(st, pairs);
+    }
   }
 
   const int r = std::max(4, static_cast<int>(st.dc.ell));
-  const auto put = compute_putaside(st, cabals, r);
+  GroupLists put;
+  bool property3_ok = true;
+  compute_putaside(st, cabals, r, &put, &property3_ok);
 
   // SCT + reserved MCT: color everything except the put-aside sets.
   std::vector<std::vector<int>> s_of(cabals.size());
   for (std::size_t i = 0; i < cabals.size(); ++i) {
-    std::set<int> in_put(put.sets[i].begin(), put.sets[i].end());
+    const auto& set = put.at(static_cast<int>(i));
+    std::set<int> in_put(set.begin(), set.end());
     for (const int v : st.uncolored_members(cabals[i])) {
       if (!in_put.count(v)) s_of[i].push_back(v);
     }
   }
-  synchronized_color_trial(st, cabals, s_of);
+  synchronized_color_trial(st, cabals, s_of, nullptr);
   std::vector<int> leftover;
   for (const auto& s : s_of) {
     for (const int v : s) {
@@ -102,10 +107,8 @@ TEST_P(PutAsideColoring, FinishesTheCabalProperly) {
   MctOptions opt;
   opt.max_rounds = 48;
   opt.slack = [&st](int v) { return std::max(1, st.dc.r_of(v) / 2); };
-  auto left = multicolor_trial(
-      st, leftover, reserved_set_sampler([&st](int v) { return st.dc.r_of(v); }),
-      opt);
-  if (!left.empty()) fallback_finish(st, left);
+  multicolor_trial(st, &leftover, reserved_set_sampler(st), opt);
+  if (!leftover.empty()) fallback_finish(st, leftover);
 
   // Now only put-aside sets are uncolored; Proposition 4.19 applies.
   int uncolored = 0;
@@ -115,7 +118,7 @@ TEST_P(PutAsideColoring, FinishesTheCabalProperly) {
   EXPECT_EQ(uncolored, static_cast<int>(cabals.size()) * r);
 
   const int fallbacks_before = st.fallback_count;
-  const auto stats = color_putaside_sets(st, cabals, put.sets);
+  const auto stats = color_putaside_sets(st, cabals, put.view());
   cluster::check_proper_total(st.h(), st.phi.vec(), st.num_colors());
   EXPECT_EQ(stats.free_path_cliques + stats.donation_path_cliques +
                 (stats.fallbacks > 0 ? 1 : 0) >= 1,
@@ -188,9 +191,11 @@ TEST(PutAside, ZeroFreeColorPaletteReachesSafetyNetWithoutDrawing) {
   // vertex, so the sampled rounds either find {7} or the deterministic
   // greedy fallback does; either way the result is exact.
   st.unassign(7);
-  const auto put = compute_putaside(st, cabals, 1);
-  ASSERT_EQ(put.sets.size(), 1u);
-  EXPECT_EQ(put.sets[0], std::vector<int>{7});
+  GroupLists put;
+  bool property3_ok = true;
+  compute_putaside(st, cabals, 1, &put, &property3_ok);
+  ASSERT_EQ(put.groups(), 1);
+  EXPECT_EQ(put.at(0), std::vector<int>{7});
 }
 
 TEST(PutAsideDeterminism, BitIdenticalAcrossThreadCounts) {
@@ -206,15 +211,20 @@ TEST(PutAsideDeterminism, BitIdenticalAcrossThreadCounts) {
                                                   params, 47, 8.0, threads);
     const std::vector<int> cabals{0, 1, 2};
     const int r = 8;
-    const auto put_base = compute_putaside(*base->st, cabals, r);
-    const auto put_par = compute_putaside(*par->st, cabals, r);
-    ASSERT_EQ(put_base.sets, put_par.sets) << "threads " << threads;
-    EXPECT_EQ(put_base.attempts, put_par.attempts);
+    GroupLists put_base, put_par;
+    bool p3_base = true, p3_par = true;
+    const int attempts_base =
+        compute_putaside(*base->st, cabals, r, &put_base, &p3_base);
+    const int attempts_par =
+        compute_putaside(*par->st, cabals, r, &put_par, &p3_par);
+    ASSERT_TRUE(std::ranges::equal(put_base.view(), put_par.view()))
+        << "threads " << threads;
+    EXPECT_EQ(attempts_base, attempts_par);
 
     const auto stats_base =
-        color_putaside_sets(*base->st, cabals, put_base.sets);
+        color_putaside_sets(*base->st, cabals, put_base.view());
     const auto stats_par =
-        color_putaside_sets(*par->st, cabals, put_par.sets);
+        color_putaside_sets(*par->st, cabals, put_par.view());
     EXPECT_EQ(base->st->phi.vec(), par->st->phi.vec())
         << "threads " << threads;
     EXPECT_EQ(stats_base.free_colored, stats_par.free_colored);
@@ -238,16 +248,19 @@ TEST(Donation, DonationPathTriggersWhenPaletteTight) {
   auto& st = *f->st;
   const std::vector<int> cabals{0, 1};
   const int r = std::max(4, static_cast<int>(st.dc.ell));
-  const auto put = compute_putaside(st, cabals, r);
+  GroupLists put;
+  bool property3_ok = true;
+  compute_putaside(st, cabals, r, &put, &property3_ok);
 
   std::vector<std::vector<int>> s_of(cabals.size());
   for (std::size_t i = 0; i < cabals.size(); ++i) {
-    std::set<int> in_put(put.sets[i].begin(), put.sets[i].end());
+    const auto& set = put.at(static_cast<int>(i));
+    std::set<int> in_put(set.begin(), set.end());
     for (const int v : st.uncolored_members(cabals[i])) {
       if (!in_put.count(v)) s_of[i].push_back(v);
     }
   }
-  synchronized_color_trial(st, cabals, s_of);
+  synchronized_color_trial(st, cabals, s_of, nullptr);
   std::vector<int> leftover;
   for (const auto& s : s_of) {
     for (const int v : s) {
@@ -256,7 +269,7 @@ TEST(Donation, DonationPathTriggersWhenPaletteTight) {
   }
   if (!leftover.empty()) fallback_finish(st, leftover);
 
-  const auto stats = color_putaside_sets(st, cabals, put.sets);
+  const auto stats = color_putaside_sets(st, cabals, put.view());
   cluster::check_proper_total(st.h(), st.phi.vec(), st.num_colors());
   EXPECT_GT(stats.donation_path_cliques + stats.fallbacks, 0);
   EXPECT_GT(stats.donated + stats.fallbacks + stats.free_colored, 0);

@@ -107,7 +107,9 @@ TEST(Relays, WorksOnFingerprintMatchingOutput) {
   // End-to-end with Algorithm 7: relays for the matching it discovers.
   auto f = testing::make_planted_fixture(
       cabal_spec(80, 3), color::Params::defaults_for(350, 17), 19);
-  const auto pairs = color::fingerprint_matching(*f->st, 0);
+  std::vector<std::pair<int, int>> pairs;
+  color::fingerprint_matching_into(*f->st, 0, nullptr, /*charge=*/true,
+                                   &pairs);
   if (pairs.empty()) GTEST_SKIP() << "matching found no anti-edges";
   const auto res = color::find_relays(*f->st, 0, pairs, /*charge=*/false);
   check_relays(*f->st, pairs, res);

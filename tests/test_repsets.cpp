@@ -150,8 +150,8 @@ TEST(RepSets, MultiColorTrialRunsOnRepresentativeSets) {
   opt.max_rounds = 48;
   const auto sampler = color::representative_set_sampler(
       st.num_colors(), 0, params.seed ^ 0xC5C5C5C5ULL);
-  const auto left = color::multicolor_trial(st, all, sampler, opt);
-  EXPECT_TRUE(left.empty());
+  color::multicolor_trial(st, &all, sampler, opt);
+  EXPECT_TRUE(all.empty());
   cluster::check_proper_total(g, st.phi.vec(), st.num_colors());
 }
 

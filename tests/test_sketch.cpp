@@ -16,15 +16,31 @@ namespace {
 TEST(Fingerprint, CombineIsMax) {
   Fingerprint a{{1, 5, kEmpty}};
   Fingerprint b{{2, 3, 4}};
-  const auto c = combine(a, b);
-  EXPECT_EQ(c.maxima, (std::vector<int>{2, 5, 4}));
+  combine_into(a, b);
+  EXPECT_EQ(a.maxima, (std::vector<int>{2, 5, 4}));
 }
 
 TEST(Fingerprint, EmptySetDetection) {
-  EXPECT_TRUE(empty_fingerprint(4).empty_set());
+  Fingerprint fp;
+  reset_empty(4, &fp);
+  EXPECT_TRUE(fp.empty_set());
   Rng rng(1);
-  EXPECT_FALSE(sample_fingerprint(4, rng).empty_set());
-  EXPECT_EQ(estimate_count(empty_fingerprint(8)), 0.0);
+  sample_fingerprint_into(4, rng, &fp);
+  EXPECT_FALSE(fp.empty_set());
+  reset_empty(8, &fp);
+  EXPECT_EQ(estimate_count(fp), 0.0);
+}
+
+// The fingerprint of d fresh elements: the coordinate-wise max of d raw
+// samples drawn from rng in turn.
+Fingerprint fingerprint_of(int d, int t, Rng& rng) {
+  Fingerprint fp, x;
+  reset_empty(t, &fp);
+  for (int j = 0; j < d; ++j) {
+    sample_fingerprint_into(t, rng, &x);
+    combine_into(fp, x);
+  }
+  return fp;
 }
 
 // Lemma 5.2: d̂ within (1 ± xi) d with failure prob ~ 6 exp(-xi^2 t / 200).
@@ -39,11 +55,7 @@ TEST_P(EstimatorAccuracy, MedianErrorWithinBound) {
   Rng rng(0xC0FFEE + d);
   std::vector<double> errors;
   for (int rep = 0; rep < 15; ++rep) {
-    Fingerprint fp = empty_fingerprint(t);
-    for (int j = 0; j < d; ++j) {
-      combine_into(fp, sample_fingerprint(t, rng));
-    }
-    const double est = estimate_count(fp);
+    const double est = estimate_count(fingerprint_of(d, t, rng));
     errors.push_back(std::abs(est - d) / d);
   }
   std::nth_element(errors.begin(), errors.begin() + errors.size() / 2,
@@ -109,8 +121,7 @@ TEST(Fingerprint, ArgmaxUniform) {
 TEST(Codec, RoundTrip) {
   Rng rng(3);
   for (const int d : {1, 10, 1000}) {
-    Fingerprint fp = empty_fingerprint(32);
-    for (int j = 0; j < d; ++j) combine_into(fp, sample_fingerprint(32, rng));
+    const Fingerprint fp = fingerprint_of(d, 32, rng);
     BitWriter w;
     encode_fingerprint(fp, w);
     BitReader r(w);
@@ -133,8 +144,7 @@ TEST(Codec, SizeIsLinearInT) {
   Rng rng(5);
   const int d = 100000;
   for (const int t : {32, 64, 128, 256}) {
-    Fingerprint fp = empty_fingerprint(t);
-    for (int j = 0; j < d; ++j) combine_into(fp, sample_fingerprint(t, rng));
+    const Fingerprint fp = fingerprint_of(d, t, rng);
     const int bits = encoded_bits(fp);
     EXPECT_LT(bits, 8 * t + 64) << "t=" << t;  // ~4.2 bits/coordinate avg
     EXPECT_LT(bits, naive_encoded_bits(fp));
@@ -149,8 +159,12 @@ TEST(ApproxCount, DegreesOnCongestLayout) {
   cluster::Runtime rt(cg, ledger);
   CountOptions opt;
   opt.t = 1200;
-  const auto res = approximate_neighborhood_counts(
-      rt, [](int, int) { return true; }, opt, rng);
+  std::vector<Fingerprint> raw;
+  sample_raw_fingerprints_stream(h.n(), opt.t, StreamCtx(rng.next_u64()),
+                                 nullptr, &raw);
+  CountResult res;
+  neighborhood_counts_into(
+      rt, raw, [](int, int) { return true; }, opt, &res);
   int within = 0;
   for (int v = 0; v < h.n(); ++v) {
     const double err =
@@ -171,8 +185,12 @@ TEST(ApproxCount, PredicateFiltersNeighbors) {
   CountOptions opt;
   opt.t = 1200;
   // Count only even neighbors: true value is 32 or 31.
-  const auto res = approximate_neighborhood_counts(
-      rt, [](int, int u) { return u % 2 == 0; }, opt, rng);
+  std::vector<Fingerprint> raw;
+  sample_raw_fingerprints_stream(h.n(), opt.t, StreamCtx(rng.next_u64()),
+                                 nullptr, &raw);
+  CountResult res;
+  neighborhood_counts_into(
+      rt, raw, [](int, int u) { return u % 2 == 0; }, opt, &res);
   for (int v = 0; v < 8; ++v) {
     const double truth = (v % 2 == 0) ? 31 : 32;
     EXPECT_NEAR(res.estimate[v], truth, truth * 0.5);
@@ -192,8 +210,12 @@ TEST(ApproxCount, MessageBitsStayNearLinearInT) {
   cluster::Runtime rt(cg, ledger);
   CountOptions opt;
   opt.t = 256;
-  const auto res = approximate_neighborhood_counts(
-      rt, [](int, int) { return true; }, opt, rng);
+  std::vector<Fingerprint> raw;
+  sample_raw_fingerprints_stream(h.n(), opt.t, StreamCtx(rng.next_u64()),
+                                 nullptr, &raw);
+  CountResult res;
+  neighborhood_counts_into(
+      rt, raw, [](int, int) { return true; }, opt, &res);
   EXPECT_LT(res.max_message_bits, 8 * opt.t + 64);
 }
 
@@ -207,9 +229,14 @@ TEST(ApproxCount, EdgeUnionEstimates) {
   cluster::Runtime rt(cg, ledger);
   CountOptions opt;
   opt.t = 1500;
-  const auto counts = approximate_neighborhood_counts(
-      rt, [](int, int) { return true; }, opt, rng);
-  const auto unions = edge_union_estimates(rt, counts, opt);
+  std::vector<Fingerprint> raw;
+  sample_raw_fingerprints_stream(h.n(), opt.t, StreamCtx(rng.next_u64()),
+                                 nullptr, &raw);
+  CountResult counts;
+  neighborhood_counts_into(
+      rt, raw, [](int, int) { return true; }, opt, &counts);
+  std::vector<double> unions;
+  edge_union_estimates_into(rt, counts, opt, &unions);
   // In K_40, |N(u) ∪ N(v)| = 40 for every edge.
   for (std::size_t e = 0; e < unions.size(); e += 50) {
     EXPECT_NEAR(unions[e], 40.0, 14.0);
