@@ -1,7 +1,8 @@
 // Wall-clock microbenchmarks (google-benchmark) of the hot primitives:
 // geometric sampling, fingerprint combine/encode/estimate, palette
-// queries, Feistel permutation. These dominate simulation runtime; they
-// are the "substrate" cost behind every experiment table.
+// queries, Feistel permutation, the round engine's fork/join. These
+// dominate simulation runtime; they are the "substrate" cost behind every
+// experiment table.
 #include <benchmark/benchmark.h>
 
 #include "ccg/ccg.hpp"
@@ -241,3 +242,33 @@ static void BM_ChungLuGenerate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_ChungLuGenerate)->Arg(1000)->Arg(10000);
+
+// Round-engine fork/joins (ParallelRound::shards, as every sharded phase
+// calls it) back to back, over `items` mix64 steps split across the
+// workers. With one item per worker a fork/join times the dispatch round
+// trip alone; 20000 items are about 100 us of work inline (workers = 1),
+// the base that a 2-worker dispatch of the same items has to beat.
+static void BM_ForkJoin(benchmark::State& state) {
+  const int workers = static_cast<int>(state.range(0));
+  const std::int64_t items = state.range(1);
+  exec::ParallelRound par(workers);
+  const std::uint64_t seed = mix64(static_cast<std::uint64_t>(items));
+  for (auto _ : state) {
+    par.shards(items, [&](int w, std::int64_t b, std::int64_t e) {
+      std::uint64_t x = seed;
+      for (std::int64_t i = b; i < e; ++i) {
+        x = mix64(x ^ static_cast<std::uint64_t>(i));
+      }
+      par.acc(w) = static_cast<std::int64_t>(x);
+    });
+    benchmark::DoNotOptimize(par.acc(0));
+  }
+  state.SetItemsProcessed(state.iterations() * items);
+}
+BENCHMARK(BM_ForkJoin)
+    ->ArgNames({"workers", "items"})
+    ->Args({2, 2})
+    ->Args({4, 4})
+    ->Args({1, 20000})
+    ->Args({2, 20000})
+    ->UseRealTime();

@@ -19,13 +19,13 @@ namespace {
 // |N(u) ∩ N(v)| >= need with need = deg u + deg v - limit. `row` is N(u)
 // as a dense bitset and `nv` is N(v) packed, so each packed word adds
 // popcount(row[word] & mask) to the intersection. The words are summed in
-// blocks with independent accumulators and one exit check per block,
-// which stops as soon as the count reaches `need` (Yes) or cannot reach
-// it even if every unseen neighbor of v matched (No). A check per word
-// serializes the scan on its branch; a block keeps the loads independent.
+// blocks of four independent loads with one exit check per block, which
+// stops as soon as the count reaches `need` (Yes) or cannot reach it even
+// if every unseen neighbor of v matched (No). A check per word serializes
+// the scan on its branch; a block keeps the loads independent, and a
+// short one lets the tests that the first dense words decide exit early.
 bool shares_at_least(const std::uint64_t* row,
                      std::span<const NeighborWord> nv, std::int64_t need) {
-  constexpr std::size_t kBlock = 8;
   const std::size_t words = nv.size();
   const std::int64_t deg = words == 0 ? 0 : nv[words - 1].upto;
   if (need <= 0) return true;
@@ -35,16 +35,10 @@ bool shares_at_least(const std::uint64_t* row,
   };
   std::int64_t common = 0;
   std::size_t i = 0;
-  for (; i + kBlock <= words; i += kBlock) {
-    int c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-    for (std::size_t j = i; j < i + kBlock; j += 4) {
-      c0 += common_in(j);
-      c1 += common_in(j + 1);
-      c2 += common_in(j + 2);
-      c3 += common_in(j + 3);
-    }
-    common += c0 + c1 + c2 + c3;
-    if (common >= need || common + (deg - nv[i + kBlock - 1].upto) < need) {
+  for (; i + 4 <= words; i += 4) {
+    common += common_in(i) + common_in(i + 1) + common_in(i + 2) +
+              common_in(i + 3);
+    if (common >= need || common + (deg - nv[i + 3].upto) < need) {
       return common >= need;
     }
   }
@@ -113,6 +107,15 @@ void for_rows_by_weight(exec::ParallelRound* par,
   });
 }
 
+// Part p's buddy-degree counts, zeroed. A flag pass adds every buddy slot
+// it writes to both endpoints' counts in the array of the part that wrote
+// it, so steps 3-4 read the degrees without another pass over the slots.
+int* part_counts(AcdScratch& s, int p, int n) {
+  auto& count = s.forests[static_cast<std::size_t>(p)];
+  count.assign(static_cast<std::size_t>(n), 0);
+  return count.data();
+}
+
 // Packs N(v) of every high vertex into one NeighborWord per 64-bit word it
 // occupies: a word count over the high rows, then one fill sharded by
 // those counts. CSR rows are sorted, so the neighbors sharing a word are
@@ -167,9 +170,11 @@ void pack_high_rows(const graph::Graph& h, exec::ParallelRound* par,
 // endpoints pass the high-degree filter and |N(u) ∪ N(v)| <= limit. Only
 // rows of high vertices do work: row u loads its packed words into the
 // worker's dense bitset, tests each high upper neighbor v against it and
-// clears the words again. Rows are sharded by a prefix sum of the packed
-// words they read; every slot is written by the one shard owning its row,
-// so the flags are partition-independent.
+// clears the words again. Rows are sharded by the number of tests they
+// run, a high row's upper-slot count: nearly every test is decided in
+// shares_at_least's first block, so a test costs about the same on every
+// row. Every slot is written by the one part owning its row, so the flags
+// are partition-independent; the part counts them into part_counts.
 void oracle_buddy_flags(const graph::Graph& h, exec::ParallelRound* par,
                         std::int64_t limit, AcdScratch& s) {
   pack_high_rows(h, par, s);
@@ -184,11 +189,7 @@ void oracle_buddy_flags(const graph::Graph& h, exec::ParallelRound* par,
   row_prefix(
       h, s.high_rows, par,
       [&](int u) {
-        auto work = static_cast<std::int64_t>(packed_row(u).size());
-        for (const int v : h.upper_neighbors(u)) {
-          work += static_cast<std::int64_t>(packed_row(v).size());
-        }
-        return work;
+        return static_cast<std::int64_t>(h.upper_neighbors(u).size());
       },
       &s.work_off);
   const int parts = par ? par->workers() : 1;
@@ -199,24 +200,32 @@ void oracle_buddy_flags(const graph::Graph& h, exec::ParallelRound* par,
     s.row_bits[static_cast<std::size_t>(w)].assign(
         (static_cast<std::size_t>(h.n()) + 63) / 64, 0);
   }
-  for_rows_by_weight(par, s.work_off, [&](int w, int u) {
-    const auto up = h.upper_neighbors(u);
-    char* flag =
-        s.buddy.data() + h.upper_offsets()[static_cast<std::size_t>(u)];
-    if (!s.high[static_cast<std::size_t>(u)]) {
-      std::fill(flag, flag + up.size(), 0);
-      return;
+  for_row_parts(par, s.work_off, [&](int p, int b, int e) {
+    int* count = part_counts(s, p, h.n());
+    std::uint64_t* row = s.row_bits[static_cast<std::size_t>(p)].data();
+    for (int u = b; u < e; ++u) {
+      const auto up = h.upper_neighbors(u);
+      char* flag =
+          s.buddy.data() + h.upper_offsets()[static_cast<std::size_t>(u)];
+      if (!s.high[static_cast<std::size_t>(u)]) {
+        std::fill(flag, flag + up.size(), 0);
+        continue;
+      }
+      const auto nu = packed_row(u);
+      for (const auto& x : nu) row[x.word] = x.mask;
+      int degree = 0;
+      for (std::size_t j = 0; j < up.size(); ++j) {
+        const int v = up[j];
+        const bool buddy = s.high[static_cast<std::size_t>(v)] &&
+                           shares_at_least(row, packed_row(v),
+                                           h.degree(u) + h.degree(v) - limit);
+        flag[j] = buddy;
+        degree += buddy;
+        count[v] += buddy;
+      }
+      count[u] += degree;
+      for (const auto& x : nu) row[x.word] = 0;
     }
-    std::uint64_t* row = s.row_bits[static_cast<std::size_t>(w)].data();
-    const auto nu = packed_row(u);
-    for (const auto& x : nu) row[x.word] = x.mask;
-    for (std::size_t j = 0; j < up.size(); ++j) {
-      const int v = up[j];
-      flag[j] = s.high[static_cast<std::size_t>(v)] &&
-                shares_at_least(row, packed_row(v),
-                                h.degree(u) + h.degree(v) - limit);
-    }
-    for (const auto& x : nu) row[x.word] = 0;
   });
 }
 
@@ -237,16 +246,16 @@ int link_roots(int* parent, int a, int b) {
   return a;
 }
 
-// Steps 3-4 from the slot flags: buddy degrees, the dense candidates and
-// the connected components of the candidate-restricted buddy graph, with
-// the ids and member lists of the components large enough to be
-// almost-cliques. The rows split into parts of about equal slot count. Part
-// p counts its buddy slots per endpoint into its own array; a candidate's
-// buddy degree is the sum over the parts. Part p then unites the endpoints
-// of its candidate-candidate buddy slots in its own forest (the same
-// array), and the calling thread merges the forests into part 0's. Ids,
-// labels and members come from ascending passes over the final forest, so
-// they do not depend on the number of parts.
+// Steps 3-4 from the slot flags and the flag pass's per-part counts
+// (part_counts): buddy degrees, the dense candidates and the connected
+// components of the candidate-restricted buddy graph, with the ids and
+// member lists of the components large enough to be almost-cliques. A
+// candidate's buddy degree is the sum of its counts over the parts. The
+// rows then split into parts of about equal slot count; part p unites the
+// endpoints of its candidate-candidate buddy slots in its own forest (its
+// count array), and the calling thread merges the forests into part 0's.
+// Ids, labels and members come from ascending passes over the final
+// forest, so they do not depend on the number of parts.
 void almost_cliques(const graph::Graph& h, exec::ParallelRound* par,
                     double candidate_bar, int min_size, AcdResult& res,
                     AcdScratch& s) {
@@ -254,22 +263,6 @@ void almost_cliques(const graph::Graph& h, exec::ParallelRound* par,
   const auto nu = static_cast<std::size_t>(n);
   const auto slot_off = h.upper_offsets();
   const int parts = par ? par->workers() : 1;
-  if (s.forests.size() < static_cast<std::size_t>(parts)) {
-    s.forests.resize(static_cast<std::size_t>(parts));
-  }
-  for_row_parts(par, slot_off, [&](int p, int b, int e) {
-    auto& count = s.forests[static_cast<std::size_t>(p)];
-    count.assign(nu, 0);
-    for (int u = b; u < e; ++u) {
-      const auto up = h.upper_neighbors(u);
-      const char* flag =
-          s.buddy.data() + slot_off[static_cast<std::size_t>(u)];
-      for (std::size_t j = 0; j < up.size(); ++j) {
-        count[static_cast<std::size_t>(u)] += flag[j];
-        count[static_cast<std::size_t>(up[j])] += flag[j];
-      }
-    }
-  });
   s.candidate.resize(nu);
   exec::shards_or_inline(par, n, [&](int, std::int64_t b, std::int64_t e) {
     for (auto v = static_cast<std::size_t>(b);
@@ -356,8 +349,13 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
   opt.measure_bits = params.measure_bits;
 
   res.reset(n);
-  // One buddy flag per edge slot of h (Graph::upper_offsets).
+  // One buddy flag per edge slot of h (Graph::upper_offsets), and one
+  // buddy-degree count array per part of the flag pass (part_counts).
   s.buddy.resize(static_cast<std::size_t>(h.m()));
+  const int parts = params.par ? params.par->workers() : 1;
+  if (s.forests.size() < static_cast<std::size_t>(parts)) {
+    s.forests.resize(static_cast<std::size_t>(parts));
+  }
 
   // High-degree filter (Lemma 5.8): low-degree vertices answer No.
   const auto mark_high = [&] {
@@ -393,14 +391,20 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
     sketch::neighborhood_counts_into(
         rt, s.raw, [](int, int) { return true; }, opt, &s.counts);
     sketch::edge_union_estimates_into(rt, s.counts, opt, &s.union_est);
-    for_rows_by_weight(params.par, h.upper_offsets(), [&](int, int u) {
-      auto e = static_cast<std::size_t>(
-          h.upper_offsets()[static_cast<std::size_t>(u)]);
-      for (const int v : h.upper_neighbors(u)) {
-        s.buddy[e] = s.high[static_cast<std::size_t>(u)] &&
-                     s.high[static_cast<std::size_t>(v)] &&
-                     s.union_est[e] <= (1.0 + xi) * delta;
-        ++e;
+    const double limit = (1.0 + xi) * delta;
+    for_row_parts(params.par, h.upper_offsets(), [&](int p, int b, int e) {
+      int* count = part_counts(s, p, n);
+      for (int u = b; u < e; ++u) {
+        auto slot = static_cast<std::size_t>(
+            h.upper_offsets()[static_cast<std::size_t>(u)]);
+        for (const int v : h.upper_neighbors(u)) {
+          const bool buddy = s.high[static_cast<std::size_t>(u)] &&
+                             s.high[static_cast<std::size_t>(v)] &&
+                             s.union_est[slot] <= limit;
+          s.buddy[slot++] = buddy;
+          count[u] += buddy;
+          count[v] += buddy;
+        }
       }
     });
   } else {

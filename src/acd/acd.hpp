@@ -42,9 +42,10 @@ struct AcdParams {
   bool measure_bits = true;
   // Optional round engine: parallelizes the fingerprint sampling, the
   // oracle's row packing and buddy test (the decomposition's dominant
-  // per-edge cost, sharded over the high rows by the work they do) and the
-  // buddy-degree count and union-find of steps 3-4 (sharded over rows by
-  // slot count). Results are identical with or without it.
+  // per-edge cost, sharded over the high rows by the tests they run), the
+  // buddy-degree count (done by the flag pass) and the union-find of steps
+  // 3-4 (sharded over rows by slot count). Results are identical with or
+  // without it.
   exec::ParallelRound* par = nullptr;
 };
 
@@ -90,8 +91,9 @@ struct AcdScratch {
   std::vector<char> high, candidate;    // per vertex
   std::vector<int> high_rows;           // the high vertices, ascending
   // Per-row prefix sums: packed words (row v owns [word_off[v],
-  // word_off[v+1]) of `packed`) and oracle scan work. Slots come from
-  // h.upper_offsets().
+  // word_off[v+1]) of `packed`) and the oracle buddy tests (a high row's
+  // upper-slot count, 0 for a low row), which split the oracle flag pass.
+  // Slots come from h.upper_offsets().
   std::vector<std::int64_t> word_off, work_off;
   // Oracle mode: N(v) of every high vertex as one NeighborWord per 64-bit
   // word it occupies (none for low vertices), and per worker a dense
@@ -99,11 +101,13 @@ struct AcdScratch {
   // all zero between rows.
   std::vector<NeighborWord> packed;
   std::vector<std::vector<std::uint64_t>> row_bits;
-  // Steps 3-4, one array of n entries per row part (the rows split by slot
-  // count, one part per worker): first the part's buddy-degree count per
-  // vertex, then its union-find forest over the candidates (parent per
-  // vertex, a root is its set's smallest vertex). The forests merge into
-  // part 0's, and `label` holds each root's set size, then its clique id.
+  // Steps 3-4, one array of n entries per row part (one part per worker):
+  // first the buddy-degree count per vertex of the flags the part wrote in
+  // the flag pass (parts split by buddy tests in oracle mode, by slot count
+  // with fingerprints), then its union-find forest over the candidates
+  // (rows split by slot count; parent per vertex, a root is its set's
+  // smallest vertex). The forests merge into part 0's, and `label` holds
+  // each root's set size, then its clique id.
   std::vector<std::vector<int>> forests;
   std::vector<int> label;
   // Fingerprint mode: raw per-vertex samples and the aggregated counts

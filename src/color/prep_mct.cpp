@@ -22,11 +22,10 @@ double z_estimate(const State& st, int v) {
 
   // External neighbors colored with non-reserved colors: the paper
   // estimates this by fingerprinting (Claim 8.3); the simulation computes
-  // it exactly and the caller charges the fingerprint round. One pass over
-  // N(v) skipping same-clique neighbors — no materialized neighbor list.
+  // it exactly over ext(v) = N(v) \ K and the caller charges the
+  // fingerprint round.
   int mu_e = 0;
-  for (const int u : st.h().neighbors(v)) {
-    if (st.dc.clique_of(u) == k) continue;
+  for (const int u : st.dc.info.ext(v)) {
     if (st.phi.colored(u) && st.phi.get(u) >= r_v) ++mu_e;
   }
 

@@ -8,18 +8,27 @@
 // function of (total, workers), never of timing) and runs fn(worker,
 // begin, end) on each, returning only when every chunk finished.
 //
-// Threads are spawned once and parked on a condition variable between
-// rounds; a pipeline run performs thousands of fork/joins, so the pool is
-// persistent rather than per-round. Exceptions thrown inside a shard
-// (CCG_CHECK contract violations included) are captured per worker and
-// rethrown on the calling thread after the join — lowest worker index
-// first, so the surfaced error is deterministic too.
+// Threads are spawned once; a pipeline run performs thousands of
+// fork/joins, so the pool is persistent rather than per-round. Between
+// rounds a worker polls for the next dispatch for a fixed spin budget
+// (kSpinBudgetNs in pool.cpp, 100 us, yielding its core every few dozen
+// pauses) and only then parks on a condition variable; the caller polls
+// for the join the same way before it blocks. A round's sequential commit
+// step usually fits in the budget, so back-to-back forks skip the futex
+// wake-up, and an idle pool still sleeps. When a yield shows that the
+// cores are oversubscribed, the pool parks at once for a while, as a pool
+// without polling would. Exceptions thrown inside a shard (CCG_CHECK
+// contract violations included) are captured per worker and rethrown on
+// the calling thread after the join — lowest worker index first, so the
+// surfaced error is deterministic too.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.hpp"
@@ -29,9 +38,7 @@ namespace ccg::exec {
 
 class ThreadPool {
  public:
-  using ShardFn =
-      std::function<void(int worker, std::int64_t begin, std::int64_t end)>;
-  // Raw-callable form: no std::function materialization, so callers that
+  // Raw callable: no std::function materialization, so callers that
   // fork/join thousands of times per run (ParallelRound::shards) stay
   // allocation-free on the multi-threaded path too. `ctx` must outlive
   // the call (for_shards is synchronous, so a stack lambda works).
@@ -45,8 +52,10 @@ class ThreadPool {
 
   // Re-target the pool to `workers` (<= 0 -> hardware concurrency) without
   // reconstructing it: grows by spawning only the missing threads, shrinks
-  // by retiring only the surplus ones. Must not be called while a dispatch
-  // is in flight. No-op when the resolved count already matches.
+  // by retiring only the surplus ones (a retiring worker that is still
+  // spinning exits when its spin budget runs out). Must not be called
+  // while a dispatch is in flight. No-op when the resolved count already
+  // matches.
   void resize(int workers);
 
   ThreadPool(const ThreadPool&) = delete;
@@ -58,17 +67,6 @@ class ThreadPool {
   // on its static chunk. Blocks until all chunks are done; the caller's
   // thread executes chunk 0.
   void for_shards(std::int64_t total, RawShardFn fn, void* ctx);
-
-  // Convenience overload for std::function callers (tests, one-off call
-  // sites where the per-call allocation does not matter).
-  void for_shards(std::int64_t total, const ShardFn& fn) {
-    for_shards(
-        total,
-        [](void* ctx, int w, std::int64_t b, std::int64_t e) {
-          (*static_cast<const ShardFn*>(ctx))(w, b, e);
-        },
-        const_cast<void*>(static_cast<const void*>(&fn)));
-  }
 
   // Install a cooperative cancellation token (nullptr disarms). Checked
   // at for_shards entry; expiry surfaces as a CancelledError thrown on
@@ -85,25 +83,41 @@ class ThreadPool {
 
   // Externally synchronized: written only by resize(), whose contract
   // forbids calling it while a dispatch is in flight, from the single
-  // controlling thread that also calls for_shards. Worker
-  // threads read it under mu_ (dispatch handoff); the controlling
-  // thread's unlocked reads race nothing.
+  // controlling thread that also calls for_shards. A parked worker reads
+  // it under mu_ (resize writes it under mu_ too); a dispatched worker
+  // reads it after the generation_ handoff; the controlling thread's
+  // unlocked reads race nothing.
   int workers_ = 1;
   std::vector<std::thread> threads_;  // controlling thread only
+
+  // The dispatch in flight. Deliberately NOT guarded by mu_: the
+  // controlling thread writes them before it bumps generation_ (release)
+  // and clears job_ only after the join; a worker reads them after its
+  // acquire load of generation_ saw the bump and before it decrements
+  // pending_.
+  RawShardFn job_ = nullptr;
+  void* job_ctx_ = nullptr;
+  std::int64_t total_ = 0;
 
   Mutex mu_;
   CondVar cv_start_;
   CondVar cv_done_;
-  RawShardFn job_ CCG_GUARDED_BY(mu_) = nullptr;
-  void* job_ctx_ CCG_GUARDED_BY(mu_) = nullptr;
-  std::int64_t total_ CCG_GUARDED_BY(mu_) = 0;
-  std::uint64_t generation_ CCG_GUARDED_BY(mu_) = 0;
-  int pending_ CCG_GUARDED_BY(mu_) = 0;
+  // Dispatch count. Spinning workers poll it lock-free; it is bumped under
+  // mu_, so a worker that checks it under mu_ before parking either sees
+  // the bump or is already waiting when cv_start_ is notified.
+  std::atomic<std::uint64_t> generation_{0};
+  // Workers still running the dispatch. The caller polls it lock-free;
+  // the worker that takes it to 0 notifies cv_done_ under mu_, so a
+  // caller that checked it under mu_ and parked cannot miss the wake-up.
+  std::atomic<int> pending_{0};
+  // steady_clock time (ns) until which no thread of the pool polls: a
+  // polling thread found its core shared with another runnable thread.
+  std::atomic<std::int64_t> quiet_until_{0};
   bool stop_ CCG_GUARDED_BY(mu_) = false;
   // Deliberately NOT guarded by mu_: worker w writes only errors_[w]
-  // during a dispatch, and the fork/join barrier (pending_ handoff under
-  // mu_) provides the happens-before edge to the caller's post-join
-  // reads. Resized only while no dispatch is in flight.
+  // during a dispatch, and the join (release decrement of pending_,
+  // acquire load by the caller) provides the happens-before edge to the
+  // caller's post-join reads. Resized only while no dispatch is in flight.
   std::vector<std::exception_ptr> errors_;
   // Externally synchronized (set_cancel contract: never swapped while a
   // dispatch is in flight).

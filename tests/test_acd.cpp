@@ -480,8 +480,8 @@ TEST(Acd, OracleMatchesSetUnionReference) {
   // The relabelled C_1100(±1..40) at eps 0.2 puts the bound at
   // floor(1.2 * 80) = 96 = 81 + d for d = 15. Its rows scatter 80
   // neighbors over ceil(1100 / 64) = 18 words (the last one partial), so
-  // the buddy test runs two full blocks of 8 words per row and exits on
-  // both sides of the bound. Buddy degrees are 30, below the candidate
+  // the buddy test runs up to four full blocks of 4 words per row and
+  // exits on both sides of the bound. Buddy degrees are 30, below the candidate
   // bar of 0.6 * 80, so no almost-clique forms.
   // The relabelled planted instance scatters every clique over all ids,
   // so each row part holds members of every clique and the per-part

@@ -5,14 +5,65 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "ccg/ccg.hpp"
 
 namespace ccg {
 namespace {
+
+// Dispatches body(worker, begin, end) through the pool's raw-callable
+// form, as ParallelRound::shards does.
+template <class Body>
+void dispatch(exec::ThreadPool& pool, std::int64_t total, Body&& body) {
+  using B = std::remove_reference_t<Body>;
+  pool.for_shards(
+      total,
+      [](void* ctx, int w, std::int64_t b, std::int64_t e) {
+        (*static_cast<B*>(ctx))(w, b, e);
+      },
+      const_cast<void*>(static_cast<const void*>(std::addressof(body))));
+}
+
+// Long enough past the pool's spin budget (about 100 us) that idle
+// workers, and a caller waiting at a join, have parked on their
+// condition variables.
+void sleep_past_spin_budget() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+}
+
+// Bitmask of the workers that received a non-empty shard of a domain
+// large enough to give every worker one.
+std::uint32_t workers_used(exec::ThreadPool& pool) {
+  std::atomic<std::uint32_t> seen{0};
+  dispatch(pool, 4096, [&](int w, std::int64_t, std::int64_t) {
+    seen.fetch_or(1u << w);
+  });
+  return seen.load();
+}
+
+// Whether one dispatch over [0, total) ran every index exactly once.
+bool covers_once(exec::ThreadPool& pool, std::int64_t total) {
+  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(total));
+  for (auto& h : hits) h.store(0);
+  dispatch(pool, total, [&](int, std::int64_t b, std::int64_t e) {
+    for (std::int64_t i = b; i < e; ++i) {
+      hits[static_cast<std::size_t>(i)].fetch_add(1);
+    }
+  });
+  for (const auto& h : hits) {
+    if (h.load() != 1) return false;
+  }
+  return true;
+}
 
 TEST(ThreadPool, ResolvesWorkerCounts) {
   EXPECT_EQ(exec::ThreadPool(1).workers(), 1);
@@ -22,27 +73,87 @@ TEST(ThreadPool, ResolvesWorkerCounts) {
 
 TEST(ThreadPool, ShardsCoverEveryIndexExactlyOnce) {
   exec::ThreadPool pool(4);
-  constexpr int kTotal = 10007;  // prime: uneven last chunk
-  std::vector<std::atomic<int>> hits(kTotal);
-  for (auto& h : hits) h.store(0);
-  pool.for_shards(kTotal, [&](int, std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) {
-      hits[static_cast<std::size_t>(i)].fetch_add(1);
-    }
-  });
-  for (int i = 0; i < kTotal; ++i) {
-    ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "index " << i;
-  }
+  EXPECT_TRUE(covers_once(pool, 10007));  // prime: uneven last chunk
 }
 
 TEST(ThreadPool, WorkDistributesAcrossWorkers) {
   exec::ThreadPool pool(4);
-  std::atomic<std::uint32_t> seen{0};
-  pool.for_shards(4096, [&](int w, std::int64_t, std::int64_t) {
-    seen.fetch_or(1u << w);
-  });
   // All four workers got a non-empty chunk of a large-enough domain.
-  EXPECT_EQ(seen.load(), 0b1111u);
+  EXPECT_EQ(workers_used(pool), 0b1111u);
+}
+
+TEST(ThreadPool, DispatchAfterWorkersParked) {
+  // The first dispatch leaves the workers spinning; after the sleep they
+  // are parked, and the next dispatch has to wake them.
+  exec::ThreadPool pool(4);
+  ASSERT_TRUE(covers_once(pool, 1000));
+  sleep_past_spin_budget();
+  EXPECT_TRUE(covers_once(pool, 1000));
+  EXPECT_EQ(workers_used(pool), 0b1111u);
+}
+
+TEST(ThreadPool, BackToBackTinyDispatches) {
+  // Dispatches that end long before the spin budget does: every worker
+  // must pick up each new generation exactly once, also when the total is
+  // below the worker count and some shards are empty.
+  for (const int workers : {2, 4, 8}) {
+    exec::ThreadPool pool(workers);
+    std::vector<std::atomic<int>> hits(64);
+    for (int r = 0; r < 10000; ++r) {
+      const std::int64_t total = 1 + r % 61;
+      for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+      dispatch(pool, total, [&](int, std::int64_t b, std::int64_t e) {
+        for (std::int64_t i = b; i < e; ++i) {
+          hits[static_cast<std::size_t>(i)].fetch_add(1);
+        }
+      });
+      for (std::int64_t i = 0; i < 64; ++i) {
+        ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), i < total)
+            << "workers " << workers << " dispatch " << r << " index " << i;
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, ResizeBetweenDispatchesSpinningOrParked) {
+  // 4 -> 2 -> 8 right after a dispatch (the workers still spin) and after
+  // they parked: retired workers exit, the new ones join the next dispatch.
+  for (const bool parked : {false, true}) {
+    SCOPED_TRACE(parked ? "parked" : "spinning");
+    exec::ThreadPool pool(4);
+    ASSERT_TRUE(covers_once(pool, 777));
+    if (parked) sleep_past_spin_budget();
+    pool.resize(2);
+    EXPECT_EQ(pool.workers(), 2);
+    EXPECT_TRUE(covers_once(pool, 777));
+    EXPECT_EQ(workers_used(pool), 0b11u);
+    if (parked) sleep_past_spin_budget();
+    pool.resize(8);
+    EXPECT_EQ(pool.workers(), 8);
+    EXPECT_TRUE(covers_once(pool, 777));
+    EXPECT_EQ(workers_used(pool), 0xFFu);
+  }
+}
+
+TEST(ThreadPool, ParkedWorkerExceptionRethrownLowestWorkerFirst) {
+  // Workers 2 and 3 fail after a park; worker 3 throws first, yet the
+  // caller sees worker 2's error. The pool then runs the next dispatch.
+  exec::ThreadPool pool(4);
+  ASSERT_TRUE(covers_once(pool, 100));
+  sleep_past_spin_budget();
+  try {
+    dispatch(pool, 4096, [](int w, std::int64_t, std::int64_t) {
+      if (w == 2) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        throw std::runtime_error("worker 2");
+      }
+      if (w == 3) throw std::runtime_error("worker 3");
+    });
+    FAIL() << "no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "worker 2");
+  }
+  EXPECT_TRUE(covers_once(pool, 4096));
 }
 
 TEST(ThreadPool, ShardBoundsAreStaticAndOrdered) {
@@ -70,10 +181,10 @@ TEST(ThreadPool, ExceptionsPropagateToCaller) {
       CCG_CHECK_MSG(i != 3000, "worker failure");
     }
   };
-  EXPECT_THROW(pool.for_shards(4096, boom), ContractViolation);
+  EXPECT_THROW(dispatch(pool, 4096, boom), ContractViolation);
   // The pool survives a failed round and runs the next one normally.
   std::atomic<int> count{0};
-  pool.for_shards(100, [&](int, std::int64_t b, std::int64_t e) {
+  dispatch(pool, 100, [&](int, std::int64_t b, std::int64_t e) {
     count.fetch_add(static_cast<int>(e - b));
   });
   EXPECT_EQ(count.load(), 100);
@@ -82,11 +193,10 @@ TEST(ThreadPool, ExceptionsPropagateToCaller) {
 TEST(ThreadPool, ExceptionsPropagateFromCallerShardToo) {
   // Shard 0 runs on the calling thread; its failures take the same path.
   exec::ThreadPool pool(2);
-  EXPECT_THROW(pool.for_shards(
-                   10,
-                   [](int w, std::int64_t, std::int64_t) {
-                     CCG_CHECK_MSG(w != 0, "caller shard failure");
-                   }),
+  EXPECT_THROW(dispatch(pool, 10,
+                        [](int w, std::int64_t, std::int64_t) {
+                          CCG_CHECK_MSG(w != 0, "caller shard failure");
+                        }),
                ContractViolation);
 }
 
