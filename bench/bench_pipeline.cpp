@@ -5,13 +5,16 @@
 // round engine, plus a try_color_round microbenchmark, then writes
 // BENCH_pipeline.json so successive PRs have a perf trajectory to regress
 // against. Colorings are bit-identical across thread counts (verified
-// here per instance), so the sweep measures the same work.
+// here per instance), so the sweep measures the same work. Each instance
+// row records its H-rounds and an FNV-1a hash of its coloring, which
+// `check_regression.py --same-colorings` compares against a reference.
 //
 // Usage: bench_pipeline [out.json] [baseline.json]
 //   out.json       default BENCH_pipeline.json (cwd; run from the repo root)
 //   baseline.json  default bench/BENCH_baseline.json; when present, its
 //                  total_wall_ns is recorded alongside the fresh total and
 //                  the speedup ratio is computed.
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,12 +39,30 @@ struct InstanceRow {
   int n = 0;
   int delta = 0;
   std::int64_t h_rounds = 0;
+  std::string coloring_fnv1a;  // of the t=1 coloring (coloring_fnv1a())
   std::vector<ThreadRow> by_threads;  // same order as kThreadCounts
 
   const ccg::TimedStats& at_one_thread() const {
     return by_threads.front().stats;
   }
 };
+
+// FNV-1a 64 over the colors in vertex order, each as its four
+// little-endian bytes, as 16 hex digits.
+std::string coloring_fnv1a(const std::vector<int>& colors) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const int c : colors) {
+    const auto u = static_cast<std::uint32_t>(c);
+    for (int shift = 0; shift < 32; shift += 8) {
+      h ^= (u >> shift) & 0xFFu;
+      h *= 0x100000001B3ULL;
+    }
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
 
 InstanceRow run_timed_pipeline(const std::string& name, int n_target,
                                const bench::MixtureSpec& ms,
@@ -74,6 +95,7 @@ InstanceRow run_timed_pipeline(const std::string& name, int n_target,
       reference_colors = last.colors;
       row.delta = last.num_colors - 1;
       row.h_rounds = last.h_rounds;
+      row.coloring_fnv1a = coloring_fnv1a(last.colors);
     } else if (last.colors != reference_colors) {
       std::fprintf(stderr,
                    "FATAL: %s not bit-identical at threads=%d\n",
@@ -303,6 +325,7 @@ int main(int argc, char** argv) {
     j.key("n").value(r.n);
     j.key("delta").value(r.delta);
     j.key("h_rounds").value(r.h_rounds);
+    j.key("coloring_fnv1a").value(r.coloring_fnv1a);
     j.key("wall_ns").value(r.at_one_thread().min_ns);
     j.key("mean_ns").value(r.at_one_thread().mean_ns);
     j.key("max_ns").value(r.at_one_thread().max_ns);

@@ -25,6 +25,12 @@ same-machine gate:
 
     python3 bench/check_regression.py fresh.json BENCH_pipeline.json
 
+With --same-colorings the gate also fails when any reference instance's
+``h_rounds`` or ``coloring_fnv1a`` (the hash of its t=1 coloring) differs
+in the fresh JSON, or is missing from either side. CI passes it against
+the committed BENCH_pipeline.json, so a perf-only change must keep every
+coloring, and an algorithm change must recommit the JSON.
+
 Serving fresh files dispatch on their "bench" tag instead: "serving"
 gates the warm scheduler-path allocation counters (fast, auto, low),
 report determinism across worker counts, and (loosely,
@@ -98,6 +104,33 @@ def check_colorset_speedup(fresh: dict, min_speedup: float) -> bool:
     if not any_present:
         print("palette micro gate: no palette micro figures (pre-ColorSet "
               "JSON); skipped")
+    return ok
+
+
+def check_same_colorings(fresh: dict, reference: dict) -> bool:
+    """Gate H-rounds and coloring hashes per instance against a reference.
+
+    Every instance of the reference must appear in the fresh JSON with the
+    same ``h_rounds`` and ``coloring_fnv1a``; a missing instance or key
+    fails, since a comparison that cannot be made must not pass.
+    """
+    fresh_rows = {r.get("name"): r for r in fresh.get("instances", [])}
+    ref_rows = reference.get("instances", [])
+    if not ref_rows:
+        print("coloring gate: reference has no instances REGRESSION")
+        return False
+    ok = True
+    for ref in ref_rows:
+        name = ref.get("name")
+        row = fresh_rows.get(name)
+        for key in ("h_rounds", "coloring_fnv1a"):
+            want = ref.get(key)
+            got = row.get(key) if row is not None else None
+            same = want is not None and got == want
+            verdict = "OK" if same else "REGRESSION"
+            print(f"coloring gate [{name}] {key}: {got} vs reference "
+                  f"{want} {verdict}")
+            ok = ok and same
     return ok
 
 
@@ -244,6 +277,13 @@ def main() -> int:
         "(default 3.0; <= 0 keeps only the alloc and determinism gates)",
     )
     ap.add_argument(
+        "--same-colorings",
+        action="store_true",
+        help="for BENCH_pipeline.json fresh files: also fail when any "
+        "reference instance's h_rounds or coloring_fnv1a differs in the "
+        "fresh JSON (or is missing from either)",
+    )
+    ap.add_argument(
         "--allow-unnormalized",
         action="store_true",
         help="with --normalize-micro: fall back to comparing raw totals "
@@ -343,7 +383,10 @@ def main() -> int:
     micro_ok = True
     if args.min_colorset_speedup > 0:
         micro_ok = check_colorset_speedup(fresh, args.min_colorset_speedup)
-    return 0 if ratio <= args.threshold and micro_ok else 1
+    colorings_ok = True
+    if args.same_colorings:
+        colorings_ok = check_same_colorings(fresh, reference)
+    return 0 if ratio <= args.threshold and micro_ok and colorings_ok else 1
 
 
 if __name__ == "__main__":

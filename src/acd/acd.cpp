@@ -23,7 +23,8 @@ namespace {
 // stops as soon as the count reaches `need` (Yes) or cannot reach it even
 // if every unseen neighbor of v matched (No). A check per word serializes
 // the scan on its branch; a block keeps the loads independent, and a
-// short one lets the tests that the first dense words decide exit early.
+// short one lets a test exit after its first block. pack_high_rows stores
+// v's densest words first, so that block covers most of N(v).
 bool shares_at_least(const std::uint64_t* row,
                      std::span<const NeighborWord> nv, std::int64_t need) {
   const std::size_t words = nv.size();
@@ -120,11 +121,12 @@ int* part_counts(AcdScratch& s, int p, int n) {
 // occupies: a word count over the high rows, then one fill sharded by
 // those counts. CSR rows are sorted, so the neighbors sharing a word are
 // adjacent. The fill stores a row's words that hold two or more neighbors
-// from the front of its slice and its one-neighbor words from the back,
-// then one pass over the slice sets `upto` to the running neighbor count
-// in that order. Dense words first let shares_at_least decide most edges
-// in its first block; its exits are exact in any word order, so the flags
-// do not change.
+// from the front of its slice, with their popcounts in `upto`, and its
+// one-neighbor words from the back. The front then sorts densest first
+// (ties by word), and one pass over the slice turns `upto` into the
+// running neighbor count in that order. Densest words first let
+// shares_at_least decide the tests in its first block; its exits are exact
+// in any word order, so the flags do not change.
 void pack_high_rows(const graph::Graph& h, exec::ParallelRound* par,
                     AcdScratch& s) {
   row_prefix(
@@ -156,11 +158,15 @@ void pack_high_rows(const graph::Graph& h, exec::ParallelRound* par,
       for (; i < nv.size() && (nv[i] >> 6) == word; ++i) {
         mask |= std::uint64_t{1} << (nv[i] & 63);
       }
-      *(i - begin >= 2 ? front++ : --back) = {mask, word, 0};
+      const auto count = static_cast<std::int32_t>(i - begin);
+      *(count >= 2 ? front++ : --back) = {mask, word, count};
     }
+    std::sort(first, front, [](const NeighborWord& a, const NeighborWord& b) {
+      return a.upto != b.upto ? a.upto > b.upto : a.word < b.word;
+    });
     std::int32_t upto = 0;
     for (NeighborWord* x = first; x != last; ++x) {
-      upto += bits::popcount64(x->mask);
+      upto += x->upto;
       x->upto = upto;
     }
   });

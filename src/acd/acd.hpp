@@ -72,8 +72,8 @@ struct AcdResult {
 // with w / 64 == word are the set bits w % 64 of mask, and `upto` is the
 // running neighbor count in stored order: the vertex's neighbors in this
 // word and the words stored before it. A row stores its words that hold
-// two or more neighbors first and its one-neighbor words last, so the
-// last entry's `upto` is the degree.
+// two or more neighbors first, densest first (ties by word), and its
+// one-neighbor words last, so the last entry's `upto` is the degree.
 struct NeighborWord {
   std::uint64_t mask = 0;
   std::int32_t word = 0;

@@ -388,17 +388,17 @@ void Solver::solve_impl(const Problem& p, const Options& o, Outcome* out) {
         break;
       case Algo::kFast:
         run_fast(st);
+        // The pipelines end in check_proper_total on st.h(), which is h
+        // (a failure throws into the catch below); the fast path is
+        // checked here so nothing improper ever leaves the facade.
+        if (!cluster::is_proper_total(h, st.phi.vec(), st.num_colors(),
+                                      st.par.get())) {
+          out->uncolored = cluster::count_uncolored(st.phi.vec());
+          out->error = make_error(ErrorCode::kInternal,
+                                  "coloring is not proper and total");
+          return;
+        }
         break;
-    }
-    // The pipelines check properness internally (and a failure lands in
-    // the catch below); the fast path and the non-auto virtual routes are
-    // checked here so nothing improper ever leaves the facade.
-    if (!cluster::is_proper_total(h, st.phi.vec(), st.num_colors(),
-                                  st.par.get())) {
-      out->uncolored = cluster::count_uncolored(st.phi.vec());
-      out->error = make_error(ErrorCode::kInternal,
-                              "coloring is not proper and total");
-      return;
     }
     color::finalize_result_into(st, o.copy_colors, &out->result);
     out->g_rounds_with_congestion =

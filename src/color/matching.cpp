@@ -64,37 +64,58 @@ void colorful_matching_run(State& st, const std::vector<int>& clique_ids,
       }
     });
 
-    // Verdict (parallel shards): drop candidates clashing with a colored
-    // neighbor or with an external candidate on the same color (symmetric
-    // drop; conservative) — a pure read of the frozen candidate table.
-    // Inside K the colored neighbors holding c are the members colored c
-    // (the palette count; v itself is uncolored) minus those in anti(v);
-    // outside K only ext(v) can clash.
+    // Verdict (parallel shards over the live cliques), a pure read of the
+    // frozen candidate table. Two members of K are non-adjacent exactly
+    // when one lies in the other's anti row, and a color commits in K only
+    // when two non-adjacent members pick it. So each clique first flags
+    // the colors that some proposer v shares with a member of anti(v)
+    // (both are participants of K, since anti(v) ⊆ K). Only proposers of a
+    // flagged color get a verdict; every other entry reads -1, as the
+    // commit's even-size trim would leave its bucket of at most one chosen
+    // member uncolored anyway. The verdict drops candidates clashing with
+    // a colored neighbor or with an external candidate on the same color
+    // (symmetric drop; conservative). Inside K the colored neighbors
+    // holding c are the members colored c (the palette count; v itself is
+    // uncolored) minus those in anti(v); outside K only ext(v) can clash.
+    const auto survives = [&](int v, int c) {
+      int inside =
+          st.palettes[static_cast<std::size_t>(st.dc.clique_of(v))].count(c);
+      if (inside > 0) {
+        for (const int w : info.anti(v)) inside -= st.phi.get(w) == c;
+      }
+      if (inside != 0) return false;
+      for (const int u : info.ext(v)) {
+        if (st.phi.get(u) == c || sc.candidate(u) == c) return false;
+      }
+      return true;
+    };
     auto& verdicts = sc.verdicts;
     verdicts.resize(participants.size());
-    par.shards(total, [&](int, std::int64_t b, std::int64_t e) {
-      for (std::int64_t i = b; i < e; ++i) {
-        const int v = participants[static_cast<std::size_t>(i)];
-        const int c = sc.candidate(v);
-        bool ok = c != TrialScratch::kNone;
-        if (ok) {
-          int inside =
-              st.palettes[static_cast<std::size_t>(st.dc.clique_of(v))]
-                  .count(c);
-          if (inside > 0) {
-            for (const int w : info.anti(v)) inside -= st.phi.get(w) == c;
-          }
-          ok = inside == 0;
-        }
-        if (ok) {
-          for (const int u : info.ext(v)) {
-            if (st.phi.get(u) == c || sc.candidate(u) == c) {
-              ok = false;
+    const auto live = static_cast<std::int64_t>(seg.size()) - 1;
+    par.shards(live, [&](int w, std::int64_t b, std::int64_t e) {
+      auto& paired = st.wscratch.at(w).paired;
+      for (std::int64_t j = b; j < e; ++j) {
+        const int lo = seg[static_cast<std::size_t>(j)];
+        const int hi = seg[static_cast<std::size_t>(j) + 1];
+        paired.rebind(st.num_colors());
+        for (int i = lo; i < hi; ++i) {
+          const int v = participants[static_cast<std::size_t>(i)];
+          const int c = sc.candidate(v);
+          if (c == TrialScratch::kNone || paired.contains(c)) continue;
+          for (const int u : info.anti(v)) {
+            if (sc.candidate(u) == c) {
+              paired.add(c);
               break;
             }
           }
         }
-        verdicts[static_cast<std::size_t>(i)] = ok ? c : -1;
+        for (int i = lo; i < hi; ++i) {
+          const int v = participants[static_cast<std::size_t>(i)];
+          const int c = sc.candidate(v);
+          const bool ok = c != TrialScratch::kNone && paired.contains(c) &&
+                          survives(v, c);
+          verdicts[static_cast<std::size_t>(i)] = ok ? c : -1;
+        }
       }
     });
 
@@ -102,12 +123,9 @@ void colorful_matching_run(State& st, const std::vector<int>& clique_ids,
     // color, keep a maximal pairwise-non-adjacent even-size subset of the
     // same-color survivors; they all adopt the color (used >= twice =>
     // every adopted vertex provides reuse slack). Buckets materialize by
-    // sorting a clique's (color, vertex) pairs. Two members of K are
-    // non-adjacent exactly when one lies in the other's anti row. A
-    // clique's commit touches only its own members and its own palette, so
-    // the cliques commit independently and the result is the same for any
-    // shard split.
-    const auto live = static_cast<std::int64_t>(seg.size()) - 1;
+    // sorting a clique's (color, vertex) pairs. A clique's commit touches
+    // only its own members and its own palette, so the cliques commit
+    // independently and the result is the same for any shard split.
     par.shards(live, [&](int w, std::int64_t b, std::int64_t e) {
       auto& keyed = st.wscratch.at(w).keyed;
       auto& chosen = st.wscratch.at(w).tmp;
@@ -192,32 +210,27 @@ void match_clique(const State& st, const std::vector<int>& members,
 
   // Clique maximum Y_K, aggregated on BFS trees in the model; its encoded
   // size is what the single-clique form charges. The maxima buffer is
-  // scratch-owned (capacity reused).
+  // scratch-owned (capacity reused). Steps 3-4 (local ids via prefix sums
+  // in O(1) rounds, trial filtering via O(k_trials)-bit aggregated
+  // bitmaps) keep each trial's unique maximum, if any: the same pass
+  // makes a greater draw the trial's holder and lets an equal draw clear
+  // it to -1. Every draw is >= 0 > kEmpty, so member 0 holds every trial
+  // first.
   auto& yk = fp.yk;
   yk.maxima.assign(ktu, sketch::kEmpty);
+  fp.argmax.assign(ktu, -1);
   for (int i = 0; i < sz; ++i) {
     const int* row = fp.x.data() + static_cast<std::size_t>(i) * ktu;
     for (int t = 0; t < k_trials; ++t) {
-      yk.maxima[static_cast<std::size_t>(t)] =
-          std::max(yk.maxima[static_cast<std::size_t>(t)], row[t]);
-    }
-  }
-
-  // Steps 3-4: local ids via prefix sums (O(1) rounds) and trial filtering
-  // via O(k_trials)-bit aggregated bitmaps: the unique maximum of each
-  // trial, if any.
-  fp.argmax.resize(ktu);
-  for (int t = 0; t < k_trials; ++t) {
-    int count = 0, arg = -1;
-    for (int i = 0; i < sz; ++i) {
-      if (fp.x[static_cast<std::size_t>(i) * ktu +
-               static_cast<std::size_t>(t)] ==
-          yk.maxima[static_cast<std::size_t>(t)]) {
-        ++count;
+      int& y = yk.maxima[static_cast<std::size_t>(t)];
+      int& arg = fp.argmax[static_cast<std::size_t>(t)];
+      if (row[t] > y) {
+        y = row[t];
         arg = i;
+      } else if (row[t] == y) {
+        arg = -1;
       }
     }
-    fp.argmax[static_cast<std::size_t>(t)] = count == 1 ? arg : -1;
   }
 
   // A_i = {v != u_i : Y_v != Y_K}, where Y_v is the maximum over v's
@@ -412,6 +425,7 @@ int color_anti_matching(State& st,
     todo[i] = static_cast<int>(i);
   }
   int colored = 0;
+  int blocked = 0;
   auto& sc = st.scratch;
   auto& par = *st.par;
   sc.ensure_vertices(h.n());
@@ -487,11 +501,39 @@ int color_anti_matching(State& st,
       }
     }
     st.rt->charge(3, log_bits);
-    std::swap(todo, next);
+    // Blocked pairs (parallel shards): a failed pair whose endpoints'
+    // neighbors already hold every non-reserved color can never pass the
+    // verdict, since colors are only ever added, so it leaves the trials
+    // now instead of drawing until mct_max_rounds.
+    verdicts.resize(next.size());
+    par.shards(static_cast<std::int64_t>(next.size()),
+               [&](int w, std::int64_t b, std::int64_t e) {
+      auto& held = st.wscratch.at(w).blocked;
+      for (std::int64_t i = b; i < e; ++i) {
+        const int pi = next[static_cast<std::size_t>(i)];
+        const auto& [a, b2] = pairs[static_cast<std::size_t>(pi)];
+        held.rebind(st.num_colors());
+        for (const int endpoint : {a, b2}) {
+          for (const int u : h.neighbors(endpoint)) {
+            if (st.phi.colored(u)) held.add(st.phi.get(u));
+          }
+        }
+        verdicts[static_cast<std::size_t>(i)] =
+            held.count_in(prefix, st.num_colors() - 1) == span;
+      }
+    });
+    todo.clear();
+    for (std::size_t i = 0; i < next.size(); ++i) {
+      if (verdicts[i]) {
+        ++blocked;
+      } else {
+        todo.push_back(next[i]);
+      }
+    }
   }
-  // Pairs still uncolored (no common free color left, or out of trials)
-  // stay uncolored for the later phases and the safety net.
-  st.retry_count += static_cast<int>(todo.size());
+  // Pairs still uncolored (blocked, or out of trials) stay uncolored for
+  // the later phases and the safety net.
+  st.retry_count += blocked + static_cast<int>(todo.size());
   return colored;
 }
 

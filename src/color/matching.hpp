@@ -24,7 +24,9 @@
 namespace ccg::color {
 
 // Lemma 4.9 matching on the given cliques; a clique stops once its palette
-// repeat count reaches target(k). Costs O(matching_rounds) H-rounds.
+// repeat count reaches target(k). Costs O(matching_rounds) H-rounds. A
+// round's verdict runs only for the proposers of a color that two
+// non-adjacent members of their clique picked: no other color can commit.
 // Round state lives in the State-owned scratch, so a warm call is
 // allocation-free; read per-clique repeats off st.palettes afterwards.
 void colorful_matching_run(State& st, const std::vector<int>& clique_ids,
@@ -71,8 +73,10 @@ void fingerprint_matching_charge(State& st);
 
 // Algorithm 6 steps 2-3: colors each anti-edge pair with a common
 // non-reserved color via synchronized pair-level trials. Returns the
-// number of pairs colored. Pairs left after st.params.mct_max_rounds
-// trials stay uncolored, and their count is added to st.retry_count.
+// number of pairs colored. A pair that fails a trial while its endpoints'
+// neighbors hold every non-reserved color leaves the trials at once; it
+// and the pairs left after st.params.mct_max_rounds trials stay
+// uncolored, and their count is added to st.retry_count.
 int color_anti_matching(State& st,
                         const std::vector<std::pair<int, int>>& pairs);
 

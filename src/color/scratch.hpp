@@ -43,11 +43,15 @@ struct WorkerScratch {
   // Word-parallel per-vertex color sets, vertex-scoped temporaries that
   // cannot share one array across workers. `blocked`: colors unavailable
   // to the current vertex (MCT verdict marks, fallback_finish used-color
-  // set, TryFreeColors taken-in-K set, low-degree list pruning).
+  // set, TryFreeColors taken-in-K set, low-degree list pruning, the
+  // colors held around a failed anti-matching pair).
   // `ext_used`: colors held by the current vertex's external neighbors
-  // (put-aside sampling / donation probes).
+  // (put-aside sampling / donation probes). `paired`: the colors that
+  // some proposer of the current clique shares with one of its
+  // anti-neighbors (the colorful matching's verdict gate).
   ColorSet blocked;
   ColorSet ext_used;
+  ColorSet paired;
   std::vector<std::pair<int, int>> adopted;  // shard-local (vertex, value)
   // Sort-based grouping buffer ((composite key, id) pairs): the donation
   // scheme's (color, block) groups and the colorful matching's per-clique

@@ -31,13 +31,34 @@ struct Fixture {
 // not derived from n so tests can force the cabal flag.
 // force_threads > 0 pins the round-engine worker count (determinism
 // sweeps); 0 honors CCG_TEST_THREADS so the TSan CI job can re-run every
-// fixture-based test on the parallel engine.
+// fixture-based test on the parallel engine. relabel_seed != 0 renames
+// vertex v to perm[v] for a random permutation drawn from it, so the
+// cliques scatter over all ids instead of occupying contiguous runs.
 inline std::unique_ptr<Fixture> make_planted_fixture(
     const graph::PlantedSpec& spec, const color::Params& params,
-    std::uint64_t seed, double ell_override = -1.0, int force_threads = 0) {
+    std::uint64_t seed, double ell_override = -1.0, int force_threads = 0,
+    std::uint64_t relabel_seed = 0) {
   auto f = std::make_unique<Fixture>();
   Rng rng(seed);
   f->planted = graph::make_planted_acd(spec, rng);
+  if (relabel_seed != 0) {
+    auto& p = f->planted;
+    Rng perm_rng(relabel_seed);
+    const auto perm = perm_rng.permutation(p.g.n());
+    graph::Graph g(p.g.n());
+    std::vector<int> clique_of(p.clique_of.size());
+    for (const auto& [u, v] : p.g.edges()) {
+      g.add_edge(perm[static_cast<std::size_t>(u)],
+                 perm[static_cast<std::size_t>(v)]);
+    }
+    g.finalize();
+    for (int v = 0; v < p.g.n(); ++v) {
+      clique_of[static_cast<std::size_t>(perm[static_cast<std::size_t>(v)])] =
+          p.clique_of[static_cast<std::size_t>(v)];
+    }
+    p.g = std::move(g);
+    p.clique_of = std::move(clique_of);
+  }
   f->cg = cluster::ClusterGraph::singleton(f->planted.g);
   f->ledger = std::make_unique<net::Ledger>(f->cg.default_bandwidth());
   f->rt = std::make_unique<cluster::Runtime>(f->cg, *f->ledger);

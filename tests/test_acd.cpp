@@ -542,16 +542,17 @@ TEST(Acd, OracleMatchesSetUnionReference) {
                           scratch.word_off[v + 1] - scratch.word_off[v]);
       }
       EXPECT_GE(widest, c.min_row_words) << label;
-      // Packed rows store the words that hold two or more neighbors
-      // first, and `upto` is the running neighbor count in stored order.
+      // Packed rows store their words densest first (popcounts never
+      // rise along a row), and `upto` is the running neighbor count in
+      // stored order.
       for (const int v : scratch.high_rows) {
-        bool single_seen = false;
+        int prev = 64;
         std::int32_t upto = 0;
         for (auto i = scratch.word_off[v]; i < scratch.word_off[v + 1]; ++i) {
           const auto& x = scratch.packed[static_cast<std::size_t>(i)];
           const int count = std::popcount(x.mask);
-          ASSERT_FALSE(single_seen && count >= 2) << label << " row " << v;
-          single_seen |= count == 1;
+          ASSERT_LE(count, prev) << label << " row " << v;
+          prev = count;
           upto += count;
           ASSERT_EQ(x.upto, upto) << label << " row " << v;
         }

@@ -217,6 +217,162 @@ TEST(ColorfulMatching, MatchesNeighborScanReference) {
   EXPECT_GT(matched, 0);
 }
 
+// How often each branch of the colorful-matching verdict and commit
+// decided in ungated_matching.
+struct VerdictTally {
+  int palette = 0;  // a colored in-clique neighbor holds c
+  int anti = 0;     // members hold c, but all lie in anti(v): no clash
+  int ext = 0;      // an external neighbor holds or proposes c
+  int lone = 0;     // a bucket of survivors that holds no anti pair
+};
+
+// The colorful matching without the same-color anti-pair gate: every
+// proposer gets the palette/anti/ext verdict, and the commit buckets every
+// survivor of a clique by (color, vertex). Sequential and uncharged, it
+// draws the same (round, entity) streams as colorful_matching_run.
+VerdictTally ungated_matching(State& st, const std::vector<int>& ids,
+                              int target) {
+  const auto& info = st.dc.info;
+  const int prefix = st.dc.reserved_cap;
+  const int span = st.num_colors() - prefix;
+  std::vector<char> done(ids.size(), 0);
+  std::vector<int> cand(static_cast<std::size_t>(st.h().n()), -1);
+  VerdictTally tally;
+  for (int round = 0; round < st.params.matching_rounds; ++round) {
+    std::vector<std::vector<int>> live;
+    std::size_t participants = 0;
+    for (std::size_t ki = 0; ki < ids.size(); ++ki) {
+      if (st.palettes[ids[ki]].repeats() >= target) done[ki] = 1;
+      if (done[ki]) continue;
+      live.push_back(st.uncolored_members(ids[ki]));
+      participants += live.back().size();
+    }
+    if (participants == 0) break;
+    std::fill(cand.begin(), cand.end(), -1);
+    st.bump_trial_round();
+    for (const auto& members : live) {
+      for (const int v : members) {
+        Rng rng = st.trial_rng(static_cast<std::uint64_t>(v));
+        if (!rng.next_bool(0.5)) continue;
+        cand[v] = prefix + static_cast<int>(rng.next_below(
+                               static_cast<std::uint64_t>(span)));
+      }
+    }
+    std::vector<std::vector<std::pair<int, int>>> keyed(live.size());
+    for (std::size_t j = 0; j < live.size(); ++j) {
+      for (const int v : live[j]) {
+        const int c = cand[v];
+        if (c < 0) continue;
+        const int held = st.palettes[st.dc.clique_of(v)].count(c);
+        int inside = held;
+        for (const int w : info.anti(v)) inside -= st.phi.get(w) == c;
+        if (inside > 0) {
+          ++tally.palette;
+          continue;
+        }
+        tally.anti += held > 0;
+        const auto ext = info.ext(v);
+        if (std::any_of(ext.begin(), ext.end(), [&](int u) {
+              return st.phi.get(u) == c || cand[u] == c;
+            })) {
+          ++tally.ext;
+          continue;
+        }
+        keyed[j].emplace_back(c, v);
+      }
+    }
+    for (auto& bucket_pairs : keyed) {
+      std::sort(bucket_pairs.begin(), bucket_pairs.end());
+      for (std::size_t lo = 0; lo < bucket_pairs.size();) {
+        std::size_t hi = lo;
+        while (hi < bucket_pairs.size() &&
+               bucket_pairs[hi].first == bucket_pairs[lo].first) {
+          ++hi;
+        }
+        std::vector<int> chosen;
+        for (std::size_t i = lo; i < hi; ++i) {
+          const int v = bucket_pairs[i].second;
+          const auto anti = info.anti(v);
+          if (std::all_of(chosen.begin(), chosen.end(), [&](int u) {
+                return std::binary_search(anti.begin(), anti.end(), u);
+              })) {
+            chosen.push_back(v);
+          }
+        }
+        tally.lone += chosen.size() == 1;
+        if (chosen.size() % 2 == 1) chosen.pop_back();
+        for (const int v : chosen) st.assign(v, bucket_pairs[lo].first);
+        lo = hi;
+      }
+    }
+  }
+  return tally;
+}
+
+TEST(ColorfulMatching, GatedVerdictMatchesUngated) {
+  // The verdict runs only for proposers of a color that some proposer
+  // shares with one of its anti-neighbors; the rest read -1. Colors and
+  // repeats must equal the ungated verdict and commit bit for bit, on
+  // planted cliques stored as id runs and scattered by a relabelling. A
+  // short candidate span over pre-colored members (every third) and
+  // pre-colored sparse neighbors makes every verdict branch decide.
+  VerdictTally total;
+  for (const std::uint64_t relabel : {0u, 91u}) {
+    for (const int target : {4, 1000}) {
+      for (const int threads : {1, 2, 8}) {
+        color::Params params;
+        params.seed = 5 + relabel;
+        params.reserved_cap_frac = 0.75;
+        graph::PlantedSpec spec = cabal_spec(60, 6, 6);
+        spec.num_sparse = 60;
+        spec.sparse_avg_deg = 6.0;
+        spec.external_to_sparse = 0.5;
+        auto lib = ccg::testing::make_planted_fixture(spec, params, 67, 4.0,
+                                                      threads, relabel);
+        auto ref = ccg::testing::make_planted_fixture(spec, params, 67, 4.0,
+                                                      1, relabel);
+        for (auto* st : {lib->st.get(), ref->st.get()}) {
+          precolor_thirds(*st);
+          // Every other sparse vertex takes its smallest free candidate
+          // color, so ext(v) rows hold colored neighbors.
+          for (int v = 0; v < st->h().n(); v += 2) {
+            if (st->dc.clique_of(v) >= 0) continue;
+            for (int c = st->dc.reserved_cap; c < st->num_colors(); ++c) {
+              if (!st->phi.neighbor_uses(st->h(), v, c)) {
+                st->assign(v, c);
+                break;
+              }
+            }
+          }
+        }
+        ASSERT_EQ(lib->st->phi.vec(), ref->st->phi.vec());
+        const std::vector<int> ids{0, 1, 2};
+        colorful_matching_run(*lib->st, ids,
+                              [target](int) { return target; });
+        const auto tally = ungated_matching(*ref->st, ids, target);
+        total.palette += tally.palette;
+        total.anti += tally.anti;
+        total.ext += tally.ext;
+        total.lone += tally.lone;
+        const std::string label = "relabel=" + std::to_string(relabel) +
+                                  " target=" + std::to_string(target) +
+                                  " threads=" + std::to_string(threads);
+        ASSERT_EQ(lib->st->phi.vec(), ref->st->phi.vec()) << label;
+        for (const int k : ids) {
+          EXPECT_EQ(lib->st->palettes[k].repeats(),
+                    ref->st->palettes[k].repeats())
+              << label << " clique " << k;
+        }
+        cluster::check_proper_partial(lib->st->h(), lib->st->phi.vec());
+      }
+    }
+  }
+  EXPECT_GT(total.palette, 0);
+  EXPECT_GT(total.anti, 0);
+  EXPECT_GT(total.ext, 0);
+  EXPECT_GT(total.lone, 0);
+}
+
 TEST(FingerprintMatching, FindsValidAntiMatching) {
   color::Params params;
   params.seed = 7;
@@ -547,8 +703,8 @@ TEST(ColorAntiMatching, YieldsToSmallerPairThenLeavesBlockedPairUncolored) {
   // Pairs (1, 3) and (0, 2), one edge 2-3, and one non-reserved color, so
   // both pairs draw it in every round. (1, 3) must yield to (0, 2), whose
   // minimum endpoint is smaller, although its neighbor 2 is larger than 1.
-  // The color is then taken at 2, so (1, 3) stays uncolored through every
-  // trial and is counted as a retry instead of failing the call.
+  // The color is then taken at 2, so (1, 3) stays uncolored and is counted
+  // as a retry instead of failing the call.
   const auto g = graph::Graph::from_edges(4, {{2, 3}});
   const auto cg = cluster::ClusterGraph::singleton(g);
   net::Ledger ledger(cg.default_bandwidth());
@@ -560,13 +716,47 @@ TEST(ColorAntiMatching, YieldsToSmallerPairThenLeavesBlockedPairUncolored) {
   State st(rt, params);
   st.dc.reserved_cap = 1;
   ASSERT_EQ(st.num_colors(), 2);
+  const auto h_before = ledger.h_rounds();
   EXPECT_EQ(color_anti_matching(st, {{1, 3}, {0, 2}}), 1);
   EXPECT_EQ(st.retry_count, 1);
+  // After the first trial 2 holds the only color, so (1, 3) is blocked
+  // and leaves the trials: one trial of 3 H-rounds, not 64.
+  EXPECT_EQ(ledger.h_rounds() - h_before, 3);
   EXPECT_EQ(st.phi.get(0), 1);
   EXPECT_EQ(st.phi.get(2), 1);
   EXPECT_FALSE(st.phi.colored(1));
   EXPECT_FALSE(st.phi.colored(3));
   cluster::check_proper_partial(st.h(), st.phi.vec());
+}
+
+TEST(ColorAntiMatching, PairWithAFreeColorKeepsDrawing) {
+  // Pair (0, 1) with edges 0-2 and 1-3, two colors, and 2 colored 0: the
+  // pair fails every trial that draws 0, but color 1 stays free for both
+  // endpoints, so it must keep drawing until it takes 1. Over 16 seeds
+  // some first draws are 0, so the pair fails a trial and stays.
+  const auto g = graph::Graph::from_edges(4, {{0, 2}, {1, 3}});
+  const auto cg = cluster::ClusterGraph::singleton(g);
+  std::int64_t trials = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    net::Ledger ledger(cg.default_bandwidth());
+    cluster::Runtime rt(cg, ledger);
+    color::Params params;
+    params.seed = seed;
+    if (const char* env = std::getenv("CCG_TEST_THREADS")) {
+      params.threads = std::max(1, std::atoi(env));
+    }
+    State st(rt, params);
+    ASSERT_EQ(st.num_colors(), 2);
+    ASSERT_EQ(st.dc.reserved_cap, 0);
+    st.assign(2, 0);
+    const auto h_before = ledger.h_rounds();
+    EXPECT_EQ(color_anti_matching(st, {{0, 1}}), 1) << "seed " << seed;
+    EXPECT_EQ(st.retry_count, 0) << "seed " << seed;
+    EXPECT_EQ(st.phi.get(0), 1) << "seed " << seed;
+    EXPECT_EQ(st.phi.get(1), 1) << "seed " << seed;
+    trials += (ledger.h_rounds() - h_before) / 3;
+  }
+  EXPECT_GT(trials, 16);
 }
 
 }  // namespace
