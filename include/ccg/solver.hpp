@@ -181,7 +181,8 @@ class Problem {
 
 // How to color it. Subsumes algorithm selection plus the color::Params
 // surface the CLIs and the batch service expose; the escape hatch
-// `params` hands over the full knob set.
+// `params` hands over the knobs callers vary (color::Params; the
+// calibration values no caller varies are constants in color/params.hpp).
 struct Options {
   Algo algo = Algo::kAuto;
   // Round-engine workers (color::Params::threads): 1 = inline, 0 =
@@ -205,7 +206,7 @@ struct Options {
   std::int64_t deadline_ms = 0;
   // Full override: used verbatim when set (the knobs above are ignored,
   // including seed and threads — they live inside Params). Validated at
-  // the boundary: out-of-range eps/threads/fingerprint_t/round budgets
+  // the boundary: out-of-range eps/threads/fingerprint_t/reserved_cap_frac
   // are kInvalidOptions, not deep-pipeline throws.
   std::optional<color::Params> params;
   // Fill Outcome::result.colors / phases. The serving path turns this

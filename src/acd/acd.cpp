@@ -345,10 +345,10 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
   const int n = h.n();
   const int delta = rt.delta();
   // Buddy-predicate slack. The paper cascades xi' = 2 xi / c (Lemma 5.8)
-  // purely for the union-bound bookkeeping; operationally a single xi at
-  // the eps scale realizes the same predicate, and planted instances need
+  // purely for the union-bound bookkeeping; operationally a single xi =
+  // eps realizes the same predicate, and planted instances need
   // (2 e_v + 2 a_v) <= ~xi * Delta to be detected.
-  const double xi = params.xi > 0 ? params.xi : params.eps;
+  const double xi = params.eps;
 
   sketch::CountOptions opt;
   opt.t = params.t;

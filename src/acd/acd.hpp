@@ -7,7 +7,7 @@
 //   2. for surviving edges, estimate F ≈ |N(u) ∪ N(v)| from the union of
 //      neighborhood fingerprints; an edge is a *buddy edge* when
 //      F <= (1 + xi) Delta (Lemma 5.8's xi-buddy predicate, with the single
-//      slack xi of AcdParams in place of the paper's cascaded xi');
+//      slack xi = eps in place of the paper's cascaded xi');
 //   3. count per-vertex buddy degrees (fingerprints again); vertices with
 //      >= (1 - 2 xi) Delta buddy edges are dense candidates;
 //   4. almost-cliques = connected components of the buddy graph restricted
@@ -35,8 +35,7 @@ class ParallelRound;
 namespace ccg::acd {
 
 struct AcdParams {
-  double eps = 0.05;   // epsilon of the decomposition
-  double xi = 0.0;     // buddy-predicate slack; 0 -> defaults to eps
+  double eps = 0.05;   // epsilon of the decomposition (and buddy slack xi)
   int t = 96;          // fingerprint width for all estimates
   bool use_fingerprints = true;  // false -> exact oracle mode (same cost)
   bool measure_bits = true;

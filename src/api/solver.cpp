@@ -47,7 +47,7 @@ std::optional<Error> validate_options(const Options& o) {
     return std::nullopt;
   }
   // Full Params override: check the knobs whose bad values detonate far
-  // from the call site (palette sizing, round budgets, sketch widths).
+  // from the call site (palette sizing, sketch widths).
   const color::Params& p = *o.params;
   if (!eps_in_range(p.eps)) {
     return make_error(ErrorCode::kInvalidOptions,
@@ -56,11 +56,6 @@ std::optional<Error> validate_options(const Options& o) {
   if (p.fingerprint_t < 1 || p.fingerprint_t > (1 << 20)) {
     return make_error(ErrorCode::kInvalidOptions,
                       "Params::fingerprint_t must be in [1, 2^20]");
-  }
-  if (p.trycolor_rounds < 1 || p.mct_max_rounds < 1 ||
-      p.matching_rounds < 1) {
-    return make_error(ErrorCode::kInvalidOptions,
-                      "Params round budgets must be >= 1");
   }
   if (!std::isfinite(p.reserved_cap_frac) || p.reserved_cap_frac <= 0.0 ||
       p.reserved_cap_frac > 1.0) {

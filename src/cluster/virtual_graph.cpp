@@ -48,14 +48,6 @@ VirtualGraph VirtualGraph::build(const graph::Graph& g,
       copy_id[static_cast<std::size_t>(v)][i] = n_copies++;
     }
   }
-  vg.copy_to_base_.resize(static_cast<std::size_t>(n_copies));
-  for (int v = 0; v < n_h; ++v) {
-    const auto& support = supports[static_cast<std::size_t>(v)];
-    for (std::size_t i = 0; i < support.size(); ++i) {
-      vg.copy_to_base_[static_cast<std::size_t>(
-          copy_id[static_cast<std::size_t>(v)][i])] = support[i];
-    }
-  }
 
   graph::Graph copies(n_copies);
   std::vector<int> cluster_of(static_cast<std::size_t>(n_copies));
@@ -232,8 +224,7 @@ int VirtualGraph::default_bandwidth(int beta) const {
 }
 
 std::size_t VirtualGraph::heap_bytes() const {
-  return base_.heap_bytes() + representation_.heap_bytes() +
-         graph::capacity_bytes(copy_to_base_);
+  return base_.heap_bytes() + representation_.heap_bytes();
 }
 
 }  // namespace ccg::cluster

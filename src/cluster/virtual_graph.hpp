@@ -66,10 +66,6 @@ class VirtualGraph {
   const graph::Graph& base() const { return base_; }
   // Disjoint copy-machine representation executing the algorithms.
   const ClusterGraph& representation() const { return representation_; }
-  // Base machine realized by a copy machine of the representation.
-  int base_of_copy(int copy) const {
-    return copy_to_base_[static_cast<std::size_t>(copy)];
-  }
 
   int congestion() const { return congestion_; }  // c of Eq. 19
   int dilation() const { return representation_.dilation(); }
@@ -77,8 +73,8 @@ class VirtualGraph {
   // Per-link bandwidth governed by the *base* network size.
   int default_bandwidth(int beta = 4) const;
 
-  // Heap bytes held: the base network, the copy-machine representation
-  // (whose clusters are the supports) and the copy-to-base map.
+  // Heap bytes held: the base network and the copy-machine representation
+  // (whose clusters are the supports).
   std::size_t heap_bytes() const;
 
  private:
@@ -88,7 +84,6 @@ class VirtualGraph {
 
   graph::Graph base_;
   ClusterGraph representation_;
-  std::vector<int> copy_to_base_;
   int congestion_ = 1;
 };
 

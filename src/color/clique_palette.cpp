@@ -38,10 +38,4 @@ int CliquePalette::select_free(int lo, int hi, int i) const {
   return used_.select_free_in(lo, hi, i);
 }
 
-int CliquePalette::select_used(int lo, int hi, int i) const {
-  CCG_CHECK(i >= 0);
-  CCG_CHECK(lo >= 0 && hi < num_colors_);
-  return used_.select_in(lo, hi, i);
-}
-
 }  // namespace ccg::color

@@ -49,8 +49,6 @@ class CliquePalette {
   int free_count(int lo, int hi) const;
   // i-th (0-based) free color in [lo, hi]; -1 if fewer than i+1 exist.
   int select_free(int lo, int hi, int i) const;
-  // i-th (0-based) *used* color in [lo, hi]; -1 if none.
-  int select_used(int lo, int hi, int i) const;
 
   int colored_total() const { return colored_total_; }
   int distinct_total() const { return used_.count(); }

@@ -10,10 +10,10 @@
 // external-color probes) now goes through this type.
 //
 // Determinism contract: queries are pure functions of the set's contents.
-// select_free_in / select_in return the i-th candidate in increasing
-// color order — exactly what the sequential color-by-color reference scan
-// returns — so migrating a consumer onto ColorSet never changes which
-// color *index* it picks, only how fast it finds it.
+// select_free_in returns the i-th candidate in increasing color order —
+// exactly what the sequential color-by-color reference scan returns — so
+// migrating a consumer onto ColorSet never changes which color *index* it
+// picks, only how fast it finds it.
 //
 // Allocation contract: storage grows monotonically to its high-water
 // capacity (`rebind` never shrinks), so a ColorSet owned by State /
@@ -65,7 +65,7 @@ class ColorSet {
   }
 
   // |set|. Exact because bits at and above num_colors_ are never set
-  // (add() asserts, and the word-wise ops below mask the tail).
+  // (add() asserts).
   int count() const {
     const std::size_t aw = words_needed(num_colors_);
     int s = 0;
@@ -86,39 +86,29 @@ class ColorSet {
     return masked_count(lo, hi, /*complement=*/true);
   }
 
-  // i-th (0-based) member of set ∩ [lo, hi] in increasing order, or -1
-  // when the range holds fewer than i+1 members.
-  int select_in(int lo, int hi, int i) const {
-    CCG_ASSERT(i >= 0);
-    if (lo > hi) return -1;
-    CCG_ASSERT(lo >= 0 && hi < num_colors_);
-    return masked_select(lo, hi, i, /*complement=*/false);
-  }
-  // i-th (0-based) free color in [lo, hi] in increasing order, or -1.
+  // i-th (0-based) free color in [lo, hi] in increasing order, or -1
+  // when the range holds fewer than i+1 free colors.
   int select_free_in(int lo, int hi, int i) const {
     CCG_ASSERT(i >= 0);
     if (lo > hi) return -1;
     CCG_ASSERT(lo >= 0 && hi < num_colors_);
-    return masked_select(lo, hi, i, /*complement=*/true);
+    const std::size_t wl = word_of(lo), wh = word_of(hi);
+    for (std::size_t w = wl; w <= wh; ++w) {
+      std::uint64_t cur = masked_word(w, lo, hi, /*complement=*/true);
+      const int pc = bits::popcount64(cur);
+      if (i < pc) {
+        while (i-- > 0) cur &= cur - 1;  // drop the i lowest free colors
+        return static_cast<int>(w * 64) + bits::ctz64(cur);
+      }
+      i -= pc;
+    }
+    return -1;
   }
 
   // Smallest color not in the set, or -1 when the set is full. The word
   // walk skips all-ones words; ctz finds the first zero bit.
   int first_free() const { return next_free(0); }
 
-  // Smallest member >= from, or -1.
-  int next_set(int from) const {
-    CCG_ASSERT(from >= 0);
-    if (from >= num_colors_) return -1;
-    const std::size_t aw = words_needed(num_colors_);
-    std::size_t w = word_of(from);
-    std::uint64_t cur = words_[w] & ones_from(from & 63);
-    while (true) {
-      if (cur != 0) return static_cast<int>(w * 64) + bits::ctz64(cur);
-      if (++w >= aw) return -1;
-      cur = words_[w];
-    }
-  }
   // Smallest free color >= from, or -1.
   int next_free(int from) const {
     CCG_ASSERT(from >= 0);
@@ -134,24 +124,8 @@ class ColorSet {
     }
   }
 
-  // ---- word-wise set algebra (operands must share the universe) ----
-
-  void or_with(const ColorSet& o) {  // this |= o
-    CCG_ASSERT(o.num_colors_ == num_colors_);
-    const std::size_t aw = words_needed(num_colors_);
-    for (std::size_t w = 0; w < aw; ++w) words_[w] |= o.words_[w];
-  }
-  void and_with(const ColorSet& o) {  // this &= o
-    CCG_ASSERT(o.num_colors_ == num_colors_);
-    const std::size_t aw = words_needed(num_colors_);
-    for (std::size_t w = 0; w < aw; ++w) words_[w] &= o.words_[w];
-  }
-  void and_not(const ColorSet& o) {  // this &= ~o
-    CCG_ASSERT(o.num_colors_ == num_colors_);
-    const std::size_t aw = words_needed(num_colors_);
-    for (std::size_t w = 0; w < aw; ++w) words_[w] &= ~o.words_[w];
-  }
-  // popcount(this & o) without materializing the intersection.
+  // popcount(this & o) without materializing the intersection (operands
+  // must share the universe).
   int intersect_count(const ColorSet& o) const {
     CCG_ASSERT(o.num_colors_ == num_colors_);
     const std::size_t aw = words_needed(num_colors_);
@@ -198,20 +172,6 @@ class ColorSet {
       s += bits::popcount64(masked_word(w, lo, hi, complement));
     }
     return s;
-  }
-
-  int masked_select(int lo, int hi, int i, bool complement) const {
-    const std::size_t wl = word_of(lo), wh = word_of(hi);
-    for (std::size_t w = wl; w <= wh; ++w) {
-      std::uint64_t cur = masked_word(w, lo, hi, complement);
-      const int pc = bits::popcount64(cur);
-      if (i < pc) {
-        while (i-- > 0) cur &= cur - 1;  // drop the i lowest members
-        return static_cast<int>(w * 64) + bits::ctz64(cur);
-      }
-      i -= pc;
-    }
-    return -1;
   }
 
   int num_colors_ = 0;

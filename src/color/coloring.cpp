@@ -21,15 +21,6 @@ int Coloring::uncolored_degree(const graph::Graph& h, int v) const {
   return d;
 }
 
-int Coloring::uncolored_neighbors(const graph::Graph& h, int v,
-                                  std::vector<int>* out) const {
-  out->clear();
-  for (const int u : h.neighbors(v)) {
-    if (!colored(u)) out->push_back(u);
-  }
-  return static_cast<int>(out->size());
-}
-
 void State::reset(cluster::Runtime& runtime, const Params& p) {
   rt = &runtime;
   params = p;

@@ -48,12 +48,6 @@ class Coloring {
   // Number of uncolored neighbors of v.
   int uncolored_degree(const graph::Graph& h, int v) const;
 
-  // Buffer-out variant: writes the uncolored neighbors of v into `out`
-  // (cleared first) and returns their count. Reuse `out` across calls to
-  // stay allocation-free in steady state.
-  int uncolored_neighbors(const graph::Graph& h, int v,
-                          std::vector<int>* out) const;
-
  private:
   std::vector<int> color_;
 };

@@ -29,7 +29,7 @@ void colorful_matching_run(State& st, const std::vector<int>& clique_ids,
   // clique: live clique j owns participants [seg[j], seg[j + 1]).
   auto& participants = sc.tmp_ints;
   auto& seg = st.ph.seg;
-  for (int round = 0; round < st.params.matching_rounds; ++round) {
+  for (int round = 0; round < kMatchingRounds; ++round) {
     // Enumerate this round's participants: uncolored members of cliques
     // still short of their target (sequential; no randomness).
     participants.clear();
@@ -174,7 +174,7 @@ namespace {
 // Algorithm 7's trial count k = max(8, round(kfactor * log2 n)).
 int fingerprint_trials(const State& st) {
   return std::max(
-      8, static_cast<int>(std::lround(st.params.cabal_matching_kfactor *
+      8, static_cast<int>(std::lround(kCabalMatchingKFactor *
                                       std::log2(std::max(4, st.h().n())))));
 }
 
@@ -435,7 +435,7 @@ int color_anti_matching(State& st,
   next.clear();
   // Pair-level synchronized trials (Algorithm 6 step 3, with the random
   // groups of Lemma 4.4 relaying between the pair's endpoints).
-  for (int round = 0; round < st.params.mct_max_rounds && !todo.empty();
+  for (int round = 0; round < kMctMaxRounds && !todo.empty();
        ++round) {
     const auto total = static_cast<std::int64_t>(todo.size());
     // Propose (parallel shards): every live pair draws its candidate from
@@ -504,7 +504,7 @@ int color_anti_matching(State& st,
     // Blocked pairs (parallel shards): a failed pair whose endpoints'
     // neighbors already hold every non-reserved color can never pass the
     // verdict, since colors are only ever added, so it leaves the trials
-    // now instead of drawing until mct_max_rounds.
+    // now instead of drawing until kMctMaxRounds.
     verdicts.resize(next.size());
     par.shards(static_cast<std::int64_t>(next.size()),
                [&](int w, std::int64_t b, std::int64_t e) {

@@ -24,7 +24,7 @@
 namespace ccg::color {
 
 // Lemma 4.9 matching on the given cliques; a clique stops once its palette
-// repeat count reaches target(k). Costs O(matching_rounds) H-rounds. A
+// repeat count reaches target(k). Costs O(kMatchingRounds) H-rounds. A
 // round's verdict runs only for the proposers of a color that two
 // non-adjacent members of their clique picked: no other color can commit.
 // Round state lives in the State-owned scratch, so a warm call is
@@ -75,7 +75,7 @@ void fingerprint_matching_charge(State& st);
 // non-reserved color via synchronized pair-level trials. Returns the
 // number of pairs colored. A pair that fails a trial while its endpoints'
 // neighbors hold every non-reserved color leaves the trials at once; it
-// and the pairs left after st.params.mct_max_rounds trials stay
+// and the pairs left after kMctMaxRounds trials stay
 // uncolored, and their count is added to st.retry_count.
 int color_anti_matching(State& st,
                         const std::vector<std::pair<int, int>>& pairs);

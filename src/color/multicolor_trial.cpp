@@ -16,12 +16,9 @@ void multicolor_trial(State& st, std::vector<int>* S_ptr,
   const auto& h = st.h();
   const int n = h.n();
   const int x_cap =
-      opt.x_cap > 0
-          ? opt.x_cap
-          : 2 * std::max(1, ceil_log2(static_cast<std::uint64_t>(
-                                std::max(2, n))));
+      2 * std::max(1, ceil_log2(static_cast<std::uint64_t>(std::max(2, n))));
   prune_colored(st, &S);
-  int x = std::max(1, opt.x_init);
+  int x = 1;
 
   auto& sc = st.scratch;
   auto& par = *st.par;

@@ -23,10 +23,10 @@ namespace ccg::color {
 using SetSampler =
     std::function<void(int v, int x, Rng& rng, std::vector<int>* out)>;
 
+// Each round tries x colors per vertex: x starts at 1 and doubles every
+// round up to 2 * ceil(log2 n).
 struct MctOptions {
-  int max_rounds = 64;
-  int x_init = 1;
-  int x_cap = 0;  // 0 -> 2 * ceil(log2 n)
+  int max_rounds = kMctMaxRounds;
   // Guaranteed slack lower bound per vertex: caps x so that
   // x * active_degree <= slack (Lemma D.2's hypothesis).
   std::function<int(int v)> slack;

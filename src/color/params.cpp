@@ -8,11 +8,11 @@
 namespace ccg::color {
 
 double Params::ell(int n) const {
-  return std::max(2.0, ell_factor * log_pow_1_1(std::max(2, n)));
+  return std::max(2.0, kEllFactor * log_pow_1_1(std::max(2, n)));
 }
 
 int Params::delta_low(int n) const {
-  return static_cast<int>(std::ceil(delta_low_factor * ell(n)));
+  return static_cast<int>(std::ceil(kDeltaLowFactor * ell(n)));
 }
 
 int Params::reserved_cap(int delta) const {
@@ -29,7 +29,6 @@ int Params::block_size(int n) const {
 }
 
 int Params::donation_samples(int n) const {
-  if (donation_k > 0) return donation_k;
   const double lg = std::log2(std::max(4, n));
   const double lglg = std::max(1.0, std::log2(lg));
   return std::max(4, static_cast<int>(std::ceil(4.0 * lg / lglg)));

@@ -60,12 +60,11 @@ void coloring_sparse(State& st) {
   }
   if (sparse.empty()) return;
   const auto sampler = uniform_sampler(st.num_colors(), 0);
-  try_color_rounds(st, &sparse, sampler, st.params.trycolor_activation,
-                   st.params.trycolor_rounds);
+  try_color_rounds(st, &sparse, sampler, kTryColorActivation,
+                   kTryColorRounds);
   MctOptions mct;
-  mct.max_rounds = st.params.mct_max_rounds;
   const int slack = std::max(
-      1, static_cast<int>(st.params.gamma_sg * st.delta() / 4));
+      1, static_cast<int>(kGammaSg * st.delta() / 4));
   mct.slack = [slack](int) { return slack; };
   const auto set_sampler =
       st.params.use_representative_sets
@@ -88,10 +87,9 @@ void color_easy_cliques(State& st, const std::vector<int>& easy) {
   for (const int k : easy) st.append_uncolored_members(k, &s);
   if (s.empty()) return;
   const auto sampler = uniform_sampler(st.num_colors(), 0);
-  try_color_rounds(st, &s, sampler, st.params.trycolor_activation,
-                   st.params.trycolor_rounds);
+  try_color_rounds(st, &s, sampler, kTryColorActivation,
+                   kTryColorRounds);
   MctOptions mct;
-  mct.max_rounds = st.params.mct_max_rounds;
   const int slack =
       std::max(1, static_cast<int>(st.params.eps * st.delta()));
   mct.slack = [slack](int) { return slack; };
@@ -110,10 +108,9 @@ void color_outliers(State& st, std::vector<int>* outliers_ptr) {
     return r + static_cast<int>(rng.next_below(
                    static_cast<std::uint64_t>(st.num_colors() - r)));
   };
-  try_color_rounds(st, &outliers, sampler, st.params.trycolor_activation,
-                   st.params.trycolor_rounds);
+  try_color_rounds(st, &outliers, sampler, kTryColorActivation,
+                   kTryColorRounds);
   MctOptions mct;
-  mct.max_rounds = st.params.mct_max_rounds;
   const int slack = std::max(1, st.delta() / 4);
   mct.slack = [slack](int) { return slack; };
   const auto set_sampler = [&st](int v, int x, Rng& rng,
@@ -150,10 +147,10 @@ bool is_noncabal_inlier(State& st, int v) {
   const int k = st.dc.clique_of(v);
   const double e_k = std::max(
       1.0, st.dc.info.avg_ext_est[static_cast<std::size_t>(k)]);
-  if (st.dc.ext_est(v) > st.params.inlier_ext_factor * e_k) return false;
+  if (st.dc.ext_est(v) > kInlierExtFactor * e_k) return false;
   const double m_k = st.palettes[static_cast<std::size_t>(k)].repeats();
   return st.x_proxy(v) <=
-         m_k / 2.0 + st.params.gamma_sg / 8.0 * e_k;
+         m_k / 2.0 + kGammaSg / 8.0 * e_k;
 }
 
 }  // namespace
@@ -327,7 +324,7 @@ void coloring_cabals(State& st) {
     unc.clear();
     st.append_uncolored_members(k, &unc);
     for (const int v : unc) {
-      if (st.dc.ext_est(v) > st.params.inlier_ext_factor * e_k) {
+      if (st.dc.ext_est(v) > kInlierExtFactor * e_k) {
         outliers.push_back(v);
       }
     }
@@ -335,13 +332,13 @@ void coloring_cabals(State& st) {
   color_outliers(st, &outliers);
 
   // Step 3: put-aside sets (identical size across cabals; see
-  // Params::putaside_factor for the calibrated |P_K| < r_K choice).
+  // kPutAsideFactor for the calibrated |P_K| < r_K choice).
   const int r_reserved =
       st.dc.reserved[static_cast<std::size_t>(rest.front())];
   const int r = std::max(
       2, std::min(r_reserved,
                   static_cast<int>(std::lround(
-                      st.params.putaside_factor * st.dc.ell))));
+                      kPutAsideFactor * st.dc.ell))));
   // Put-aside sets live in the State-owned grow-only scratch; they must
   // survive steps 4-5 (which claim ph.groups for S_K), so they get their
   // own GroupLists.
@@ -380,7 +377,6 @@ void coloring_cabals(State& st) {
   }
   if (!leftover.empty()) {
     MctOptions mct;
-    mct.max_rounds = st.params.mct_max_rounds;
     mct.slack = [&st](int v) {
       // Reserved colors lost only to external neighbors (Lemma 8.5);
       // ẽ_v is the vertex's own estimate.

@@ -33,7 +33,7 @@ double z_estimate(const State& st, int v) {
   // gamma_{4.11} e_K + 40 a_K + x_v (Eq. 6), using Eq. 5's conversion
   // 80 a_K <= M_K + gamma e_K / 8 to eliminate the unknowable a_K.
   const double e_k = st.dc.info.avg_ext_est[static_cast<std::size_t>(k)];
-  const double reuse = st.params.gamma_reuse * e_k +
+  const double reuse = kGammaReuse * e_k +
                        pal.repeats() / 2.0 + st.x_proxy(v);
 
   return (delta + 1 - r_v) - mu_k - mu_e + reuse;
@@ -100,16 +100,16 @@ int complete_noncabals(State& st, const std::vector<int>& clique_ids) {
 
   // Phase I: vertices whose z̃ certifies non-reserved palette slack try
   // palette colors above the reserved prefix; O(1) iterations.
-  const int t_iters = std::max(2, st.params.trycolor_rounds / 2);
+  const int t_iters = std::max(2, kTryColorRounds / 2);
   auto& s_i = st.ph.sel;
   for (int it = 0; it < t_iters; ++it) {
-    select_by_z(st, all, 0.25 * st.params.gamma_reuse, /*ge=*/true, &s_i,
+    select_by_z(st, all, 0.25 * kGammaReuse, /*ge=*/true, &s_i,
                 nullptr);
     if (s_i.empty()) break;
     // z̃ recomputation: one fingerprint aggregation (Claim 8.3).
     st.rt->charge(1, 2 * st.params.fingerprint_t + 16);
     try_color_round(st, s_i, clique_palette_sampler(st),
-                    st.params.trycolor_activation);
+                    kTryColorActivation);
   }
 
   // Split leftovers: large-z̃ vertices (few per clique, Lemma 8.4) finish
@@ -118,7 +118,7 @@ int complete_noncabals(State& st, const std::vector<int>& clique_ids) {
   st.rt->charge(1, 2 * st.params.fingerprint_t + 16);
   auto& s_last = st.ph.sel;
   auto& phase2 = st.ph.sel2;
-  select_by_z(st, all, 0.25 * st.params.gamma_reuse, /*ge=*/false, &s_last,
+  select_by_z(st, all, 0.25 * kGammaReuse, /*ge=*/false, &s_last,
               &phase2);
   const auto reserved_slack = [&st](int v) {
     // |[r_v] ∩ L(v)| >= r_v - e_v (Lemma 8.5): only external neighbors
@@ -129,7 +129,6 @@ int complete_noncabals(State& st, const std::vector<int>& clique_ids) {
                     static_cast<int>(st.dc.r_of(v) - st.dc.ext_est(v) - 1));
   };
   MctOptions mct;
-  mct.max_rounds = st.params.mct_max_rounds;
   mct.slack = reserved_slack;
   multicolor_trial(st, &s_last, reserved_set_sampler(st), mct);
 
@@ -142,8 +141,8 @@ int complete_noncabals(State& st, const std::vector<int>& clique_ids) {
                      return static_cast<int>(
                          rng.next_below(static_cast<std::uint64_t>(r)));
                    },
-                   st.params.trycolor_activation,
-                   std::max(2, st.params.trycolor_rounds / 2));
+                   kTryColorActivation,
+                   std::max(2, kTryColorRounds / 2));
   multicolor_trial(st, &phase2, reserved_set_sampler(st), mct);
 
   st.rt->charge(1, lb);

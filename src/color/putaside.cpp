@@ -21,7 +21,7 @@ void eligible_members(const State& st, int k, std::vector<int>* out) {
   const double ek = st.dc.info.avg_ext_est[static_cast<std::size_t>(k)];
   for (const int v : st.dc.acd.members[static_cast<std::size_t>(k)]) {
     if (st.phi.colored(v)) continue;
-    if (st.dc.ext_est(v) <= st.params.inlier_ext_factor * std::max(1.0, ek)) {
+    if (st.dc.ext_est(v) <= kInlierExtFactor * std::max(1.0, ek)) {
       out->push_back(v);
     }
   }

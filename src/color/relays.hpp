@@ -9,7 +9,7 @@
 // anti-edges, found by a maximal matching on the bipartite graph between
 // anti-edges and a Theta(k/Delta)-sampled vertex set (each anti-edge sees
 // Theta(k) sampled common neighbors w.h.p., and there are at most k
-// anti-edges, so every anti-edge is matched).
+// anti-edges, so every anti-edge is matched w.h.p.).
 //
 // The maximal matching itself is proposal-based (the CONGEST matching of
 // [Fis20] runs in O(log^2 Delta log N) rounds; the simulation runs
@@ -24,15 +24,21 @@
 namespace ccg::color {
 
 struct RelayResult {
-  std::vector<int> relay;  // aligned with pairs; relay[i] adjacent to both
+  // Aligned with pairs: relay[i] is adjacent to both endpoints of pair i,
+  // or -1 when pair i stayed unmatched.
+  std::vector<int> relay;
   int proposal_rounds = 0;
   int escalations = 0;  // sampling-probability doublings (should be ~0)
 };
 
 // Finds pairwise-distinct relays for vertex-disjoint anti-edges inside
 // clique `clique_id`. Every relay is adjacent (in H) to both endpoints of
-// its pair and is not an endpoint of any pair. `charge` = false skips
-// ledger charges so batches over vertex-disjoint cliques charge one
+// its pair and is not an endpoint of any pair. The matching saturates only
+// w.h.p.: a pair left unmatched after the last sampling escalation keeps
+// relay -1 and the caller must not color it through a relay (the
+// low-degree cabal phase leaves both endpoints uncolored for its later
+// steps and counts the pair in State::retry_count). `charge` = false
+// skips ledger charges so batches over vertex-disjoint cliques charge one
 // execution shape via find_relays_charge.
 RelayResult find_relays(State& st, int clique_id,
                         const std::vector<std::pair<int, int>>& pairs,

@@ -49,8 +49,6 @@ class BitReader {
   int read_unary();
   std::uint64_t read_gamma();
 
-  int bits_remaining() const { return total_bits_ - pos_; }
-
  private:
   const std::vector<std::uint64_t>* words_;
   int total_bits_ = 0;

@@ -17,12 +17,6 @@ namespace {
 
 thread_local const CancelToken* t_cancel = nullptr;
 
-}  // namespace
-
-#if CCG_FAILPOINTS
-
-namespace {
-
 struct Site {
   ArmSpec spec;
   int matched = 0;  // matching hits seen since armed (drives skip/times)
@@ -168,19 +162,7 @@ int arm_from_env() {
   return arm_spec_string(env);
 }
 
-#else  // !CCG_FAILPOINTS
-
-void arm(const std::string&, const ArmSpec&) {}
-void disarm(const std::string&) {}
-void disarm_all() {}
-std::int64_t fire_count(const std::string&) { return 0; }
-int arm_spec_string(const std::string&) { return 0; }
-int arm_from_env() { return 0; }
-
-#endif  // CCG_FAILPOINTS
-
-// The thread-cancel scope stays live either way: kDelayMs uses it when
-// sites are compiled in, and keeping one definition avoids ODR drift.
+// The thread-cancel scope kDelayMs honors.
 ScopedThreadCancel::ScopedThreadCancel(const CancelToken* token)
     : prev_(t_cancel) {
   t_cancel = token;

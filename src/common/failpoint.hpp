@@ -28,10 +28,7 @@
 //
 // Cost. Disarmed sites cost one relaxed atomic load of a global counter
 // (no allocation, no branch beyond the test) — the warm fast path stays
-// zero allocations per job. Compiling with -DCCG_FAILPOINTS=0 (CMake
-// option CCG_FAILPOINTS=OFF) removes the sites entirely; arm()/disarm()
-// remain callable no-op stubs so test code builds either way (guard
-// assertions with fail::kCompiledIn).
+// zero allocations per job.
 //
 // Delay + deadlines. The kDelayMs action sleeps in 1 ms slices and
 // aborts early once the calling thread's CancelToken (installed by
@@ -46,17 +43,11 @@
 #include <optional>
 #include <string>
 
-#ifndef CCG_FAILPOINTS
-#define CCG_FAILPOINTS 1
-#endif
-
 namespace ccg {
 
 class CancelToken;
 
 namespace fail {
-
-inline constexpr bool kCompiledIn = CCG_FAILPOINTS != 0;
 
 enum class Action {
   kThrow,     // throw ccg::ContractViolation("failpoint <name>")
@@ -110,7 +101,6 @@ class ScopedThreadCancel {
 
 namespace detail {
 
-#if CCG_FAILPOINTS
 // Count of currently armed sites; the one load every disarmed hit pays.
 // Intentionally lock-free: the disarmed fast path must not take the
 // registry mutex (src/common/failpoint.cpp annotates the registry itself
@@ -125,17 +115,11 @@ inline void maybe_hit(const char* name, std::uint64_t arg) {
   if (g_num_armed.load(std::memory_order_relaxed) == 0) return;
   hit(name, arg);
 }
-#endif
 
 }  // namespace detail
 }  // namespace fail
 }  // namespace ccg
 
-#if CCG_FAILPOINTS
 #define CCG_FAILPOINT(name) ::ccg::fail::detail::maybe_hit((name), 0)
 #define CCG_FAILPOINT_ARG(name, arg) \
   ::ccg::fail::detail::maybe_hit((name), (arg))
-#else
-#define CCG_FAILPOINT(name) ((void)0)
-#define CCG_FAILPOINT_ARG(name, arg) ((void)0)
-#endif

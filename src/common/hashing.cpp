@@ -98,17 +98,4 @@ std::uint64_t FeistelPermutation::operator()(std::uint64_t x) const {
   return y;
 }
 
-std::vector<int> pseudorandom_color_set(std::uint64_t seed, int universe,
-                                        int count) {
-  CCG_CHECK(universe >= 1 && count >= 0);
-  std::vector<int> out;
-  out.reserve(static_cast<std::size_t>(count));
-  Rng rng(seed);
-  for (int i = 0; i < count; ++i) {
-    out.push_back(static_cast<int>(
-        rng.next_below(static_cast<std::uint64_t>(universe))));
-  }
-  return out;
-}
-
 }  // namespace ccg

@@ -9,10 +9,6 @@
 //                      O(log n)-bit seed; substitutes the paper's
 //                      pseudorandom permutation family in the synchronized
 //                      color trial (Lemma 4.13 / Appendix D.9).
-// * PseudorandomColorSet — seed-derived color subsets standing in for
-//                      representative sets (Definition C.5) inside
-//                      MultiColorTrial: an O(log n)-bit seed describes up
-//                      to Theta(log n) colors.
 #pragma once
 
 #include <cstdint>
@@ -80,11 +76,5 @@ class FeistelPermutation {
   int half_bits_;
   std::vector<std::uint64_t> keys_;
 };
-
-// Derives x pseudo-random colors from a compact seed; all parties knowing
-// (seed, universe) reconstruct the same set. Sampling is with replacement,
-// matching TryPseudorandomColors' analysis (Algorithm 16).
-std::vector<int> pseudorandom_color_set(std::uint64_t seed, int universe,
-                                        int count);
 
 }  // namespace ccg

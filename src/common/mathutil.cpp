@@ -7,11 +7,6 @@
 
 namespace ccg {
 
-int floor_log2(std::uint64_t x) {
-  CCG_CHECK(x >= 1);
-  return 63 - std::countl_zero(x);
-}
-
 int ceil_log2(std::uint64_t x) {
   CCG_CHECK(x >= 1);
   if (x == 1) return 0;

@@ -5,9 +5,6 @@
 
 namespace ccg {
 
-// floor(log2 x) for x >= 1.
-int floor_log2(std::uint64_t x);
-
 // ceil(log2 x) for x >= 1 (0 for x == 1).
 int ceil_log2(std::uint64_t x);
 

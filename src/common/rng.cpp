@@ -1,7 +1,6 @@
 #include "common/rng.hpp"
 
 #include <bit>
-#include <cmath>
 
 namespace ccg {
 
@@ -76,15 +75,6 @@ int Rng::next_geometric_half() {
     if (ones < 64) return total;
     CCG_CHECK(total < 1 << 20);  // astronomically unlikely; catches RNG bugs
   }
-}
-
-int Rng::next_geometric(double lambda) {
-  CCG_CHECK(lambda > 0.0 && lambda < 1.0);
-  if (lambda == 0.5) return next_geometric_half();
-  // Inverse CDF: X = floor(ln U / ln lambda), U uniform in (0,1).
-  double u = next_double();
-  while (u <= 0.0) u = next_double();
-  return static_cast<int>(std::floor(std::log(u) / std::log(lambda)));
 }
 
 Rng Rng::split() { return Rng(next_u64() ^ 0xD1B54A32D192ED03ULL); }

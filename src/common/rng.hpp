@@ -66,7 +66,6 @@ class Rng {
   // For lambda = 1/2 this counts fair-coin successes before the first
   // failure and is sampled by counting trailing one-bits.
   int next_geometric_half();
-  int next_geometric(double lambda);
 
   // Derive an independent child generator (stream splitting).
   Rng split();

@@ -133,22 +133,4 @@ std::size_t Graph::heap_bytes() const {
          capacity_bytes(upper_off_) + capacity_bytes(csr_);
 }
 
-std::pair<Graph, std::vector<int>> Graph::induced_subgraph(
-    const std::vector<int>& keep) const {
-  std::vector<int> new_id(static_cast<std::size_t>(n()), -1);
-  for (std::size_t i = 0; i < keep.size(); ++i) {
-    new_id[static_cast<std::size_t>(keep[i])] = static_cast<int>(i);
-  }
-  Graph sub(static_cast<int>(keep.size()));
-  for (const int u : keep) {
-    for (const int v : neighbors(u)) {
-      const int nu = new_id[static_cast<std::size_t>(u)];
-      const int nv = new_id[static_cast<std::size_t>(v)];
-      if (nv != -1 && nu < nv) sub.add_edge(nu, nv);
-    }
-  }
-  sub.finalize();
-  return {std::move(sub), keep};
-}
-
 }  // namespace ccg::graph

@@ -96,11 +96,6 @@ class Graph {
   // All edges as (u < v) pairs, sorted.
   std::vector<std::pair<int, int>> edges() const;
 
-  // Subgraph induced by `keep` (ids remapped to [0, |keep|));
-  // also returns the old-id list indexed by new id.
-  std::pair<Graph, std::vector<int>> induced_subgraph(
-      const std::vector<int>& keep) const;
-
   // Heap bytes held (vector capacities: staging buffer, CSR and the two
   // offset arrays).
   std::size_t heap_bytes() const;

@@ -343,7 +343,7 @@ void reduce_learn_shatter_finish(State& st, std::vector<int>* S_ptr,
 
   // Degree reduction: O(loglog n) plain TryColor rounds.
   color::try_color_rounds(st, &S, reduce_src,
-                          st.params.trycolor_activation, 2 * ll + 2);
+                          color::kTryColorActivation, 2 * ll + 2);
   if (S.empty()) return;
 
   // Learn deg+1 colors, shatter, finish. The list matrix is grow-only
@@ -502,7 +502,7 @@ void run_low_degree(State& st) {
           unc.clear();
           st.append_uncolored_members(k, &unc);
           for (const int v : unc) {
-            if (st.dc.ext_est(v) > st.params.inlier_ext_factor * e_k) {
+            if (st.dc.ext_est(v) > color::kInlierExtFactor * e_k) {
               outliers.push_back(v);
             } else {
               inliers.push_back(v);
@@ -551,13 +551,19 @@ void run_low_degree(State& st) {
           pairs.clear();
           color::fingerprint_matching_into(st, k, nullptr, /*charge=*/false,
                                            &pairs);
-          if (!pairs.empty()) {
-            const auto relays =
-                color::find_relays(st, k, pairs, /*charge=*/false);
-            relay_rounds =
-                std::max(relay_rounds, relays.proposal_rounds);
+          if (pairs.empty()) continue;
+          const auto relays =
+              color::find_relays(st, k, pairs, /*charge=*/false);
+          relay_rounds = std::max(relay_rounds, relays.proposal_rounds);
+          // Only relayed pairs join the anti-matching; an unmatched pair's
+          // endpoints stay uncolored and finish with the rest of the cabal.
+          for (std::size_t i = 0; i < pairs.size(); ++i) {
+            if (relays.relay[i] >= 0) {
+              all_pairs.push_back(pairs[i]);
+            } else {
+              ++st.retry_count;
+            }
           }
-          all_pairs.insert(all_pairs.end(), pairs.begin(), pairs.end());
         }
         if (any_redo) {
           color::fingerprint_matching_charge(st);

@@ -1,6 +1,5 @@
 #include "lowdeg/virtual_color.hpp"
 
-#include "cluster/validate.hpp"
 #include "common/assert.hpp"
 #include "lowdeg/lowdeg.hpp"
 
@@ -9,13 +8,13 @@ namespace ccg::lowdeg {
 void run_virtual(color::State& st, const cluster::VirtualGraph& vg) {
   CCG_CHECK_MSG(&st.rt->cg() == &vg.representation(),
                 "run_virtual: state must be bound to vg.representation()");
+  // Both pipelines end in check_proper_total on st.h(), which is vg.h()
+  // (the representation's H), so the result is validated once.
   if (st.rt->delta() >= st.params.delta_low(st.h().n())) {
     color::run_high_degree(st);
   } else {
     run_low_degree(st);
   }
-  cluster::check_proper_total(vg.h(), st.phi.vec(), st.num_colors(),
-                              st.par.get());
 }
 
 VirtualResult color_virtual_graph(const cluster::VirtualGraph& vg,

@@ -110,13 +110,11 @@ void neighborhood_counts_into(cluster::Runtime& rt,
     res.estimate[static_cast<std::size_t>(v)] = estimate_count(y);
   }
 
-  if (opt.charge) {
-    // One H-round carrying the largest partial; when bits were not
-    // measured, charge the codec's expected size.
-    const int bits =
-        opt.measure_bits ? std::max(1, res.max_message_bits) : 2 * t + 16;
-    rt.charge(1, bits);
-  }
+  // One H-round carrying the largest partial; when bits were not
+  // measured, charge the codec's expected size.
+  const int bits =
+      opt.measure_bits ? std::max(1, res.max_message_bits) : 2 * t + 16;
+  rt.charge(1, bits);
 }
 
 void edge_union_estimates_into(cluster::Runtime& rt,
@@ -140,13 +138,11 @@ void edge_union_estimates_into(cluster::Runtime& rt,
       (*out)[e++] = estimate_count(joint);
     }
   }
-  if (opt.charge) {
-    // Endpoint machines of each link exchange their cluster's fingerprint
-    // (one inter-cluster round) after an intra-cluster broadcast.
-    const int bits = opt.measure_bits ? std::max(1, max_bits)
-                                      : 2 * opt.t + 16;
-    rt.charge(2, bits);
-  }
+  // Endpoint machines of each link exchange their cluster's fingerprint
+  // (one inter-cluster round) after an intra-cluster broadcast.
+  const int bits =
+      opt.measure_bits ? std::max(1, max_bits) : 2 * opt.t + 16;
+  rt.charge(2, bits);
 }
 
 }  // namespace ccg::sketch

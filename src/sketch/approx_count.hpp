@@ -29,12 +29,12 @@ struct CountResult {
   int max_message_bits = 0;          // largest encoded partial aggregate
 };
 
+// Both estimators charge the ledger for their aggregation epoch.
 struct CountOptions {
   int t = 64;                // fingerprint width (Theta(xi^-2 log n))
   bool measure_bits = true;  // walk support trees and measure encodings;
                              // if false, charges the codec's expected size
                              // (2t + 16 bits) without the walk
-  bool charge = true;        // charge the ledger for the aggregation epoch
 };
 
 using NeighborPredicate = std::function<bool(int v, int u)>;

@@ -180,10 +180,8 @@ Instance build_instance(const JobSpec& job) {
         throw ManifestError("mode=edge needs at least one edge");
       }
       inst.vg.emplace(cluster::make_line_graph(g).vg);
-      inst.bandwidth = inst.vg->default_bandwidth();
     } else if (job.mode == JobMode::kDist2) {
       inst.vg.emplace(cluster::VirtualGraph::distance2(g));
-      inst.bandwidth = inst.vg->default_bandwidth();
     } else {
       const auto shape = layout_shape(job.layout);
       if (job.layout == "singleton") {
@@ -200,7 +198,6 @@ Instance build_instance(const JobSpec& job) {
         // loudly instead of silently picking some shape.
         throw ManifestError("unknown layout '" + job.layout + "'");
       }
-      inst.bandwidth = inst.cg.default_bandwidth();
     }
   } catch (const ManifestError& e) {
     // Recipe semantics violated (bad mode/layout combination, ...).

@@ -48,7 +48,6 @@ struct Instance {
   std::string key;
   cluster::ClusterGraph cg;                // JobMode::kCluster
   std::optional<cluster::VirtualGraph> vg;  // virtual modes
-  int bandwidth = 0;
   std::string error;  // non-empty: build failed with this message
   // Structured classification of a failed build, so reports distinguish
   // bad input (kInvalidProblem: malformed recipe; kBuildFailed: unreadable

@@ -1,9 +1,8 @@
-// Unit tests: cluster graphs, runtime primitives, validators.
+// Unit tests: cluster graphs, the runtime's charge, validators.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -235,68 +234,6 @@ TEST(ClusterGraph, FromPartitionRejectsDisconnectedCluster) {
   // Cluster {0, 3} is disconnected in the path.
   EXPECT_THROW(ClusterGraph::from_partition(g, {0, 1, 1, 0}),
                ContractViolation);
-}
-
-TEST(Runtime, HTreeBfsProperties) {
-  Rng rng(5);
-  const auto h = graph::gnm(40, 200, rng);
-  const auto cg = ClusterGraph::singleton(h);
-  net::Ledger ledger(cg.default_bandwidth());
-  Runtime rt(cg, ledger);
-
-  std::vector<int> subset;
-  for (int v = 0; v < 40; v += 2) subset.push_back(v);
-  const auto t = rt.build_htree(subset, subset.front(), 10);
-  EXPECT_GE(t.size(), 1);
-  EXPECT_EQ(t.members[0], subset.front());
-  EXPECT_EQ(t.parent[0], -1);
-  std::set<int> in_subset(subset.begin(), subset.end());
-  for (int i = 1; i < t.size(); ++i) {
-    EXPECT_TRUE(in_subset.count(t.members[i]));
-    EXPECT_LT(t.parent[i], i);  // parents precede children
-    // Tree edges are H-edges.
-    EXPECT_TRUE(h.has_edge(t.members[i], t.members[t.parent[i]]));
-    EXPECT_EQ(t.depth[i], t.depth[t.parent[i]] + 1);
-  }
-}
-
-TEST(Runtime, HTreeRespectsMaxHops) {
-  const auto h = graph::path(10);
-  const auto cg = ClusterGraph::singleton(h);
-  net::Ledger ledger(64);
-  Runtime rt(cg, ledger);
-  std::vector<int> all{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  const auto t = rt.build_htree(all, 0, 3);
-  EXPECT_EQ(t.size(), 4);  // 0,1,2,3
-  EXPECT_EQ(t.height, 3);
-}
-
-TEST(Runtime, TreeAggregateAndPrefixSums) {
-  const auto h = graph::path(6);
-  const auto cg = ClusterGraph::singleton(h);
-  net::Ledger ledger(64);
-  Runtime rt(cg, ledger);
-  std::vector<int> all{0, 1, 2, 3, 4, 5};
-  const auto t = rt.build_htree(all, 0, 10);
-  std::vector<std::int64_t> vals(6, 1);
-  const auto sum = rt.tree_aggregate<std::int64_t>(
-      t, vals, [](std::int64_t a, std::int64_t b) { return a + b; });
-  EXPECT_EQ(sum, 6);
-  const auto prefix = rt.prefix_sums(t, vals);
-  for (int i = 0; i < 6; ++i) EXPECT_EQ(prefix[i], i);
-}
-
-TEST(Runtime, RandomGroupsOnClique) {
-  // Lemma 4.4 regime: a dense clique with |K|/x large.
-  const auto h = graph::complete(120);
-  const auto cg = ClusterGraph::singleton(h);
-  net::Ledger ledger(cg.default_bandwidth());
-  Runtime rt(cg, ledger);
-  Rng rng(13);
-  std::vector<int> members(120);
-  for (int i = 0; i < 120; ++i) members[i] = i;
-  const auto groups = rt.random_groups(members, 4, rng);
-  EXPECT_TRUE(rt.verify_random_groups(members, groups, 4));
 }
 
 TEST(Validate, ProperColorings) {

@@ -247,7 +247,7 @@ TEST(ZEstimate, AccountingIdentityAgainstExactAvailability) {
         if (!used.count(c)) ++avail;
       }
       const double assumed_reuse =
-          st.params.gamma_reuse * st.dc.info.avg_ext_est[k] +
+          kGammaReuse * st.dc.info.avg_ext_est[k] +
           st.palettes[k].repeats() / 2.0 + st.x_proxy(v);
       EXPECT_LE(z_estimate(st, v),
                 avail + (assumed_reuse - actual_reuse) + 1e-6)

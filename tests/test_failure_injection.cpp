@@ -276,15 +276,11 @@ TEST(FailureInjection, PowerLawHubsAtTinyBandwidth) {
 // ---- failpoint-driven fault tolerance (src/common/failpoint.hpp) ----
 //
 // The tests below exercise the serving fault paths: injected faults,
-// deadlines, bounded retries, quarantine and graceful degradation. They
-// skip when the library was built with -DCCG_FAILPOINTS=0.
+// deadlines, bounded retries, quarantine and graceful degradation.
 
 class Failpoints : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!fail::kCompiledIn) GTEST_SKIP() << "failpoints compiled out";
-    fail::disarm_all();
-  }
+  void SetUp() override { fail::disarm_all(); }
   void TearDown() override { fail::disarm_all(); }
 };
 

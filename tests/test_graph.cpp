@@ -191,23 +191,6 @@ TEST(Graph, HeapBytesAreTheCsrAndOffsetsPlusLinear) {
   EXPECT_LE(g.heap_bytes(), csr + offsets + n * sizeof(std::int64_t));
 }
 
-TEST(Graph, InducedSubgraphIdRemapInvariants) {
-  // Old ids map to [0, |keep|) in keep-order; adjacency is preserved
-  // exactly on the kept set.
-  Rng rng(103);
-  const auto g = gnm(60, 400, rng);
-  const std::vector<int> keep{3, 7, 11, 12, 30, 31, 32, 45, 59};
-  const auto [sub, old_id] = g.induced_subgraph(keep);
-  ASSERT_EQ(old_id, keep);
-  ASSERT_EQ(sub.n(), static_cast<int>(keep.size()));
-  for (int a = 0; a < sub.n(); ++a) {
-    for (int b = 0; b < sub.n(); ++b) {
-      if (a == b) continue;
-      EXPECT_EQ(sub.has_edge(a, b), g.has_edge(old_id[a], old_id[b]));
-    }
-  }
-}
-
 TEST(Graph, SelfLoopRejected) {
   Graph g(2);
   EXPECT_THROW(g.add_edge(1, 1), ContractViolation);
@@ -231,14 +214,6 @@ TEST(Graph, Components) {
   EXPECT_NE(comp[0], comp[2]);
   EXPECT_NE(comp[4], comp[0]);
   EXPECT_FALSE(g.is_connected());
-}
-
-TEST(Graph, InducedSubgraph) {
-  Graph g = complete(5);
-  const auto [sub, ids] = g.induced_subgraph({0, 2, 4});
-  EXPECT_EQ(sub.n(), 3);
-  EXPECT_EQ(sub.m(), 3);
-  EXPECT_EQ(ids.size(), 3u);
 }
 
 TEST(Generators, BasicShapes) {

@@ -3,7 +3,6 @@
 // Algorithm 7, so their distributional quality is load-bearing.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -102,27 +101,6 @@ TEST(MinWise, ArgminFairOverRandomSubsets) {
     // (eps, s)-min-wise tolerance: within 50% of uniform.
     EXPECT_NEAR(w, expect, expect * 0.5);
   }
-}
-
-TEST(PseudorandomColorSet, SeedsDecorrelate) {
-  const auto a = pseudorandom_color_set(1, 1000, 64);
-  const auto b = pseudorandom_color_set(2, 1000, 64);
-  int common = 0;
-  for (const int c : a) {
-    if (std::find(b.begin(), b.end(), c) != b.end()) ++common;
-  }
-  // Expected overlap ~ 64*64/1000 ~ 4.
-  EXPECT_LT(common, 20);
-}
-
-TEST(PseudorandomColorSet, CoversUniverseOverSeeds) {
-  std::vector<char> hit(100, 0);
-  for (std::uint64_t seed = 0; seed < 200; ++seed) {
-    for (const int c : pseudorandom_color_set(seed, 100, 8)) {
-      hit[static_cast<std::size_t>(c)] = 1;
-    }
-  }
-  EXPECT_EQ(std::count(hit.begin(), hit.end(), 0), 0);
 }
 
 }  // namespace

@@ -87,7 +87,7 @@ void reference_scan_matching(State& st, const std::vector<int>& ids,
   const int span = st.num_colors() - prefix;
   std::vector<char> done(ids.size(), 0);
   std::vector<int> cand(static_cast<std::size_t>(h.n()), -1);
-  for (int round = 0; round < st.params.matching_rounds; ++round) {
+  for (int round = 0; round < kMatchingRounds; ++round) {
     std::vector<int> participants;
     for (std::size_t ki = 0; ki < ids.size(); ++ki) {
       if (st.palettes[ids[ki]].repeats() >= target) done[ki] = 1;
@@ -238,7 +238,7 @@ VerdictTally ungated_matching(State& st, const std::vector<int>& ids,
   std::vector<char> done(ids.size(), 0);
   std::vector<int> cand(static_cast<std::size_t>(st.h().n()), -1);
   VerdictTally tally;
-  for (int round = 0; round < st.params.matching_rounds; ++round) {
+  for (int round = 0; round < kMatchingRounds; ++round) {
     std::vector<std::vector<int>> live;
     std::size_t participants = 0;
     for (std::size_t ki = 0; ki < ids.size(); ++ki) {
@@ -432,7 +432,7 @@ std::vector<std::pair<int, int>> reference_yv_matching(
   const int sz = static_cast<int>(members.size());
   if (sz < 2) return {};
   const int k = std::max(
-      8, static_cast<int>(std::lround(st.params.cabal_matching_kfactor *
+      8, static_cast<int>(std::lround(kCabalMatchingKFactor *
                                       std::log2(std::max(4, h.n())))));
   std::vector<std::vector<int>> x(sz, std::vector<int>(k));
   st.bump_trial_round();

@@ -188,6 +188,55 @@ TEST(PipelineHighDegree, FingerprintPathSeedsThatFailedAntiMatching) {
   }
 }
 
+TEST(PipelineLowDegree, SeedsThatFailedRelayMatching) {
+  // `ccg_cli --gen planted --delta 64 --cliques 8 --ext 1 --anti 2
+  // --seed S` (with `--oracle` on the second list) runs the polylog
+  // low-degree regime, where Lemma 9.2's relay matching left some
+  // anti-edge without a relay on these seeds and the job returned
+  // kInternal. Such a pair now stays uncolored for the cabal's later
+  // steps. The instances are built as ccg_cli builds them, on the default
+  // auto path.
+  struct Case {
+    std::uint64_t seed;
+    bool oracle;
+  };
+  std::vector<Case> cases;
+  for (const std::uint64_t s : {2, 5, 25, 26, 29, 37, 45, 59}) {
+    cases.push_back({s, false});
+  }
+  for (const std::uint64_t s : {2, 6, 15, 38}) cases.push_back({s, true});
+  for (const auto& c : cases) {
+    Rng rng(c.seed);
+    graph::PlantedSpec spec;
+    spec.delta = 64;
+    spec.num_cliques = 8;
+    spec.anti_deg = 2;
+    spec.external_deg = 1;
+    spec.sparse_avg_deg = spec.delta * 0.25;
+    const auto g = graph::make_planted_acd(spec, rng).g;
+    const auto cg = cluster::ClusterGraph::singleton(g);
+    std::vector<int> base;
+    for (const int threads : {1, 4}) {
+      Options opt;
+      opt.seed = c.seed + 1;
+      opt.threads = threads;
+      opt.oracle = c.oracle;
+      Solver solver;
+      const auto out = solver.solve(Problem::cluster(cg), opt);
+      ASSERT_TRUE(out.ok()) << "seed " << c.seed << " oracle " << c.oracle
+                            << " threads " << threads << ": "
+                            << out.error.message;
+      cluster::check_proper_total(g, out.result.colors,
+                                  out.result.num_colors);
+      if (threads == 1) {
+        base = out.result.colors;
+      } else {
+        EXPECT_EQ(out.result.colors, base) << "seed " << c.seed;
+      }
+    }
+  }
+}
+
 TEST(PipelineDeterminism, FullPipelineBitIdenticalAcrossThreadCounts) {
   // End-to-end acceptance bar of the parallel round engine: the *full*
   // high-degree pipeline — including the colorful/fingerprint matchings,

@@ -134,20 +134,6 @@ TEST(PrimitivesScratch, UncoloredOfBufferVariantMatches) {
   auto in_place = s;
   prune_colored(*h.st, &in_place);
   EXPECT_EQ(by_buffer, in_place);
-
-  // Coloring::uncolored_neighbors agrees with uncolored_degree and with a
-  // manual scan of the neighbor span.
-  std::vector<int> nbrs;
-  for (int v = 0; v < h.g.n(); v += 37) {
-    const int cnt = h.st->phi.uncolored_neighbors(h.g, v, &nbrs);
-    EXPECT_EQ(cnt, static_cast<int>(nbrs.size()));
-    EXPECT_EQ(cnt, h.st->phi.uncolored_degree(h.g, v));
-    std::vector<int> manual;
-    for (const int u : h.g.neighbors(v)) {
-      if (!h.st->phi.colored(u)) manual.push_back(u);
-    }
-    EXPECT_EQ(nbrs, manual);
-  }
 }
 
 }  // namespace

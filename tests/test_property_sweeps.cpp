@@ -5,10 +5,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <tuple>
 
+#include "ccg/solver.hpp"
 #include "cluster/validate.hpp"
 #include "cluster/virtual_graph.hpp"
 #include "color/matching.hpp"
@@ -242,6 +244,74 @@ TEST_P(TryColorSweep, ProgressAndProperness) {
 
 INSTANTIATE_TEST_SUITE_P(Activations, TryColorSweep,
                          ::testing::Values(0.1, 0.25, 0.5, 0.9));
+
+// ---- The default path never fails a job ---------------------------------
+//
+// Default Options (auto dispatch, fingerprint ACD, measured bits) on
+// configurations whose w.h.p. events once failed jobs with kInternal; the
+// instances are built as `ccg_cli --gen planted ... --seed S` builds them.
+//  * kRelay: `--delta 64 --cliques 8 --ext 1 --anti 2` runs the polylog
+//    low-degree regime, where Lemma 9.2's relay matching left anti-edges
+//    unmatched on seeds 2, 5, 25 and 26.
+//  * kStar / kPath: `--delta 128 --cliques 4 --ext 16 --anti 4 --sparse
+//    200 --cluster-size 3` on that layout, where anti-matching pairs were
+//    left uncolored on seeds 2, 5 and 32.
+
+enum class DefaultPathConfig { kRelay, kStar, kPath };
+
+class DefaultPathSweep
+    : public ::testing::TestWithParam<
+          std::tuple<DefaultPathConfig, std::uint64_t>> {};
+
+TEST_P(DefaultPathSweep, SolveIsOkAndProper) {
+  const auto& [config, seed] = GetParam();
+  Rng rng(seed);
+  graph::PlantedSpec spec;
+  if (config == DefaultPathConfig::kRelay) {
+    spec.delta = 64;
+    spec.num_cliques = 8;
+    spec.anti_deg = 2;
+    spec.external_deg = 1;
+  } else {
+    spec.delta = 128;
+    spec.num_cliques = 4;
+    spec.anti_deg = 4;
+    spec.external_deg = 16;
+    spec.num_sparse = 200;
+  }
+  spec.sparse_avg_deg = spec.delta * 0.25;
+  const auto g = graph::make_planted_acd(spec, rng).g;
+  cluster::ClusterGraph cg;
+  if (config == DefaultPathConfig::kRelay) {
+    cg = cluster::ClusterGraph::singleton(g);
+  } else {
+    cluster::ExpandSpec es;
+    es.shape = config == DefaultPathConfig::kStar
+                   ? cluster::ClusterShape::kStar
+                   : cluster::ClusterShape::kPath;
+    es.size = 3;
+    cg = cluster::ClusterGraph::expand(g, es, rng);
+  }
+  Options opt;
+  opt.seed = seed + 1;
+  if (const char* env = std::getenv("CCG_TEST_THREADS")) {
+    opt.threads = std::max(1, std::atoi(env));
+  }
+  Solver solver;
+  const auto out = solver.solve(Problem::cluster(cg), opt);
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  cluster::check_proper_total(g, out.result.colors, out.result.num_colors);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Relay, DefaultPathSweep,
+    ::testing::Combine(::testing::Values(DefaultPathConfig::kRelay),
+                       ::testing::Values(2, 5, 25, 26)));
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, DefaultPathSweep,
+    ::testing::Combine(::testing::Values(DefaultPathConfig::kStar,
+                                         DefaultPathConfig::kPath),
+                       ::testing::Values(2, 5, 32)));
 
 }  // namespace
 }  // namespace ccg

@@ -525,12 +525,7 @@ TEST(ServerDeterminism, DuplicateIdRejected) {
 
 class ServerFailpoints : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!fail::kCompiledIn) {
-      GTEST_SKIP() << "built with CCG_FAILPOINTS=0";
-    }
-    fail::disarm_all();
-  }
+  void SetUp() override { fail::disarm_all(); }
   void TearDown() override { fail::disarm_all(); }
 };
 
