@@ -36,8 +36,7 @@ int main() {
         auto params = bench::bench_params(planted.g.n(), 7);
         color::State st(rt, params);
         color::build_dense_context(st);
-        color::colorful_matching_run(st, {0},
-                                     [&](int) { return 4 * anti; });
+        color::colorful_matching_run(st, {0}, 4 * anti);
         std_m = st.palettes[0].repeats();
       }
       // Fingerprint matching (Algorithm 7).

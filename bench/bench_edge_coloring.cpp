@@ -23,14 +23,14 @@ int main() {
   for (const int n : {100, 220, 460}) {
     Rng rng(5 + n);
     const auto g = graph::gnm(n, n * 3, rng);
-    const auto enc = cluster::make_line_graph(g);
-    auto params = color::Params::defaults_for(enc.vg.h().n(), 11);
-    const auto res = lowdeg::color_virtual_graph(enc.vg, params);
-    bench::row({bench::fmt(n), bench::fmt(enc.vg.h().n()),
+    const auto vg = cluster::make_line_graph(g);
+    auto params = color::Params::defaults_for(vg.h().n(), 11);
+    const auto res = lowdeg::color_virtual_graph(vg, params);
+    bench::row({bench::fmt(n), bench::fmt(vg.h().n()),
                 bench::fmt(g.max_degree()), bench::fmt(res.base.num_colors),
                 bench::fmt(2 * g.max_degree() - 1),
-                bench::fmt(enc.vg.congestion()),
-                bench::fmt(enc.vg.dilation()),
+                bench::fmt(vg.congestion()),
+                bench::fmt(vg.dilation()),
                 bench::fmt(res.base.h_rounds)});
   }
 

@@ -24,14 +24,13 @@ int main() {
 
   // Encode the line graph. Vizing needs Delta+1 slots; the distributed
   // (Delta_H + 1)-coloring gives the classic 2*Delta - 1 slot guarantee.
-  const auto enc = cluster::make_line_graph(g);
+  const auto vg = cluster::make_line_graph(g);
   std::printf("line graph H: %d vertices, Delta_H = %d, congestion c = %d, "
               "dilation d = %d\n",
-              enc.vg.h().n(), enc.vg.h().max_degree(), enc.vg.congestion(),
-              enc.vg.dilation());
+              vg.h().n(), vg.h().max_degree(), vg.congestion(), vg.dilation());
 
-  auto params = color::Params::defaults_for(enc.vg.h().n(), /*seed=*/3);
-  const auto res = lowdeg::color_virtual_graph(enc.vg, params);
+  auto params = color::Params::defaults_for(vg.h().n(), /*seed=*/3);
+  const auto res = lowdeg::color_virtual_graph(vg, params);
   std::printf("schedule: %d time slots (2*Delta - 1 = %d), %lld H-rounds, "
               "%lld G-rounds (x%d congestion = %lld)\n",
               res.base.num_colors, 2 * g.max_degree() - 1,
@@ -51,8 +50,10 @@ int main() {
 
   std::vector<std::vector<int>> radio_slots(
       static_cast<std::size_t>(g.n()));
-  for (std::size_t i = 0; i < enc.edge_of_vertex.size(); ++i) {
-    const auto [u, v] = enc.edge_of_vertex[i];
+  // H-vertex i is the link g.edges()[i].
+  const auto links = g.edges();
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    const auto [u, v] = links[i];
     const int slot = res.base.colors[i];
     for (const int r : {u, v}) {
       auto& slots = radio_slots[static_cast<std::size_t>(r)];

@@ -76,10 +76,10 @@ std::optional<Algo> algo_from_name(const std::string& name);
 enum class ErrorCode {
   kOk = 0,
   kInvalidOptions,  // bad eps / threads / Params override
-  kInvalidProblem,  // unknown mode, malformed recipe, empty or oversize
+  kInvalidProblem,  // unknown mode, malformed recipe, recipe arguments
+                    // outside a generator's domain, empty or oversize
                     // instance, bad distance
-  kBuildFailed,     // instance construction failed (DIMACS I/O, generator
-                    // contract violation)
+  kBuildFailed,     // instance construction failed (DIMACS I/O)
   kInternal,        // contract violation inside the coloring pipeline
   kDeadlineExceeded,  // Options::deadline_ms elapsed mid-run (cooperative:
                       // detected at a phase/round boundary, never a hang)
@@ -130,8 +130,10 @@ class Problem {
   // src/svc/manifest.hpp, e.g. "--gen gnm --n 2000 --m 16000 --layout
   // star --cluster-size 4 --graph-seed 7". Only instance flags matter;
   // execution flags (--algo, --threads, --eps, ...) are ignored here —
-  // Options governs execution. Malformed recipes come back as
-  // ErrorCode::kInvalidProblem, failed builds as kBuildFailed.
+  // Options governs execution. svc::build_instance builds it, as for
+  // every other recipe front end. Malformed recipes and arguments outside
+  // a generator's domain come back as ErrorCode::kInvalidProblem,
+  // unreadable DIMACS input as kBuildFailed.
   static Problem recipe(std::string job_flags) {
     Problem p(Kind::kRecipe);
     p.recipe_ = std::move(job_flags);

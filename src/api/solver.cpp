@@ -7,7 +7,7 @@
 #include "common/failpoint.hpp"
 #include "lowdeg/lowdeg.hpp"
 #include "lowdeg/virtual_color.hpp"
-#include "svc/manifest.hpp"
+#include "svc/service.hpp"
 
 namespace ccg {
 
@@ -204,43 +204,22 @@ std::optional<Error> Solver::bind(const Problem& p, const Options& o,
         return make_error(ErrorCode::kInvalidProblem,
                           std::string("recipe: ") + e.what());
       }
-      try {
-        Rng rng(spec.graph_seed);
-        auto g = svc::build_job_graph(spec, rng);
-        if (g.n() < 1) {
-          return make_error(ErrorCode::kInvalidProblem,
-                            "empty instance: recipe builds no vertices");
-        }
+      // The one recipe builder (svc::build_instance) also classifies its
+      // failures: bad recipes are kInvalidProblem, unreadable DIMACS input
+      // kBuildFailed.
+      auto inst = svc::build_instance(spec);
+      if (!inst.error.empty()) {
+        return make_error(inst.error_code, std::move(inst.error));
+      }
+      if (inst.vg) {
+        built_vg_.emplace(std::move(*inst.vg));
         if (spec.mode == svc::JobMode::kEdge) {
-          if (g.m() < 1) {
-            return make_error(ErrorCode::kInvalidProblem,
-                              "edge coloring needs at least one edge");
-          }
-          auto enc = cluster::make_line_graph(g);
-          edge_map_ = std::move(enc.edge_of_vertex);
-          built_vg_.emplace(std::move(enc.vg));
-          b->vg = &*built_vg_;
-        } else if (spec.mode == svc::JobMode::kDist2) {
-          built_vg_.emplace(cluster::VirtualGraph::distance2(g));
-          b->vg = &*built_vg_;
-        } else if (spec.layout == "singleton") {
-          built_cg_.emplace(cluster::ClusterGraph::singleton(std::move(g)));
-          b->cg = &*built_cg_;
-        } else if (const auto shape = svc::layout_shape(spec.layout)) {
-          cluster::ExpandSpec es;
-          es.size = spec.cluster_size;
-          es.links_per_edge = spec.links_per_edge;
-          es.shape = *shape;
-          built_cg_.emplace(cluster::ClusterGraph::expand(g, es, rng));
-          b->cg = &*built_cg_;
-        } else {
-          // parse_job_flags validates layouts; belt and braces for any
-          // future bypass.
-          return make_error(ErrorCode::kInvalidProblem,
-                            "unknown layout '" + spec.layout + "'");
+          edge_map_ = built_vg_->base().edges();
         }
-      } catch (const std::exception& e) {
-        return make_error(ErrorCode::kBuildFailed, e.what());
+        b->vg = &*built_vg_;
+      } else {
+        built_cg_.emplace(std::move(inst.cg));
+        b->cg = &*built_cg_;
       }
       break;
     }
@@ -254,9 +233,8 @@ std::optional<Error> Solver::bind(const Problem& p, const Options& o,
                           "edge coloring needs at least one edge");
       }
       try {
-        auto enc = cluster::make_line_graph(*p.g_);
-        edge_map_ = std::move(enc.edge_of_vertex);
-        built_vg_.emplace(std::move(enc.vg));
+        built_vg_.emplace(cluster::make_line_graph(*p.g_));
+        edge_map_ = built_vg_->base().edges();
       } catch (const std::exception& e) {
         return make_error(ErrorCode::kBuildFailed, e.what());
       }

@@ -203,19 +203,17 @@ VirtualGraph VirtualGraph::distance_k(const graph::Graph& g, int k) {
   return from_supports_with_h(g, h, std::move(supports), std::move(roots));
 }
 
-LineGraphEncoding make_line_graph(const graph::Graph& g) {
-  LineGraphEncoding enc;
-  enc.edge_of_vertex = g.edges();
+VirtualGraph make_line_graph(const graph::Graph& g) {
+  const auto edges = g.edges();
   std::vector<std::vector<int>> supports;
-  supports.reserve(enc.edge_of_vertex.size());
+  supports.reserve(edges.size());
   std::vector<int> roots;
-  for (const auto& [u, v] : enc.edge_of_vertex) {
+  for (const auto& [u, v] : edges) {
     supports.push_back({u, v});
     roots.push_back(u);
   }
-  enc.vg = VirtualGraph::from_supports(g, std::move(supports),
-                                       std::move(roots));
-  return enc;
+  return VirtualGraph::from_supports(g, std::move(supports),
+                                     std::move(roots));
 }
 
 int VirtualGraph::default_bandwidth(int beta) const {

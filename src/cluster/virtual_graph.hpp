@@ -89,15 +89,10 @@ class VirtualGraph {
 
 // Edge coloring as a virtual graph: H = the line graph of g (one H-vertex
 // per g-edge, adjacent iff the edges share an endpoint), supports = the
-// two endpoints of each edge. A proper (Delta_H + 1)-coloring of H is a
+// two endpoints of each edge. H-vertex i realizes the g-edge
+// vg.base().edges()[i]. A proper (Delta_H + 1)-coloring of H is a
 // (2 Delta_g - 1)-edge-coloring of g; every support tree is the single
 // base link itself, so congestion and dilation are both 1.
-struct LineGraphEncoding {
-  VirtualGraph vg;
-  // g-edge realized by H-vertex i (aligned with vg.h() vertex ids).
-  std::vector<std::pair<int, int>> edge_of_vertex;
-};
-
-LineGraphEncoding make_line_graph(const graph::Graph& g);
+VirtualGraph make_line_graph(const graph::Graph& g);
 
 }  // namespace ccg::cluster

@@ -11,7 +11,7 @@
 namespace ccg::color {
 
 void colorful_matching_run(State& st, const std::vector<int>& clique_ids,
-                           const std::function<int(int)>& target) {
+                           int target) {
   const auto& h = st.h();
   const int prefix = st.dc.reserved_cap;
   const int span = st.num_colors() - prefix;
@@ -36,7 +36,7 @@ void colorful_matching_run(State& st, const std::vector<int>& clique_ids,
     seg.clear();
     for (std::size_t ki = 0; ki < clique_ids.size(); ++ki) {
       const int k = clique_ids[ki];
-      if (st.palettes[static_cast<std::size_t>(k)].repeats() >= target(k)) {
+      if (st.palettes[static_cast<std::size_t>(k)].repeats() >= target) {
         done[ki] = 1;
       }
       if (done[ki]) continue;

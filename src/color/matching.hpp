@@ -15,7 +15,6 @@
 //    of size Omega(tau * â_K / eps) (Lemma 6.2).
 #pragma once
 
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -24,13 +23,13 @@
 namespace ccg::color {
 
 // Lemma 4.9 matching on the given cliques; a clique stops once its palette
-// repeat count reaches target(k). Costs O(kMatchingRounds) H-rounds. A
+// repeat count reaches `target`. Costs O(kMatchingRounds) H-rounds. A
 // round's verdict runs only for the proposers of a color that two
 // non-adjacent members of their clique picked: no other color can commit.
 // Round state lives in the State-owned scratch, so a warm call is
 // allocation-free; read per-clique repeats off st.palettes afterwards.
 void colorful_matching_run(State& st, const std::vector<int>& clique_ids,
-                           const std::function<int(int)>& target);
+                           int target);
 
 // Algorithm 7 on one cabal: appends a matching of anti-edges (vertex
 // pairs, each pair non-adjacent, pairwise disjoint) to *out. Does not

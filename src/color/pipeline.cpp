@@ -175,7 +175,7 @@ void coloring_noncabals(State& st) {
     net::PhaseScope p(st.rt->ledger(), "4a-matching");
     const int target =
         std::max(1, static_cast<int>(2.2 * st.params.eps * st.delta()));
-    colorful_matching_run(st, ids, [target](int) { return target; });
+    colorful_matching_run(st, ids, target);
     // Cliques whose sampling matching is too small for their measured
     // x̃_max (sparse anti-edge regime) top up with the fingerprint
     // matching over their uncolored members. Cliques are vertex-disjoint,
@@ -277,7 +277,7 @@ void coloring_cabals(State& st) {
   // algorithm when the sampling matching stays small (Prop 4.15).
   const int target =
       std::max(1, static_cast<int>(2.2 * st.params.eps * st.delta()));
-  colorful_matching_run(st, ids, [target](int) { return target; });
+  colorful_matching_run(st, ids, target);
   st.rt->charge(1, 32);  // x̃_max aggregation
   auto& redo = st.ph.fp_cliques;
   redo.clear();

@@ -88,21 +88,6 @@ ColorSampler uniform_sampler(int num_colors, int prefix) {
   };
 }
 
-ColorSampler clique_palette_sampler(State& st,
-                                    std::function<int(int)> prefix_of) {
-  return [&st, prefix_of](int v, Rng& rng) -> int {
-    const int k = st.dc.clique_of(v);
-    if (k < 0) return -1;
-    const auto& pal = st.palettes[static_cast<std::size_t>(k)];
-    const int lo = prefix_of(v);
-    const int free = pal.free_count(lo, pal.num_colors() - 1);
-    if (free <= 0) return -1;
-    const int idx = static_cast<int>(
-        rng.next_below(static_cast<std::uint64_t>(free)));
-    return pal.select_free(lo, pal.num_colors() - 1, idx);
-  };
-}
-
 ColorSampler clique_palette_sampler(State& st) {
   return [&st](int v, Rng& rng) -> int {
     const int k = st.dc.clique_of(v);

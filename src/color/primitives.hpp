@@ -38,15 +38,11 @@ int try_color_rounds(State& st, std::vector<int>* S,
 // Uniform over {prefix, ..., num_colors-1} (excludes the reserved prefix).
 ColorSampler uniform_sampler(int num_colors, int prefix);
 
-// Uniform over L(K_v) \ [prefix_of(v)] via clique-palette queries
-// (Lemma 4.8; O(1) rounds, already covered by the round's charge).
-// Vertices outside any clique sit out.
-ColorSampler clique_palette_sampler(State& st,
-                                    std::function<int(int)> prefix_of);
-
-// Same with prefix_of = st.dc.r_of (the common case). Captures only the
-// State reference — fits std::function's small-buffer storage, so the
-// warm pipeline paths construct it without heap traffic.
+// Uniform over L(K_v) \ [r_K] via clique-palette queries (Lemma 4.8;
+// O(1) rounds, already covered by the round's charge), r_K =
+// st.dc.r_of(v) read at draw time. Vertices outside any clique sit out.
+// Captures only the State reference — fits std::function's small-buffer
+// storage, so the warm pipeline paths construct it without heap traffic.
 ColorSampler clique_palette_sampler(State& st);
 
 // Uncolored vertices of S into `out` (cleared first). `out` must not alias

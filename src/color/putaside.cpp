@@ -202,8 +202,10 @@ int compute_putaside(State& st, const std::vector<int>& cabal_ids, int r,
         if (static_cast<int>(mine.size()) == r) break;
       }
     }
-    CCG_CHECK_MSG(static_cast<int>(mine.size()) == r,
-                  "cannot form put-aside set in cabal " << cabal_ids[i]);
+    // A cabal whose eligible inliers all clash keeps a short set: the
+    // missing slots count as retries, and its other uncolored inliers
+    // go through steps 4-5 as vertices outside the put-aside set.
+    st.retry_count += r - static_cast<int>(mine.size());
     for (const int v : mine) sc.mark_vertex(v);
   }
   st.rt->charge(static_cast<int>(cabal_ids.size()), log_bits(st));

@@ -31,7 +31,11 @@ namespace ccg::color {
 // Writes the sets (aligned with cabal_ids) into caller-owned grow-only
 // storage — the pipeline passes st.ph.putsets, so warm runs reuse every
 // inner list. Returns the attempt count; *property3_ok reports the
-// measured Lemma 4.18 (3) check.
+// measured Lemma 4.18 (3) check. The randomized attempts yield sets of
+// exactly r; when all fail, the greedy fallback may leave a cabal with
+// fewer than r (its eligible inliers clash with other cabals' sets). It
+// keeps the short set and adds the missing count to st.retry_count; the
+// cabal's other uncolored inliers go through steps 4-5 instead.
 int compute_putaside(State& st, const std::vector<int>& cabal_ids, int r,
                      GroupLists* sets, bool* property3_ok);
 

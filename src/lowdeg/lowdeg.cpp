@@ -462,8 +462,8 @@ void run_low_degree(State& st) {
       color::slack_generation(st);
     }
     const auto uniform = color::uniform_sampler(st.num_colors(), 0);
-    const auto palette = color::clique_palette_sampler(
-        st, [](int) { return 0; });
+    // Every r_K is 0 here, so this draws from the whole palette L(K_v).
+    const auto palette = color::clique_palette_sampler(st);
     {
       st.check_cancel();
       CCG_FAILPOINT_ARG("lowdeg.phase.sparse", st.params.seed);
@@ -489,8 +489,7 @@ void run_low_degree(State& st) {
       if (!ids.empty()) {
         const int target = std::max(
             1, static_cast<int>(2.2 * st.params.eps * delta));
-        color::colorful_matching_run(st, ids,
-                                     [target](int) { return target; });
+        color::colorful_matching_run(st, ids, target);
         auto& outliers = st.ph.outliers;
         auto& inliers = st.ph.sel;
         outliers.clear();
@@ -527,8 +526,7 @@ void run_low_degree(State& st) {
       if (!ids.empty()) {
         const int target = std::max(
             1, static_cast<int>(2.2 * st.params.eps * delta));
-        color::colorful_matching_run(st, ids,
-                                     [target](int) { return target; });
+        color::colorful_matching_run(st, ids, target);
         const int small_threshold = std::max(2, logn / 2);
         auto& all_pairs = st.ph.pairs;
         all_pairs.clear();

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/assert.hpp"
 #include "common/parse.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -308,9 +309,10 @@ std::string instance_key(const JobSpec& j) {
   return os.str();
 }
 
-graph::Graph build_job_graph(const JobSpec& j, Rng& rng) {
+namespace {
+
+graph::Graph generate(const JobSpec& j, Rng& rng) {
   const auto& a = j.gargs;
-  if (!j.dimacs.empty()) return graph::read_dimacs_file(j.dimacs);
   if (j.gen == "gnm") return graph::gnm(a.n, gnm_m(a), rng);
   if (j.gen == "gnp") return graph::gnp(a.n, a.p, rng);
   if (j.gen == "chunglu") {
@@ -331,6 +333,22 @@ graph::Graph build_job_graph(const JobSpec& j, Rng& rng) {
   }
   if (j.gen == "grid") return graph::grid(a.w, a.h);
   return graph::cycle(a.n);  // the parser validated the generator set
+}
+
+}  // namespace
+
+graph::Graph build_job_graph(const JobSpec& j, Rng& rng) {
+  if (!j.dimacs.empty()) return graph::read_dimacs_file(j.dimacs);
+  // The generator runs on the recipe's own arguments, so its contract
+  // failure (gnm asked for more edges than n vertices hold, ...) is a bad
+  // recipe, not a library fault. The generator's check stays the one
+  // statement of its domain; the parser does not copy it.
+  try {
+    return generate(j, rng);
+  } catch (const ContractViolation& e) {
+    throw ManifestError(
+        std::string("recipe outside the generator's domain: ") + e.what());
+  }
 }
 
 }  // namespace ccg::svc

@@ -1,19 +1,23 @@
 // One job-line recipe: the shared parsing layer under every job surface.
 //
 // A "job line" is the flag syntax `--gen gnm --n 2000 --layout star ...`
-// describing one coloring job (instance recipe + execution knobs). Three
-// front ends consume it and must agree on grammar, validation ranges and
-// the "line N: ..." error model:
+// describing one coloring job (instance recipe + execution knobs). Four
+// front ends consume it and must agree on grammar, defaults, validation
+// ranges and the "line N: ..." error model:
 //
 //   * batch manifests (svc/manifest.hpp): `job <flags...>` lines,
 //   * the serving protocol (server/protocol.hpp): `job <id> <flags...>`
 //     requests streamed over a socket or stdin,
-//   * the facade's Problem::recipe (ccg::Solver).
+//   * the facade's Problem::recipe (ccg::Solver),
+//   * examples/ccg_cli, whose command line is one job line plus the
+//     CLI's own flags.
 //
 // This header owns the JobSpec type and the one tokenized parser
 // (parse_job_tokens) all of them call; a malformed line fails the same
 // way (ManifestError, exit 2 in the CLIs) no matter which surface it
-// arrived on. See manifest.hpp for the flag reference.
+// arrived on. All four build the instance with svc::build_instance
+// (service.hpp) on top of build_job_graph below, so one recipe is one
+// instance everywhere. See manifest.hpp for the flag reference.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +50,11 @@ enum class JobMode {
 
 const char* mode_name(JobMode m);
 
-// Generator arguments (subset of examples/ccg_cli.cpp's surface).
+// Generator arguments: the one default table of every front end. The
+// parser checks only each flag's sign or range; a generator's own
+// contract (gnm's edge count, Chung-Lu's gamma > 2, ...) stays the one
+// statement of its domain, and build_job_graph reports a recipe outside
+// it as a ManifestError.
 struct GenArgs {
   int n = 2000;            // gnm / gnp / chunglu / cycle
   std::int64_t m = -1;     // gnm; -1 -> 8n
@@ -160,6 +168,9 @@ std::optional<cluster::ClusterShape> layout_shape(const std::string& layout);
 // Build the job's conflict graph from its recipe. `rng` must be seeded
 // with the job's graph_seed; the service reuses it afterwards for cluster
 // expansion so the full instance is a function of (recipe, graph_seed).
+// A generator's contract failure on the recipe's arguments throws
+// ManifestError ("recipe outside the generator's domain: ..."); DIMACS
+// input fails with graph::IoError.
 graph::Graph build_job_graph(const JobSpec& job, Rng& rng);
 
 }  // namespace ccg::svc

@@ -168,6 +168,9 @@ Instance build_instance(const JobSpec& job) {
     CCG_FAILPOINT("svc.prepare");
     Rng rng(job.graph_seed);
     auto g = build_job_graph(job, rng);
+    if (g.n() < 1) {
+      throw ManifestError("empty instance: recipe builds no vertices");
+    }
     // parse_manifest rejects virtual modes with a layout, but
     // programmatic Manifest builders bypass the parser — fail loudly
     // instead of silently ignoring the requested expansion.
@@ -179,7 +182,7 @@ Instance build_instance(const JobSpec& job) {
       if (g.m() < 1) {
         throw ManifestError("mode=edge needs at least one edge");
       }
-      inst.vg.emplace(cluster::make_line_graph(g).vg);
+      inst.vg.emplace(cluster::make_line_graph(g));
     } else if (job.mode == JobMode::kDist2) {
       inst.vg.emplace(cluster::VirtualGraph::distance2(g));
     } else {
@@ -200,7 +203,8 @@ Instance build_instance(const JobSpec& job) {
       }
     }
   } catch (const ManifestError& e) {
-    // Recipe semantics violated (bad mode/layout combination, ...).
+    // Recipe semantics violated (bad mode/layout combination, arguments
+    // outside a generator's domain, empty instance, ...).
     inst.error = e.what();
     inst.error_code = ErrorCode::kInvalidProblem;
   } catch (const graph::IoError& e) {
@@ -208,7 +212,8 @@ Instance build_instance(const JobSpec& job) {
     inst.error = e.what();
     inst.error_code = ErrorCode::kBuildFailed;
   } catch (const ContractViolation& e) {
-    // A generator (or injected fault) tripped a library contract.
+    // A library contract tripped past the generators (or an injected
+    // fault): a bug, not an input error.
     inst.error = e.what();
     inst.error_code = ErrorCode::kInternal;
   } catch (const std::exception& e) {

@@ -40,8 +40,8 @@ namespace ccg::svc {
 
 // A prepared instance, built once per distinct JobSpec::key and shared
 // read-only by every job referencing it. A failed build (bad DIMACS path,
-// generator contract violation) is recorded instead of thrown: the jobs
-// on it fail individually and every other job proceeds.
+// recipe arguments outside a generator's domain) is recorded instead of
+// thrown: the jobs on it fail individually and every other job proceeds.
 // Virtual-graph modes (JobMode::kEdge / kDist2) build their encoding here
 // too, so repeats share one line graph / G^2 representation.
 struct Instance {
@@ -50,8 +50,9 @@ struct Instance {
   std::optional<cluster::VirtualGraph> vg;  // virtual modes
   std::string error;  // non-empty: build failed with this message
   // Structured classification of a failed build, so reports distinguish
-  // bad input (kInvalidProblem: malformed recipe; kBuildFailed: unreadable
-  // or malformed DIMACS, generator failure) from library bugs (kInternal).
+  // bad input (kInvalidProblem: malformed recipe, arguments outside a
+  // generator's domain or an empty instance; kBuildFailed: unreadable or
+  // malformed DIMACS) from library bugs (kInternal).
   ErrorCode error_code = ErrorCode::kOk;
 };
 
@@ -163,9 +164,10 @@ class JobSlot {
 };
 
 // Build one instance from a job recipe. Failures land in
-// Instance::error / error_code rather than throwing. This is the single
-// build path behind the server's cross-job instance cache
-// (src/server/cache.hpp) and every caller that runs a JobSlot directly.
+// Instance::error / error_code rather than throwing. This is the one
+// recipe builder: the server's cross-job instance cache
+// (src/server/cache.hpp), Problem::recipe, ccg_cli and every caller that
+// runs a JobSlot directly build through it.
 Instance build_instance(const JobSpec& job);
 
 // JSON row body of one job: every per-job field after the leading `id`

@@ -133,9 +133,9 @@ TEST(SolverApi, BitIdenticalToFreeFunctionsVirtualModes) {
   Solver solver;
   for (const int threads : {1, 2, 8}) {
     {  // edge coloring: the line graph as a virtual graph (c = 1)
-      const auto enc = cluster::make_line_graph(grid_g);
+      const auto vg = cluster::make_line_graph(grid_g);
       const auto expect = lowdeg::color_virtual_graph(
-          enc.vg, free_params(enc.vg.h().n(), 41, threads));
+          vg, free_params(vg.h().n(), 41, threads));
       const auto got = solver.solve(Problem::edge_coloring(grid_g),
                                     solver_options(Algo::kAuto, 41, threads));
       ASSERT_TRUE(got.ok()) << got.error.message;
@@ -220,12 +220,37 @@ TEST(SolverApi, RecipeMatchesManuallyBuiltInstance) {
       c.solve(Problem::recipe("--gen grid --w 6 --h 6 --mode edge"), opt);
   ASSERT_TRUE(edge.ok()) << edge.error.message;
   EXPECT_EQ(edge.congestion, 1);
-  EXPECT_EQ(static_cast<std::int64_t>(c.edge_map().size()),
-            graph::grid(6, 6).m());
+  EXPECT_EQ(c.edge_map(), graph::grid(6, 6).edges());
   const auto d2 =
       c.solve(Problem::recipe("--gen gnm --n 200 --m 600 --mode dist2"), opt);
   ASSERT_TRUE(d2.ok()) << d2.error.message;
   EXPECT_EQ(d2.congestion, 2);
+}
+
+TEST(SolverApi, RecipesOutsideAGeneratorsDomainAreInvalidProblems) {
+  // Each parses, but its generator's own contract rejects the arguments
+  // (Chung-Lu needs gamma > 2, gnm on 10 vertices holds at most 45 of the
+  // default 80 edges, caveman needs two cliques, and the planted block
+  // cannot hold 12 external edges per vertex).
+  Solver solver;
+  for (const char* recipe :
+       {"--gen chunglu --n 100 --gamma 1.5", "--gen gnm --n 10",
+        "--gen caveman --cliques 1",
+        "--gen planted --delta 4 --cliques 2 --ext 12 --anti 2"}) {
+    const auto out = solver.solve(Problem::recipe(recipe), {});
+    EXPECT_EQ(out.error.code, ErrorCode::kInvalidProblem)
+        << recipe << ": " << out.error.message;
+  }
+  // A recipe that builds no vertices is an empty instance in every mode.
+  const std::string empty =
+      std::string("--dimacs ") + CCG_SOURCE_DIR + "/tests/corpus/empty.col";
+  for (const char* mode : {"", " --mode edge", " --mode dist2",
+                           " --layout star"}) {
+    const auto out = solver.solve(Problem::recipe(empty + mode), {});
+    EXPECT_EQ(out.error.code, ErrorCode::kInvalidProblem) << mode;
+    EXPECT_NE(out.error.message.find("empty instance"), std::string::npos)
+        << mode << ": " << out.error.message;
+  }
 }
 
 TEST(SolverApi, BoundaryErrorsAreValuesNotThrows) {

@@ -33,7 +33,7 @@ TEST(ColorfulMatching, BuildsReuseSlack) {
   auto& st = *f->st;
   std::vector<int> ids{0, 1, 2};
   const int target = 8;
-  colorful_matching_run(st, ids, [target](int) { return target; });
+  colorful_matching_run(st, ids, target);
   for (const int k : ids) {
     EXPECT_GE(st.palettes[k].repeats(), target) << "clique " << k;
   }
@@ -57,7 +57,7 @@ TEST(ColorfulMatching, SameColorPairsAreAntiEdges) {
                                               19, 4.0);
   auto& st = *f->st;
   std::vector<int> ids{0, 1, 2};
-  colorful_matching_run(st, ids, [](int) { return 6; });
+  colorful_matching_run(st, ids, 6);
   for (int k = 0; k < 3; ++k) {
     std::map<int, std::vector<int>> by_color;
     for (const int v : st.dc.acd.members[k]) {
@@ -192,8 +192,7 @@ TEST(ColorfulMatching, MatchesNeighborScanReference) {
         matched -= static_cast<int>(colored(*lib->st));
         const std::vector<int> ids{0, 1, 2};
         const int target = 1000;  // never reached: all rounds run
-        colorful_matching_run(*lib->st, ids,
-                              [target](int) { return target; });
+        colorful_matching_run(*lib->st, ids, target);
         reference_scan_matching(*ref->st, ids, target);
         const std::string label = "anti=" + std::to_string(anti) +
                                   " threads=" + std::to_string(threads) +
@@ -347,8 +346,7 @@ TEST(ColorfulMatching, GatedVerdictMatchesUngated) {
         }
         ASSERT_EQ(lib->st->phi.vec(), ref->st->phi.vec());
         const std::vector<int> ids{0, 1, 2};
-        colorful_matching_run(*lib->st, ids,
-                              [target](int) { return target; });
+        colorful_matching_run(*lib->st, ids, target);
         const auto tally = ungated_matching(*ref->st, ids, target);
         total.palette += tally.palette;
         total.anti += tally.anti;
@@ -649,8 +647,8 @@ TEST(MatchingDeterminism, BitIdenticalAcrossThreadCounts) {
     auto par = ccg::testing::make_planted_fixture(cabal_spec(90, 4, 8),
                                                   params, 59, 4.0, threads);
     std::vector<int> ids{0, 1, 2};
-    colorful_matching_run(*base->st, ids, [](int) { return 6; });
-    colorful_matching_run(*par->st, ids, [](int) { return 6; });
+    colorful_matching_run(*base->st, ids, 6);
+    colorful_matching_run(*par->st, ids, 6);
     for (const int k : ids) {
       EXPECT_EQ(base->st->palettes[k].repeats(),
                 par->st->palettes[k].repeats())

@@ -237,6 +237,46 @@ TEST(PipelineLowDegree, SeedsThatFailedRelayMatching) {
   }
 }
 
+TEST(PipelineHighDegree, SeedsThatFailedPutAsideFallback) {
+  // `ccg_cli --gen planted --delta 96 --cliques 5 --ext 8 --anti 4
+  // --sparse 500 --algo high --oracle --seed S`: on these seeds every
+  // randomized put-aside attempt failed, and the greedy fallback found
+  // fewer than r non-clashing inliers in some cabal, so the job returned
+  // kInternal. The cabal now keeps the short set and its other inliers go
+  // through steps 4-5. The instances are built as ccg_cli builds them.
+  for (const std::uint64_t seed : {4, 9, 13, 18, 23, 31, 34, 39, 40}) {
+    Rng rng(seed);
+    graph::PlantedSpec spec;
+    spec.delta = 96;
+    spec.num_cliques = 5;
+    spec.anti_deg = 4;
+    spec.external_deg = 8;
+    spec.num_sparse = 500;
+    spec.sparse_avg_deg = spec.delta * 0.25;
+    const auto g = graph::make_planted_acd(spec, rng).g;
+    const auto cg = cluster::ClusterGraph::singleton(g);
+    std::vector<int> base;
+    for (const int threads : {1, 4}) {
+      Options opt;
+      opt.algo = Algo::kHighDegree;
+      opt.seed = seed + 1;
+      opt.threads = threads;
+      opt.oracle = true;
+      Solver solver;
+      const auto out = solver.solve(Problem::cluster(cg), opt);
+      ASSERT_TRUE(out.ok()) << "seed " << seed << " threads " << threads
+                            << ": " << out.error.message;
+      cluster::check_proper_total(g, out.result.colors,
+                                  out.result.num_colors);
+      if (threads == 1) {
+        base = out.result.colors;
+      } else {
+        EXPECT_EQ(out.result.colors, base) << "seed " << seed;
+      }
+    }
+  }
+}
+
 TEST(PipelineDeterminism, FullPipelineBitIdenticalAcrossThreadCounts) {
   // End-to-end acceptance bar of the parallel round engine: the *full*
   // high-degree pipeline — including the colorful/fingerprint matchings,

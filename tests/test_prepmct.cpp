@@ -33,7 +33,7 @@ void drive_to_complete(State& st, std::vector<int>* clique_ids) {
   }
   const int target = std::max(
       1, static_cast<int>(2.2 * st.params.eps * st.delta()));
-  colorful_matching_run(st, *clique_ids, [target](int) { return target; });
+  colorful_matching_run(st, *clique_ids, target);
   std::vector<std::vector<int>> s_of(clique_ids->size());
   for (std::size_t i = 0; i < clique_ids->size(); ++i) {
     auto unc = st.uncolored_members((*clique_ids)[i]);

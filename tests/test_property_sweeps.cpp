@@ -197,7 +197,7 @@ TEST_P(MatchingSweep, ReuseOnlyAndAntiEdgeOnly) {
   params.seed = static_cast<std::uint64_t>(delta + anti);
   auto f = ccg::testing::make_planted_fixture(spec, params, 71, 8.0);
   auto& st = *f->st;
-  color::colorful_matching_run(st, {0, 1}, [](int) { return 1 << 20; });
+  color::colorful_matching_run(st, {0, 1}, 1 << 20);
   for (int k = 0; k < 2; ++k) {
     std::map<int, std::vector<int>> by_color;
     for (const int v : st.dc.acd.members[static_cast<std::size_t>(k)]) {

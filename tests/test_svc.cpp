@@ -223,6 +223,23 @@ TEST(SvcBatch, FailedInstanceFailsItsJobsAndSparesTheRest) {
   EXPECT_EQ(serve_manifest(m, 8).report, served.report);
 }
 
+TEST(SvcBatch, RecipesOutsideAGeneratorsDomainAreInvalidProblems) {
+  // A generator's contract failure on the recipe's own arguments is bad
+  // input, not a library fault: invalid_problem, never internal.
+  const auto m = parse_manifest_string(
+      "job --gen chunglu --n 100 --gamma 1.5 --algo fast\n"
+      "job --gen gnm --n 10 --algo fast\n"
+      "job --gen caveman --cliques 1 --algo fast\n"
+      "job --gen planted --delta 4 --cliques 2 --ext 12 --anti 2 "
+      "--algo fast\n");
+  const auto rows = report_rows(serve_manifest(m, 1).report);
+  ASSERT_EQ(rows.size(), 4u);
+  for (const auto& row : rows) {
+    EXPECT_EQ(row_field(row, "ok"), "false") << row;
+    EXPECT_EQ(row_field(row, "error_code"), "invalid_problem") << row;
+  }
+}
+
 TEST(SvcBatch, ManifestDeeperThanTheDefaultQueueNeverSheds) {
   // 300 jobs against the server's default depth of 256:
   // manifest_server_options sizes the admission bound to the manifest,

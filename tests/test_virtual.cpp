@@ -137,17 +137,17 @@ TEST(VirtualColor, OverlappingPartitionScenario) {
 
 TEST(LineGraph, StructureMatchesSharedEndpoints) {
   const auto g = graph::grid(5, 4);
-  const auto enc = make_line_graph(g);
+  const auto vg = make_line_graph(g);
   const auto edges = g.edges();
-  ASSERT_EQ(enc.edge_of_vertex.size(), edges.size());
-  ASSERT_EQ(enc.vg.h().n(), static_cast<int>(edges.size()));
+  ASSERT_EQ(vg.base().edges(), edges);
+  ASSERT_EQ(vg.h().n(), static_cast<int>(edges.size()));
   // H-adjacency iff the two g-edges share an endpoint.
-  for (int i = 0; i < enc.vg.h().n(); ++i) {
-    for (int j = i + 1; j < enc.vg.h().n(); ++j) {
-      const auto [a, b] = enc.edge_of_vertex[static_cast<std::size_t>(i)];
-      const auto [c, d] = enc.edge_of_vertex[static_cast<std::size_t>(j)];
+  for (int i = 0; i < vg.h().n(); ++i) {
+    for (int j = i + 1; j < vg.h().n(); ++j) {
+      const auto [a, b] = edges[static_cast<std::size_t>(i)];
+      const auto [c, d] = edges[static_cast<std::size_t>(j)];
       const bool share = a == c || a == d || b == c || b == d;
-      const auto& nb = enc.vg.h().neighbors(i);
+      const auto& nb = vg.h().neighbors(i);
       const bool adj = std::binary_search(nb.begin(), nb.end(), j);
       EXPECT_EQ(share, adj) << "edges " << i << "," << j;
     }
@@ -157,24 +157,25 @@ TEST(LineGraph, StructureMatchesSharedEndpoints) {
 TEST(LineGraph, SupportTreesAreSingleLinks) {
   // Each support is one base edge: congestion and dilation both 1.
   const auto g = graph::cycle(24);
-  const auto enc = make_line_graph(g);
-  EXPECT_EQ(enc.vg.congestion(), 1);
-  EXPECT_LE(enc.vg.dilation(), 1);
+  const auto vg = make_line_graph(g);
+  EXPECT_EQ(vg.congestion(), 1);
+  EXPECT_LE(vg.dilation(), 1);
 }
 
 TEST(LineGraph, ProperEdgeColoringWithin2DeltaMinus1) {
   Rng rng(31);
   const auto g = graph::gnm(150, 450, rng);
-  const auto enc = make_line_graph(g);
-  auto params = color::Params::defaults_for(enc.vg.h().n(), 37);
-  const auto res = lowdeg::color_virtual_graph(enc.vg, params);
+  const auto vg = make_line_graph(g);
+  auto params = color::Params::defaults_for(vg.h().n(), 37);
+  const auto res = lowdeg::color_virtual_graph(vg, params);
   // Delta_H + 1 <= 2 Delta_g - 1 colors; properness on the line graph
   // means adjacent g-edges got distinct colors.
   EXPECT_LE(res.base.num_colors, 2 * g.max_degree() - 1);
-  for (std::size_t i = 0; i < enc.edge_of_vertex.size(); ++i) {
-    for (std::size_t j = i + 1; j < enc.edge_of_vertex.size(); ++j) {
-      const auto [a, b] = enc.edge_of_vertex[i];
-      const auto [c, d] = enc.edge_of_vertex[j];
+  const auto edges = vg.base().edges();
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    for (std::size_t j = i + 1; j < edges.size(); ++j) {
+      const auto [a, b] = edges[i];
+      const auto [c, d] = edges[j];
       if (a == c || a == d || b == c || b == d) {
         EXPECT_NE(res.base.colors[i], res.base.colors[j]);
       }
