@@ -20,8 +20,10 @@
 // "line 1: ..." errors, and svc::build_instance builds the instance, so a
 // recipe builds the same graph on every surface (--gen caveman without
 // --cliques builds 4 cliques, --gen cycle without --n 2000 vertices, as
-// in a manifest). --seed s sets the graph seed to s (unless
-// --graph-seed overrides it) and the coloring seed to s + 1. --repeat is
+// in a manifest). --edge-coloring is --layout singleton --mode edge;
+// --distance k > 1 colors G^k of the singleton recipe graph. --seed s
+// sets the graph seed to s (unless --graph-seed overrides it) and the
+// coloring seed to s + 1. --repeat is
 // rejected: the CLI runs one job. Malformed flags and invalid instances
 // (recipe arguments outside a generator's domain included) print usage
 // and exit 2; other build and solve failures exit 1 with the error
@@ -56,7 +58,7 @@ int usage() {
       "own flags:\n"
       "  --seed s  (graph seed s, coloring seed s + 1)\n"
       "  --distance k  (color G^k as a virtual graph)\n"
-      "  --edge-coloring  (color the line graph)\n"
+      "  --edge-coloring  (color the line graph: --mode edge)\n"
       "  --finisher {randomized|linial|gk} --repsets --verbose --help\n");
   return 2;
 }
@@ -100,8 +102,9 @@ int run(int argc, char** argv) {
   std::uint64_t seed = 1;
   int distance = 1;
   bool edge_coloring = false;
+  bool repsets = false;
   bool verbose = false;
-  Options opt;
+  auto finisher = color::Params::Finisher::kRandomizedList;
   std::vector<std::string> toks;  // the job line
   for (int i = 1; i < argc; ++i) {
     const std::string t = argv[i];
@@ -109,14 +112,14 @@ int run(int argc, char** argv) {
     if (t == "--edge-coloring") {
       edge_coloring = true;
     } else if (t == "--repsets") {
-      opt.use_representative_sets = true;
+      repsets = true;
     } else if (t == "--verbose") {
       verbose = true;
     } else if (t == "--seed" || t == "--distance" || t == "--finisher") {
       if (i + 1 >= argc) svc::parse_fail(1, t + " needs a value");
       const std::string val = argv[++i];
       if (t == "--finisher") {
-        opt.finisher = parse_finisher(val);
+        finisher = parse_finisher(val);
       } else if (t == "--seed") {
         seed = svc::parse_line_u64(1, "seed", val);
       } else {
@@ -141,31 +144,27 @@ int run(int argc, char** argv) {
     return usage();
   }
   auto& spec = jobs.front();
-  // --edge-coloring and --distance color a virtual graph over the plain
-  // recipe graph, so they take precedence over --layout and --mode.
-  if (edge_coloring || distance > 1) {
-    spec.layout = "singleton";
-    spec.mode = svc::JobMode::kCluster;
-  }
+  // --edge-coloring is --mode edge on the plain recipe graph; --distance
+  // k > 1 colors G^k over it. Both take precedence over --layout and
+  // --mode.
+  const bool power = !edge_coloring && distance > 1;
+  if (edge_coloring || power) spec.layout = "singleton";
+  if (edge_coloring) spec.mode = svc::JobMode::kEdge;
+  if (power) spec.mode = svc::JobMode::kCluster;
   const auto inst = svc::build_instance(spec);
   if (!inst.error.empty()) return failed("build", inst.error_code, inst.error);
   const graph::Graph& g = inst.vg ? inst.vg->base() : inst.cg.h();
   std::fprintf(stderr, "H: n=%d m=%lld Delta=%d\n", g.n(),
                static_cast<long long>(g.m()), g.max_degree());
 
-  // The job line's execution flags map onto Options as JobSlot maps them.
+  Options opt = svc::job_options(spec);
   opt.seed = seed + 1;
-  opt.algo = spec.algo;
-  opt.threads = spec.threads;
-  if (spec.eps > 0) opt.eps = spec.eps;
-  opt.oracle = spec.oracle;
-  if (spec.deadline_ms > 0) opt.deadline_ms = spec.deadline_ms;
+  opt.finisher = finisher;
+  opt.use_representative_sets = repsets;
 
   Solver solver;
   Outcome out;
-  if (edge_coloring) {
-    solver.solve(Problem::edge_coloring(g), opt, &out);
-  } else if (distance > 1) {
+  if (power) {
     solver.solve(Problem::distance_k(g, distance), opt, &out);
   } else if (inst.vg) {
     solver.solve(Problem::virtual_graph(*inst.vg), opt, &out);

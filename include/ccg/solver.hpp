@@ -79,7 +79,10 @@ enum class ErrorCode {
   kInvalidProblem,  // unknown mode, malformed recipe, recipe arguments
                     // outside a generator's domain, empty or oversize
                     // instance, bad distance
-  kBuildFailed,     // instance construction failed (DIMACS I/O)
+  kBuildFailed,     // instance construction failed: DIMACS I/O, a
+                    // throw while building a caller-given graph's
+                    // singleton, line graph or G^k, or a recipe build
+                    // failure that is neither a bad recipe nor a bug
   kInternal,        // contract violation inside the coloring pipeline
   kDeadlineExceeded,  // Options::deadline_ms elapsed mid-run (cooperative:
                       // detected at a phase/round boundary, never a hang)

@@ -30,21 +30,27 @@ bool is_midrun_failure(ErrorCode c) {
 
 }  // namespace
 
+Options job_options(const JobSpec& job) {
+  Options opt;
+  opt.algo = job.algo;
+  opt.threads = job.threads;
+  if (job.eps > 0) opt.eps = job.eps;
+  opt.oracle = job.oracle;
+  if (job.deadline_ms > 0) opt.deadline_ms = job.deadline_ms;
+  return opt;
+}
+
 // ccg-lint: zero-alloc
 void JobSlot::run_attempt(const Instance& inst, const JobSpec& job,
                           std::uint64_t seed, std::int64_t deadline_ms,
                           JobResult* out) {
   // The manifest surface maps 1:1 onto the facade: the JobSpec's
-  // execution knobs become ccg::Options, the prepared instance becomes a
-  // borrowed ccg::Problem. copy_colors stays off — properness is checked
-  // inside the Solver and the report only needs the scalar stats, so the
-  // warm fast path performs zero heap allocations.
-  Options opt;
-  opt.algo = job.algo;
-  opt.threads = job.threads;
+  // execution knobs become ccg::Options (job_options), the prepared
+  // instance becomes a borrowed ccg::Problem. copy_colors stays off —
+  // properness is checked inside the Solver and the report only needs the
+  // scalar stats, so the warm fast path performs zero heap allocations.
+  Options opt = job_options(job);
   opt.seed = seed;
-  if (job.eps > 0) opt.eps = job.eps;
-  opt.oracle = job.oracle;
   opt.deadline_ms = deadline_ms;
   opt.copy_colors = false;
 

@@ -163,6 +163,12 @@ class JobSlot {
   std::vector<int> degrade_colors_;  // scratch for the greedy fallback
 };
 
+// The job line's execution flags as ccg::Options: --algo, --threads,
+// --oracle, and --eps and --deadline-ms when the line sets them. Seed,
+// finisher and copy_colors keep their defaults: each surface (JobSlot,
+// ccg_cli) sets its own.
+Options job_options(const JobSpec& job);
+
 // Build one instance from a job recipe. Failures land in
 // Instance::error / error_code rather than throwing. This is the one
 // recipe builder: the server's cross-job instance cache

@@ -11,6 +11,7 @@
 #include "graph/generators.hpp"
 #include "helpers.hpp"
 #include "lowdeg/lowdeg.hpp"
+#include "svc/service.hpp"
 
 namespace ccg {
 namespace {
@@ -188,90 +189,61 @@ TEST(PipelineHighDegree, FingerprintPathSeedsThatFailedAntiMatching) {
   }
 }
 
-TEST(PipelineLowDegree, SeedsThatFailedRelayMatching) {
-  // `ccg_cli --gen planted --delta 64 --cliques 8 --ext 1 --anti 2
-  // --seed S` (with `--oracle` on the second list) runs the polylog
-  // low-degree regime, where Lemma 9.2's relay matching left some
-  // anti-edge without a relay on these seeds and the job returned
-  // kInternal. Such a pair now stays uncolored for the cabal's later
-  // steps. The instances are built as ccg_cli builds them, on the default
-  // auto path.
+TEST(PipelineSeeds, SeedsThatFailedJobs) {
+  // `ccg_cli <recipe> --seed S` (graph seed S, coloring seed S + 1)
+  // returned kInternal on these seeds:
+  //  - the relay rows run the polylog low-degree regime, where Lemma 9.2's
+  //    relay matching left some anti-edge without a relay; such a pair now
+  //    stays uncolored for the cabal's later steps;
+  //  - on the put-aside rows every randomized put-aside attempt failed and
+  //    the greedy fallback found fewer than r non-clashing inliers in some
+  //    cabal; the cabal now keeps the short set and its other inliers go
+  //    through steps 4-5.
+  // Both count what they left in retry_count; the put-aside rows must
+  // also reach the greedy fallback, which counts in fallback_count.
   struct Case {
-    std::uint64_t seed;
+    const char* recipe;
+    Algo algo;
     bool oracle;
+    std::vector<std::uint64_t> seeds;
+    bool putaside_fallback;
   };
-  std::vector<Case> cases;
-  for (const std::uint64_t s : {2, 5, 25, 26, 29, 37, 45, 59}) {
-    cases.push_back({s, false});
-  }
-  for (const std::uint64_t s : {2, 6, 15, 38}) cases.push_back({s, true});
+  const char* relay = "--gen planted --delta 64 --cliques 8 --ext 1 --anti 2";
+  const Case cases[] = {
+      {relay, Algo::kAuto, false, {2, 5, 25, 26, 29, 37, 45, 59}, false},
+      {relay, Algo::kAuto, true, {2, 6, 15, 38}, false},
+      {"--gen planted --delta 96 --cliques 5 --ext 8 --anti 4 --sparse 500",
+       Algo::kHighDegree, true, {4, 9, 13, 18, 23, 31, 34, 39, 40}, true},
+  };
   for (const auto& c : cases) {
-    Rng rng(c.seed);
-    graph::PlantedSpec spec;
-    spec.delta = 64;
-    spec.num_cliques = 8;
-    spec.anti_deg = 2;
-    spec.external_deg = 1;
-    spec.sparse_avg_deg = spec.delta * 0.25;
-    const auto g = graph::make_planted_acd(spec, rng).g;
-    const auto cg = cluster::ClusterGraph::singleton(g);
-    std::vector<int> base;
-    for (const int threads : {1, 4}) {
-      Options opt;
-      opt.seed = c.seed + 1;
-      opt.threads = threads;
-      opt.oracle = c.oracle;
-      Solver solver;
-      const auto out = solver.solve(Problem::cluster(cg), opt);
-      ASSERT_TRUE(out.ok()) << "seed " << c.seed << " oracle " << c.oracle
-                            << " threads " << threads << ": "
-                            << out.error.message;
-      cluster::check_proper_total(g, out.result.colors,
-                                  out.result.num_colors);
-      if (threads == 1) {
-        base = out.result.colors;
-      } else {
-        EXPECT_EQ(out.result.colors, base) << "seed " << c.seed;
-      }
-    }
-  }
-}
-
-TEST(PipelineHighDegree, SeedsThatFailedPutAsideFallback) {
-  // `ccg_cli --gen planted --delta 96 --cliques 5 --ext 8 --anti 4
-  // --sparse 500 --algo high --oracle --seed S`: on these seeds every
-  // randomized put-aside attempt failed, and the greedy fallback found
-  // fewer than r non-clashing inliers in some cabal, so the job returned
-  // kInternal. The cabal now keeps the short set and its other inliers go
-  // through steps 4-5. The instances are built as ccg_cli builds them.
-  for (const std::uint64_t seed : {4, 9, 13, 18, 23, 31, 34, 39, 40}) {
-    Rng rng(seed);
-    graph::PlantedSpec spec;
-    spec.delta = 96;
-    spec.num_cliques = 5;
-    spec.anti_deg = 4;
-    spec.external_deg = 8;
-    spec.num_sparse = 500;
-    spec.sparse_avg_deg = spec.delta * 0.25;
-    const auto g = graph::make_planted_acd(spec, rng).g;
-    const auto cg = cluster::ClusterGraph::singleton(g);
-    std::vector<int> base;
-    for (const int threads : {1, 4}) {
-      Options opt;
-      opt.algo = Algo::kHighDegree;
-      opt.seed = seed + 1;
-      opt.threads = threads;
-      opt.oracle = true;
-      Solver solver;
-      const auto out = solver.solve(Problem::cluster(cg), opt);
-      ASSERT_TRUE(out.ok()) << "seed " << seed << " threads " << threads
-                            << ": " << out.error.message;
-      cluster::check_proper_total(g, out.result.colors,
-                                  out.result.num_colors);
-      if (threads == 1) {
-        base = out.result.colors;
-      } else {
-        EXPECT_EQ(out.result.colors, base) << "seed " << seed;
+    for (const std::uint64_t s : c.seeds) {
+      const std::string recipe =
+          std::string(c.recipe) + " --graph-seed " + std::to_string(s);
+      const auto inst = svc::build_instance(svc::parse_job_flags(recipe));
+      ASSERT_TRUE(inst.error.empty()) << recipe << ": " << inst.error;
+      std::vector<int> base;
+      for (const int threads : {1, 4}) {
+        Options opt;
+        opt.algo = c.algo;
+        opt.seed = s + 1;
+        opt.threads = threads;
+        opt.oracle = c.oracle;
+        Solver solver;
+        const auto out = solver.solve(Problem::recipe(recipe), opt);
+        ASSERT_TRUE(out.ok()) << recipe << " oracle " << c.oracle
+                              << " threads " << threads << ": "
+                              << out.error.message;
+        cluster::check_proper_total(inst.cg.h(), out.result.colors,
+                                    out.result.num_colors);
+        EXPECT_GT(out.result.retry_count, 0) << recipe;
+        if (c.putaside_fallback) {
+          EXPECT_GT(out.result.fallback_count, 0) << recipe;
+        }
+        if (threads == 1) {
+          base = out.result.colors;
+        } else {
+          EXPECT_EQ(out.result.colors, base) << recipe;
+        }
       }
     }
   }
