@@ -23,11 +23,10 @@
 // in a manifest). --edge-coloring is --layout singleton --mode edge;
 // --distance k > 1 colors G^k of the singleton recipe graph. --seed s
 // sets the graph seed to s (unless --graph-seed overrides it) and the
-// coloring seed to s + 1. --repeat is
-// rejected: the CLI runs one job. Malformed flags and invalid instances
-// (recipe arguments outside a generator's domain included) print usage
-// and exit 2; other build and solve failures exit 1 with the error
-// code's name.
+// coloring seed to s + 1. --repeat is rejected: the CLI runs one job.
+// Malformed flags and invalid instances (recipe arguments outside a
+// generator's domain included) print usage and exit 2; other build and
+// solve failures exit 1 with the error code's name.
 #include <algorithm>
 #include <cstdio>
 #include <string>
