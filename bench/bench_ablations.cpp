@@ -24,12 +24,12 @@ int main() {
     const auto inst = bench::make_mixture(1500, ms, 41);
     for (const bool fingerprint : {false, true}) {
       const auto cg = cluster::ClusterGraph::singleton(inst.planted.g);
-      net::Ledger ledger(cg.default_bandwidth());
-      cluster::Runtime rt(cg, ledger);
       auto params = bench::bench_params(inst.n, 21);
       params.use_fingerprint_acd = fingerprint;
       params.fingerprint_t = 4096;
-      const auto res = color::color_high_degree(rt, params);
+      const auto res =
+          bench::solve(Problem::cluster(cg), Algo::kHighDegree, params)
+              .result;
       cluster::check_proper_total(inst.planted.g, res.colors,
                                   res.num_colors);
       bench::row({fingerprint ? "fingerprint" : "oracle",
@@ -72,11 +72,11 @@ int main() {
     const auto inst = bench::make_mixture(2000, ms, 47);
     for (const double rf : {1.0, 2.0, 4.0, 8.0}) {
       const auto cg = cluster::ClusterGraph::singleton(inst.planted.g);
-      net::Ledger ledger(cg.default_bandwidth());
-      cluster::Runtime rt(cg, ledger);
       auto params = bench::bench_params(inst.n, 23);
       params.reserved_factor = rf;
-      const auto res = color::color_high_degree(rt, params);
+      const auto res =
+          bench::solve(Problem::cluster(cg), Algo::kHighDegree, params)
+              .result;
       cluster::check_proper_total(inst.planted.g, res.colors,
                                   res.num_colors);
       bench::row({bench::fmt(rf, 1),
@@ -101,11 +101,11 @@ int main() {
       const auto g = graph::gnm(
           n, static_cast<std::int64_t>(n) * 6, rng);
       const auto cg = cluster::ClusterGraph::singleton(g);
-      net::Ledger ledger(cg.default_bandwidth());
-      cluster::Runtime rt(cg, ledger);
       auto params = bench::bench_params(n, 29);
       params.finisher = finisher;
-      const auto res = lowdeg::color_low_degree(rt, params);
+      const auto res =
+          bench::solve(Problem::cluster(cg), Algo::kLowDegree, params)
+              .result;
       cluster::check_proper_total(g, res.colors, res.num_colors);
       bench::row({name, bench::fmt(n), bench::fmt(res.h_rounds),
                   bench::fmt(res.fallback_count)});
@@ -120,11 +120,11 @@ int main() {
       Rng rng(73 + n);
       const auto mix = bench::make_mixture(n, bench::MixtureSpec{}, 81);
       const auto cg = cluster::ClusterGraph::singleton(mix.planted.g);
-      net::Ledger ledger(cg.default_bandwidth());
-      cluster::Runtime rt(cg, ledger);
       auto params = bench::bench_params(mix.planted.g.n(), 83);
       params.use_representative_sets = repsets;
-      const auto res = color::color_high_degree(rt, params);
+      const auto res =
+          bench::solve(Problem::cluster(cg), Algo::kHighDegree, params)
+              .result;
       cluster::check_proper_total(mix.planted.g, res.colors,
                                   res.num_colors);
       bench::row({repsets ? "representative" : "prg-seeded",

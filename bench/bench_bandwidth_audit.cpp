@@ -23,21 +23,20 @@ int main() {
     es.shape = cluster::ClusterShape::kRandomTree;
     es.size = 4;
     const auto cg = cluster::ClusterGraph::expand(inst.planted.g, es, rng);
-    net::Ledger ledger(cg.default_bandwidth());
-    cluster::Runtime rt(cg, ledger);
     auto params = bench::bench_params(inst.n, 13, /*full_stack=*/true);
     params.fingerprint_t = 64 * ceil_log2(static_cast<std::uint64_t>(
                                     std::max(2, inst.n)));
-    const auto res = color::color_high_degree(rt, params);
+    const auto res =
+        bench::solve(Problem::cluster(cg), Algo::kHighDegree, params).result;
     cluster::check_proper_total(inst.planted.g, res.colors,
                                 res.num_colors);
-    bench::row({bench::fmt(inst.n), bench::fmt(ledger.bandwidth()),
+    const int bandwidth = cg.default_bandwidth();
+    bench::row({bench::fmt(inst.n), bench::fmt(bandwidth),
                 bench::fmt(res.max_bits_per_link_round),
                 bench::fmt(res.max_message_bits),
                 bench::fmt(res.h_rounds),
-                res.max_bits_per_link_round <= ledger.bandwidth()
-                    ? "yes"
-                    : "VIOLATION"});
+                res.max_bits_per_link_round <= bandwidth ? "yes"
+                                                         : "VIOLATION"});
   }
 
   std::printf("\nper-phase maxima at n~2000\n");
@@ -47,10 +46,10 @@ int main() {
     ms.ext_deg = 10;
     const auto inst = bench::make_mixture(2000, ms, 77);
     const auto cg = cluster::ClusterGraph::singleton(inst.planted.g);
-    net::Ledger ledger(cg.default_bandwidth());
-    cluster::Runtime rt(cg, ledger);
-    const auto res = color::color_high_degree(
-        rt, bench::bench_params(inst.n, 17, /*full_stack=*/true));
+    const auto res =
+        bench::solve(Problem::cluster(cg), Algo::kHighDegree,
+                     bench::bench_params(inst.n, 17, /*full_stack=*/true))
+            .result;
     bench::row({"phase", "maxMsgBits", "maxLinkRound"});
     for (const auto& pc : res.phases) {
       bench::row({pc.name, bench::fmt(pc.max_message_bits),

@@ -47,9 +47,9 @@ int main() {
       return baseline::palette_sparsification_baseline(rt, 5, 1.0, 12000);
     }();
 
-    bench::row({bench::fmt(inst.n), bench::fmt(ours.result.num_colors - 1),
-                bench::fmt(ours.result.h_rounds),
-                bench::fmt(ours.result.g_rounds),
+    bench::row({bench::fmt(inst.n), bench::fmt(ours.num_colors - 1),
+                bench::fmt(ours.h_rounds),
+                bench::fmt(ours.g_rounds),
                 bench::fmt(run_uniform.h_rounds),
                 bench::fmt(run_spars.h_rounds),
                 bench::fmt(run_spars.g_rounds)});
@@ -78,7 +78,7 @@ int main() {
     // uniform baseline but the clique endgame exhausts it.
     const auto unif =
         baseline::uniform_trial_baseline(rt, 3, 12 * delta);
-    bench::row({bench::fmt(delta), bench::fmt(ours.result.h_rounds),
+    bench::row({bench::fmt(delta), bench::fmt(ours.h_rounds),
                 bench::fmt(unif.h_rounds),
                 bench::fmt(unif.fallback_count)});
   }

@@ -36,10 +36,9 @@ int main() {
             : cluster::ClusterGraph::expand(
                   inst.planted.g,
                   cluster::ExpandSpec{cfg.shape, cfg.size, 1}, rng);
-    net::Ledger ledger(cg.default_bandwidth());
-    cluster::Runtime rt(cg, ledger);
-    const auto res = color::color_high_degree(
-        rt, bench::bench_params(inst.n, 9));
+    const auto res = bench::solve(Problem::cluster(cg), Algo::kHighDegree,
+                                  bench::bench_params(inst.n, 9))
+                         .result;
     cluster::check_proper_total(inst.planted.g, res.colors,
                                 res.num_colors);
     bench::row({cfg.name, bench::fmt(cfg.size), bench::fmt(res.dilation),

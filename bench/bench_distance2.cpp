@@ -22,25 +22,24 @@ int main() {
   bases.push_back({"gnm", graph::gnm(1500, 9000, rng)});
   bases.push_back({"tree", graph::random_tree(1500, rng)});
   for (auto& base : bases) {
-    const auto vg = cluster::VirtualGraph::distance2(base.g);
-    const auto res = lowdeg::color_virtual_graph(
-        vg, bench::bench_params(vg.h().n(), 19));
+    const auto vg = cluster::VirtualGraph::distance_k(base.g, 2);
+    const auto out = bench::solve(Problem::virtual_graph(vg), Algo::kAuto,
+                                  bench::bench_params(vg.h().n(), 19));
+    const auto& res = out.result;
     // Distance-2 validation against the base graph.
     for (int v = 0; v < base.g.n(); ++v) {
       for (const int u : base.g.neighbors(v)) {
-        CCG_CHECK(res.base.colors[static_cast<std::size_t>(u)] !=
-                  res.base.colors[static_cast<std::size_t>(v)]);
+        CCG_CHECK(res.colors[static_cast<std::size_t>(u)] !=
+                  res.colors[static_cast<std::size_t>(v)]);
         for (const int w : base.g.neighbors(u)) {
-          CCG_CHECK(w == v ||
-                    res.base.colors[static_cast<std::size_t>(w)] !=
-                        res.base.colors[static_cast<std::size_t>(v)]);
+          CCG_CHECK(w == v || res.colors[static_cast<std::size_t>(w)] !=
+                                  res.colors[static_cast<std::size_t>(v)]);
         }
       }
     }
     int used = 0;
-    std::vector<char> seen(
-        static_cast<std::size_t>(res.base.num_colors), 0);
-    for (const int c : res.base.colors) {
+    std::vector<char> seen(static_cast<std::size_t>(res.num_colors), 0);
+    for (const int c : res.colors) {
       if (!seen[static_cast<std::size_t>(c)]) {
         seen[static_cast<std::size_t>(c)] = 1;
         ++used;
@@ -49,9 +48,9 @@ int main() {
     bench::row({base.name, bench::fmt(base.g.n()),
                 bench::fmt(base.g.max_degree()),
                 bench::fmt(vg.h().max_degree()),
-                bench::fmt(res.congestion), bench::fmt(vg.dilation()),
-                bench::fmt(res.base.h_rounds),
-                bench::fmt(res.g_rounds_with_congestion),
+                bench::fmt(out.congestion), bench::fmt(vg.dilation()),
+                bench::fmt(res.h_rounds),
+                bench::fmt(out.g_rounds_with_congestion),
                 bench::fmt(used)});
   }
   return 0;

@@ -24,14 +24,16 @@ int main() {
     Rng rng(5 + n);
     const auto g = graph::gnm(n, n * 3, rng);
     const auto vg = cluster::make_line_graph(g);
-    auto params = color::Params::defaults_for(vg.h().n(), 11);
-    const auto res = lowdeg::color_virtual_graph(vg, params);
+    const auto res =
+        bench::solve(Problem::virtual_graph(vg), Algo::kAuto,
+                     color::Params::defaults_for(vg.h().n(), 11))
+            .result;
     bench::row({bench::fmt(n), bench::fmt(vg.h().n()),
-                bench::fmt(g.max_degree()), bench::fmt(res.base.num_colors),
+                bench::fmt(g.max_degree()), bench::fmt(res.num_colors),
                 bench::fmt(2 * g.max_degree() - 1),
                 bench::fmt(vg.congestion()),
                 bench::fmt(vg.dilation()),
-                bench::fmt(res.base.h_rounds)});
+                bench::fmt(res.h_rounds)});
   }
 
   std::printf("\ndistance-k coloring on a grid (Delta_k + 1 colors):\n");
@@ -40,14 +42,15 @@ int main() {
   const auto g = graph::grid(14, 14);
   for (const int k : {1, 2, 3, 4}) {
     const auto vg = cluster::VirtualGraph::distance_k(g, k);
-    auto params = color::Params::defaults_for(vg.h().n(), 13 + k);
-    const auto res = lowdeg::color_virtual_graph(vg, params);
+    const auto out =
+        bench::solve(Problem::virtual_graph(vg), Algo::kAuto,
+                     color::Params::defaults_for(vg.h().n(), 13 + k));
     bench::row({bench::fmt(k), bench::fmt(vg.h().n()),
                 bench::fmt(vg.h().max_degree()),
-                bench::fmt(res.base.num_colors),
+                bench::fmt(out.result.num_colors),
                 bench::fmt(vg.congestion()), bench::fmt(vg.dilation()),
-                bench::fmt(res.base.h_rounds),
-                bench::fmt(res.g_rounds_with_congestion)});
+                bench::fmt(out.result.h_rounds),
+                bench::fmt(out.g_rounds_with_congestion)});
   }
   return 0;
 }

@@ -100,11 +100,10 @@ int main() {
     Rng rng(99);
     const auto g = graph::gnm(512, 512 * 6, rng);
     const auto cg = cluster::ClusterGraph::singleton(g);
-    net::Ledger ledger(cg.default_bandwidth());
-    cluster::Runtime rt(cg, ledger);
     auto params = bench::bench_params(512, 7);
     params.finisher = fin;
-    const auto res = lowdeg::color_low_degree(rt, params);
+    const auto res =
+        bench::solve(Problem::cluster(cg), Algo::kLowDegree, params).result;
     cluster::check_proper_total(g, res.colors, res.num_colors);
     bench::row({name, bench::fmt(res.h_rounds),
                 bench::fmt(res.fallback_count)});

@@ -24,10 +24,9 @@ int main() {
     const auto g = graph::gnm(
         n, static_cast<std::int64_t>(n * lg * 0.8), rng);
     const auto cg = cluster::ClusterGraph::singleton(g);
-    net::Ledger ledger(cg.default_bandwidth());
-    cluster::Runtime rt(cg, ledger);
-    const auto res =
-        lowdeg::color_low_degree(rt, bench::bench_params(n, 5));
+    const auto res = bench::solve(Problem::cluster(cg), Algo::kLowDegree,
+                                  bench::bench_params(n, 5))
+                         .result;
     cluster::check_proper_total(g, res.colors, res.num_colors);
     bench::row({bench::fmt(n), bench::fmt(res.num_colors - 1),
                 bench::fmt(res.h_rounds),
@@ -51,12 +50,12 @@ int main() {
     es.size = 1;
     const auto out = bench::run_pipeline(inst.planted.g, es,
                                          bench::bench_params(inst.n, 6), 4,
-                                         /*high_degree_path=*/false);
-    bench::row({bench::fmt(inst.n), bench::fmt(out.result.num_colors - 1),
-                bench::fmt(out.result.h_rounds),
+                                         Algo::kAuto);
+    bench::row({bench::fmt(inst.n), bench::fmt(out.num_colors - 1),
+                bench::fmt(out.h_rounds),
                 bench::fmt(std::log2(std::log2(inst.n)), 2),
                 bench::fmt(lg * lg, 0),
-                bench::fmt(out.result.fallback_count)});
+                bench::fmt(out.fallback_count)});
   }
 
   std::printf("\n-- dilation dependence (Theorem 1.1's d factor): same H, "
@@ -71,11 +70,10 @@ int main() {
                            : cluster::ClusterShape::kPath;
       es.size = size;
       const auto out = bench::run_pipeline(
-          g, es, bench::bench_params(g.n(), 7), 5,
-          /*high_degree_path=*/false);
-      bench::row({bench::fmt(size), bench::fmt(out.result.dilation),
-                  bench::fmt(out.result.h_rounds),
-                  bench::fmt(out.result.g_rounds)});
+          g, es, bench::bench_params(g.n(), 7), 5, Algo::kAuto);
+      bench::row({bench::fmt(size), bench::fmt(out.dilation),
+                  bench::fmt(out.h_rounds),
+                  bench::fmt(out.g_rounds)});
     }
   }
   return 0;

@@ -25,14 +25,14 @@ int main() {
     es.size = 1;
     const auto out = bench::run_pipeline(
         inst.planted.g, es, bench::bench_params(inst.n, 42), 1);
-    bench::row({bench::fmt(inst.n), bench::fmt(out.result.num_colors - 1),
-                bench::fmt(out.result.num_cliques),
-                bench::fmt(out.result.num_cabals),
-                bench::fmt(out.result.h_rounds),
-                bench::fmt(out.result.g_rounds),
+    bench::row({bench::fmt(inst.n), bench::fmt(out.num_colors - 1),
+                bench::fmt(out.num_cliques),
+                bench::fmt(out.num_cabals),
+                bench::fmt(out.h_rounds),
+                bench::fmt(out.g_rounds),
                 bench::fmt(log_star(inst.n)),
-                bench::fmt(out.result.fallback_count),
-                bench::fmt(out.result.retry_count)});
+                bench::fmt(out.fallback_count),
+                bench::fmt(out.retry_count)});
   }
 
   std::printf("\ncabal-heavy variant (ext_deg < ell: donation machinery "
@@ -49,11 +49,11 @@ int main() {
     es.size = 1;
     const auto out = bench::run_pipeline(
         inst.planted.g, es, bench::bench_params(inst.n, 43), 2);
-    bench::row({bench::fmt(inst.n), bench::fmt(out.result.num_colors - 1),
-                bench::fmt(out.result.num_cabals),
-                bench::fmt(out.result.h_rounds),
-                bench::fmt(out.result.g_rounds),
-                bench::fmt(out.result.fallback_count)});
+    bench::row({bench::fmt(inst.n), bench::fmt(out.num_colors - 1),
+                bench::fmt(out.num_cabals),
+                bench::fmt(out.h_rounds),
+                bench::fmt(out.g_rounds),
+                bench::fmt(out.fallback_count)});
   }
 
   std::printf("\nphase breakdown at n~8000 (measured Fig. 5 pipeline)\n");
@@ -67,7 +67,7 @@ int main() {
     const auto out = bench::run_pipeline(
         inst.planted.g, es, bench::bench_params(inst.n, 44), 3);
     bench::row({"phase", "H-rounds", "G-rounds", "maxMsgBits"});
-    for (const auto& pc : out.result.phases) {
+    for (const auto& pc : out.phases) {
       bench::row({pc.name, bench::fmt(pc.h_rounds), bench::fmt(pc.g_rounds),
                   bench::fmt(pc.max_message_bits)});
     }

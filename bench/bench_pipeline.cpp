@@ -82,11 +82,11 @@ InstanceRow run_timed_pipeline(const std::string& name, int n_target,
     color::Result last;
     ThreadRow tr;
     tr.threads = threads;
+    // A fresh Solver per rep, so every rep builds its arena cold.
     tr.stats = ccg::timed(
         [&] {
-          net::Ledger ledger(cg.default_bandwidth());
-          cluster::Runtime rt(cg, ledger);
-          last = color::color_high_degree(rt, params);
+          last = bench::solve(Problem::cluster(cg), Algo::kHighDegree, params)
+                     .result;
         },
         warmup, reps, inst.n);
     cluster::check_proper_total(inst.planted.g, last.colors,

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -73,26 +74,34 @@ inline Instance make_mixture(int n_target, const MixtureSpec& ms,
   return inst;
 }
 
-struct RunOutput {
-  color::Result result;
-  int bandwidth = 0;
-};
+// Colors `problem` on a fresh ccg::Solver with `params` used verbatim
+// (seed and threads included). A failed solve ends the bench (exit 1).
+inline Outcome solve(const Problem& problem, Algo algo,
+                     const color::Params& params) {
+  Options opt;
+  opt.algo = algo;
+  opt.params = params;
+  Solver solver;
+  auto out = solver.solve(problem, opt);
+  if (!out.ok()) {
+    std::fprintf(stderr, "FATAL: solve failed (%s): %s\n",
+                 error_code_name(out.error.code), out.error.message.c_str());
+    std::exit(1);
+  }
+  return out;
+}
 
-inline RunOutput run_pipeline(const graph::Graph& h,
-                              const cluster::ExpandSpec& es,
-                              color::Params params, std::uint64_t graph_seed,
-                              bool high_degree_path = true) {
+inline color::Result run_pipeline(const graph::Graph& h,
+                                  const cluster::ExpandSpec& es,
+                                  color::Params params,
+                                  std::uint64_t graph_seed,
+                                  Algo algo = Algo::kHighDegree) {
   Rng rng(graph_seed);
   const auto cg = es.size <= 1 ? cluster::ClusterGraph::singleton(h)
                                : cluster::ClusterGraph::expand(h, es, rng);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
-  RunOutput out;
-  out.bandwidth = ledger.bandwidth();
-  out.result = high_degree_path ? color::color_high_degree(rt, params)
-                                : lowdeg::color_cluster_graph(rt, params);
-  cluster::check_proper_total(h, out.result.colors, out.result.num_colors);
-  return out;
+  auto res = solve(Problem::cluster(cg), algo, params).result;
+  cluster::check_proper_total(h, res.colors, res.num_colors);
+  return res;
 }
 
 // Calibrated pipeline parameters for benches: oracle ACD + unmeasured bits

@@ -1,6 +1,6 @@
 #!/bin/sh
-# ccg_cli smoke: six reproducers must print their golden stdout byte for
-# byte, and bad command lines must exit 2 (usage), never crash.
+# ccg_cli smoke: seven reproducers must print their golden stdout byte
+# for byte, and bad command lines must exit 2 (usage), never crash.
 #
 #   sh ci/cli_smoke.sh ./build/ccg_cli
 #
@@ -50,6 +50,9 @@ golden grid_distance3 --gen grid --w 20 --h 12 --distance 3
 golden gnm_edge --gen gnm --n 600 --m 3000 --edge-coloring
 golden gnp_tree --gen gnp --n 500 --p 0.05 --layout tree --cluster-size 5 \
   --links-per-edge 2 --seed 9
+golden dist2 --gen gnm --n 600 --m 2000 --mode dist2 --seed 3
+# --distance 2 builds the same G^2 as --mode dist2.
+golden dist2 --gen gnm --n 600 --m 2000 --distance 2 --seed 3
 
 # Recipes outside a generator's domain are invalid instances.
 usage_error "chunglu gamma 1.5" --gen chunglu --n 100 --gamma 1.5

@@ -1,102 +1,110 @@
 // Command-line coloring tool: read a DIMACS instance, color it with the
 // cluster-graph pipeline, print statistics and (optionally) the coloring.
 //
-//   example_color_dimacs <instance.col> [--layout star|path|tree|single]
-//                        [--cluster-size N] [--seed S] [--print-colors]
+//   color_dimacs [instance.col] [job-line flags] [--print-colors]
 //
-// With no file argument, a built-in demo instance is generated so the
-// tool is runnable out of the box.
+// The file is --dimacs instance.col, and every other flag but
+// --print-colors belongs to the job-line grammar that ccg_cli, ccg_batch
+// manifests and ccg_serve requests share (src/svc/jobspec.hpp): --layout
+// {singleton|star|path|tree|bridge}, --cluster-size, --links-per-edge,
+// --mode, --graph-seed (seeds the layout), --seed (the coloring seed),
+// --algo, --eps, --oracle, --threads, --deadline-ms. Malformed flags exit 2
+// with the grammar's "line 1: ..." message. With neither a file nor --gen
+// or --dimacs, a built-in demo recipe runs, so the tool works out of the
+// box.
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "ccg/ccg.hpp"
 #include "graph/io.hpp"
 
 namespace {
 
-ccg::graph::Graph demo_instance() {
-  ccg::Rng rng(7);
-  ccg::graph::PlantedSpec spec;
-  spec.delta = 64;
-  spec.num_cliques = 2;
-  spec.anti_deg = 2;
-  spec.external_deg = 8;
-  spec.num_sparse = 120;
-  spec.sparse_avg_deg = 20.0;
-  return ccg::graph::make_planted_acd(spec, rng).g;
+using namespace ccg;
+
+const char* const kDemoRecipe =
+    "--gen planted --delta 64 --cliques 2 --ext 8 --anti 2 --sparse 120 "
+    "--graph-seed 7";
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: color_dimacs [instance.col] [job-line flags] "
+               "[--print-colors]\n"
+               "  job-line flags as in ccg_cli: --layout --cluster-size "
+               "--links-per-edge --mode\n"
+               "  --graph-seed --seed --algo --eps --oracle --threads "
+               "--deadline-ms (and --gen/--dimacs)\n");
+  return 2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace ccg;
-  std::string path;
-  std::string layout = "single";
-  int cluster_size = 4;
-  std::uint64_t seed = 1;
+int run(int argc, char** argv) {
   bool print_colors = false;
+  std::vector<std::string> toks;  // the job line
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--layout" && i + 1 < argc) {
-      layout = argv[++i];
-    } else if (arg == "--cluster-size" && i + 1 < argc) {
-      cluster_size = std::atoi(argv[++i]);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--print-colors") {
+    if (arg == "--print-colors") {
       print_colors = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      return 2;
+    } else if (i == 1 && arg.rfind("--", 0) != 0) {
+      toks.push_back("--dimacs");
+      toks.push_back(arg);
     } else {
-      path = arg;
+      toks.push_back(arg);
     }
   }
-
-  graph::Graph h;
-  if (path.empty()) {
-    std::printf("no instance given — using a built-in demo graph\n");
-    h = demo_instance();
-  } else {
-    h = graph::read_dimacs_file(path);
+  const bool demo =
+      std::find(toks.begin(), toks.end(), "--gen") == toks.end() &&
+      std::find(toks.begin(), toks.end(), "--dimacs") == toks.end();
+  if (demo) {
+    std::istringstream recipe(kDemoRecipe);
+    std::vector<std::string> with_demo;
+    for (std::string t; recipe >> t;) with_demo.push_back(t);
+    with_demo.insert(with_demo.end(), toks.begin(), toks.end());
+    toks = std::move(with_demo);
   }
-  std::printf("instance: %d vertices, %lld edges, Delta = %d\n", h.n(),
-              static_cast<long long>(h.m()), h.max_degree());
+  svc::JobLineDefaults def;
+  def.allow_repeat = false;  // one instance, one coloring
+  std::vector<svc::JobSpec> jobs;
+  svc::parse_job_tokens(toks, 1, def, &jobs);
+  const auto& spec = jobs.front();
+  if (demo) {
+    std::printf("no instance given — using the demo recipe %s\n",
+                kDemoRecipe);
+  }
 
-  Rng rng(seed);
-  cluster::ClusterGraph cg = [&] {
-    if (layout == "single") return cluster::ClusterGraph::singleton(h);
-    cluster::ExpandSpec es;
-    es.size = std::max(1, cluster_size);
-    if (layout == "star") {
-      es.shape = cluster::ClusterShape::kStar;
-    } else if (layout == "path") {
-      es.shape = cluster::ClusterShape::kPath;
-    } else if (layout == "tree") {
-      es.shape = cluster::ClusterShape::kRandomTree;
-    } else {
-      std::fprintf(stderr, "unknown layout %s\n", layout.c_str());
-      std::exit(2);
-    }
-    return cluster::ClusterGraph::expand(h, es, rng);
-  }();
+  const auto inst = svc::build_instance(spec);
+  if (!inst.error.empty()) {
+    std::fprintf(stderr, "color_dimacs: build failed (%s): %s\n",
+                 error_code_name(inst.error_code), inst.error.c_str());
+    return inst.error_code == ErrorCode::kInvalidProblem ? usage() : 1;
+  }
+  const graph::Graph& g = inst.vg ? inst.vg->base() : inst.cg.h();
+  const graph::Graph& h = inst.vg ? inst.vg->h() : inst.cg.h();
+  std::printf("instance: %d vertices, %lld edges, Delta = %d\n", g.n(),
+              static_cast<long long>(g.m()), g.max_degree());
 
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
-  const auto result = lowdeg::color_cluster_graph(
-      rt, color::Params::defaults_for(h.n(), seed));
-  cluster::check_proper_total(h, result.colors, result.num_colors);
-
+  Options opt = svc::job_options(spec);
+  if (spec.explicit_seed) opt.seed = spec.params_seed;
+  Solver solver;
+  const auto out = inst.vg
+                       ? solver.solve(Problem::virtual_graph(*inst.vg), opt)
+                       : solver.solve(Problem::cluster(inst.cg), opt);
+  if (!out.ok()) {
+    std::fprintf(stderr, "color_dimacs: solve failed (%s): %s\n",
+                 error_code_name(out.error.code), out.error.message.c_str());
+    return 1;
+  }
+  const auto& result = out.result;
   std::printf("colored with %d colors (Delta+1 = %d)\n", result.num_colors,
               h.max_degree() + 1);
   std::printf("cost: %lld H-rounds, %lld G-rounds (d = %d), max %d "
               "bits/link/round (B = %d)\n",
               static_cast<long long>(result.h_rounds),
               static_cast<long long>(result.g_rounds), result.dilation,
-              result.max_bits_per_link_round, ledger.bandwidth());
+              result.max_bits_per_link_round, solver.ledger().bandwidth());
   std::printf("structure: %d almost-cliques (%d cabals), %d sparse; "
               "fallbacks: %d\n",
               result.num_cliques, result.num_cabals, result.sparse_count,
@@ -107,4 +115,15 @@ int main(int argc, char** argv) {
     std::fputs(os.str().c_str(), stdout);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const svc::ManifestError& e) {
+    std::fprintf(stderr, "color_dimacs: %s\n", e.what());
+    return usage();
+  }
 }

@@ -7,7 +7,7 @@
 // endpoints — the flagship "clusters with overlap" case, with measured
 // congestion and dilation both 1.
 //
-//   cmake --build build && ./build/examples/example_edge_coloring
+//   cmake --build build && ./build/edge_coloring
 #include <cstdio>
 #include <vector>
 
@@ -29,19 +29,26 @@ int main() {
               "dilation d = %d\n",
               vg.h().n(), vg.h().max_degree(), vg.congestion(), vg.dilation());
 
-  auto params = color::Params::defaults_for(vg.h().n(), /*seed=*/3);
-  const auto res = lowdeg::color_virtual_graph(vg, params);
+  Solver solver;
+  Options opt;
+  opt.seed = 3;
+  const auto out = solver.solve(Problem::virtual_graph(vg), opt);
+  if (!out.ok()) {
+    std::fprintf(stderr, "solve failed (%s): %s\n",
+                 error_code_name(out.error.code), out.error.message.c_str());
+    return 1;
+  }
+  const auto& res = out.result;
   std::printf("schedule: %d time slots (2*Delta - 1 = %d), %lld H-rounds, "
               "%lld G-rounds (x%d congestion = %lld)\n",
-              res.base.num_colors, 2 * g.max_degree() - 1,
-              static_cast<long long>(res.base.h_rounds),
-              static_cast<long long>(res.base.g_rounds), res.congestion,
-              static_cast<long long>(res.g_rounds_with_congestion));
+              res.num_colors, 2 * g.max_degree() - 1,
+              static_cast<long long>(res.h_rounds),
+              static_cast<long long>(res.g_rounds), out.congestion,
+              static_cast<long long>(out.g_rounds_with_congestion));
 
   // Slot histogram + audit: no radio transmits twice in one slot.
-  std::vector<int> per_slot(static_cast<std::size_t>(res.base.num_colors),
-                            0);
-  for (const int c : res.base.colors) {
+  std::vector<int> per_slot(static_cast<std::size_t>(res.num_colors), 0);
+  for (const int c : res.colors) {
     ++per_slot[static_cast<std::size_t>(c)];
   }
   int busiest = 0;
@@ -54,7 +61,7 @@ int main() {
   const auto links = g.edges();
   for (std::size_t i = 0; i < links.size(); ++i) {
     const auto [u, v] = links[i];
-    const int slot = res.base.colors[i];
+    const int slot = res.colors[i];
     for (const int r : {u, v}) {
       auto& slots = radio_slots[static_cast<std::size_t>(r)];
       for (const int s : slots) {

@@ -48,10 +48,16 @@ int main() {
   layout.shape = cluster::ClusterShape::kStar;
   layout.size = 3;
   const auto cg = cluster::ClusterGraph::expand(interference, layout, rng);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
-  const auto result = lowdeg::color_cluster_graph(
-      rt, color::Params::defaults_for(interference.n(), 3));
+  Solver solver;
+  Options opt;
+  opt.seed = 3;
+  const auto out = solver.solve(Problem::cluster(cg), opt);
+  if (!out.ok()) {
+    std::fprintf(stderr, "solve failed (%s): %s\n",
+                 error_code_name(out.error.code), out.error.message.c_str());
+    return 1;
+  }
+  const auto& result = out.result;
   cluster::check_proper_total(interference, result.colors,
                               result.num_colors);
 

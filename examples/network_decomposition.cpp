@@ -33,10 +33,16 @@ int main() {
               cg.num_clusters(), cg.h().max_degree(), cg.dilation());
 
   // Color the cluster graph.
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
-  const auto result = lowdeg::color_cluster_graph(
-      rt, color::Params::defaults_for(cg.num_clusters(), 5));
+  Solver solver;
+  Options opt;
+  opt.seed = 5;
+  const auto out = solver.solve(Problem::cluster(cg), opt);
+  if (!out.ok()) {
+    std::fprintf(stderr, "solve failed (%s): %s\n",
+                 error_code_name(out.error.code), out.error.message.c_str());
+    return 1;
+  }
+  const auto& result = out.result;
   cluster::check_proper_total(cg.h(), result.colors, result.num_colors);
 
   // Color classes = phases in which clusters may be simultaneously

@@ -1,7 +1,7 @@
 // Quickstart: build a conflict graph, wrap it as a cluster graph over a
 // communication network, and (Delta+1)-color it with the paper's pipeline.
 //
-//   cmake --build build && ./build/examples/example_quickstart
+//   cmake --build build && ./build/quickstart
 #include <cstdio>
 
 #include "ccg/ccg.hpp"
@@ -35,12 +35,19 @@ int main() {
   std::printf("G: %d machines, dilation d = %d, bandwidth B = %d bits\n",
               cg.n_machines(), cg.dilation(), cg.default_bandwidth());
 
-  // 3. Color. The dispatcher picks the Theorem 1.2 (high-degree) or
-  //    Theorem 1.1 (low-degree) pipeline by Delta.
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
-  const auto params = color::Params::defaults_for(h.n(), /*seed=*/7);
-  const auto result = lowdeg::color_cluster_graph(rt, params);
+  // 3. Color through a Solver session. Algo::kAuto (the default) picks
+  //    the Theorem 1.2 (high-degree) or Theorem 1.1 (low-degree) pipeline
+  //    by Delta; the seed fixes every random choice.
+  Solver solver;
+  Options opt;
+  opt.seed = 7;
+  const auto out = solver.solve(Problem::cluster(cg), opt);
+  if (!out.ok()) {
+    std::fprintf(stderr, "solve failed (%s): %s\n",
+                 error_code_name(out.error.code), out.error.message.c_str());
+    return 1;
+  }
+  const auto& result = out.result;
 
   // 4. Inspect.
   cluster::check_proper_total(h, result.colors, result.num_colors);
@@ -53,6 +60,6 @@ int main() {
   std::printf("structure: %d almost-cliques (%d cabals), %d sparse "
               "vertices\n",
               result.num_cliques, result.num_cabals, result.sparse_count);
-  std::printf("phase breakdown:\n%s", ledger.report().c_str());
+  std::printf("phase breakdown:\n%s", solver.ledger().report().c_str());
   return 0;
 }

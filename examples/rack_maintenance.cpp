@@ -11,7 +11,7 @@
 // the paper's introduction motivates (network decomposition, maximum
 // flow): the conflict graph lives above the communication graph.
 //
-//   cmake --build build && ./build/examples/example_rack_maintenance
+//   cmake --build build && ./build/rack_maintenance
 #include <cstdio>
 #include <set>
 #include <utility>
@@ -57,10 +57,16 @@ int main() {
               cg.num_clusters(), cg.h().max_degree(), cg.dilation());
 
   // Color the rack graph on the machine network.
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
-  const auto params = color::Params::defaults_for(cg.num_clusters(), 9);
-  const auto res = lowdeg::color_cluster_graph(rt, params);
+  Solver solver;
+  Options opt;
+  opt.seed = 9;
+  const auto out = solver.solve(Problem::cluster(cg), opt);
+  if (!out.ok()) {
+    std::fprintf(stderr, "solve failed (%s): %s\n",
+                 error_code_name(out.error.code), out.error.message.c_str());
+    return 1;
+  }
+  const auto& res = out.result;
   cluster::check_proper_total(cg.h(), res.colors, res.num_colors);
 
   std::printf("maintenance plan: %d windows, %lld H-rounds, %lld G-rounds, "

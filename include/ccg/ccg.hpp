@@ -11,7 +11,8 @@
 // as a structured ccg::Error. One Solver is a reusable session — its
 // arena is reset, not reconstructed, between calls, so recurring jobs on
 // warm state run with zero (fast) or few (pipeline) heap allocations,
-// and results are bit-identical to one-shot calls for every thread count.
+// and results are bit-identical to a fresh session for every thread
+// count.
 //
 //   #include <ccg/ccg.hpp>
 //
@@ -49,9 +50,12 @@
 // but they move with the paper reproduction; prefer the facade for
 // anything that has to survive refactors. Highlights:
 //   * color::Params (full knob set; plug into Options::params),
-//     color::Result, color::State + run_high_degree (phase-level access)
-//   * lowdeg::color_low_degree / run_low_degree / color_virtual_graph /
-//     run_virtual, gk:: (the Section 9 machinery)
+//     color::Result
+//   * phase-level access for callers that bring their own Runtime (a
+//     custom ledger bandwidth, a hand-built State): color::State +
+//     color::run_high_degree / lowdeg::run_low_degree / lowdeg::run_auto
+//     + color::finalize_result — the pipelines the Solver runs
+//   * gk:: (the Section 9 machinery)
 //   * cluster::ClusterGraph / VirtualGraph / Runtime, net::Ledger (the
 //     cost model), graph:: generators and DIMACS I/O
 //   * svc:: manifests and job slots, exec:: parallel round engine,
@@ -76,7 +80,6 @@
 #include "graph/graph.hpp"
 #include "graph/stats.hpp"
 #include "lowdeg/lowdeg.hpp"
-#include "lowdeg/virtual_color.hpp"
 #include "net/ledger.hpp"
 #include "sketch/approx_count.hpp"
 #include "sketch/fingerprint.hpp"

@@ -19,11 +19,12 @@
 // ErrorCode::kInternal.
 //
 // Determinism contract: for a fixed (Problem, Options), solve() produces
-// colorings bit-identical to the underlying free functions
-// (color::color_high_degree, lowdeg::color_low_degree,
-// lowdeg::color_virtual_graph, ...) for every Options::threads value —
-// including across reuse of one Solver for unrelated problems in between
-// (pinned by tests/test_api.cpp). This is the serving contract of
+// colorings bit-identical to a fresh color::State on a fresh
+// cluster::Runtime that runs the same phase-level pipeline
+// (color::run_high_degree, lowdeg::run_low_degree or lowdeg::run_auto)
+// for every Options::threads value — including across reuse of one
+// Solver for unrelated problems in between (pinned by
+// tests/test_api.cpp). This is the serving contract of
 // svc::JobSlot (src/svc/), the thin adapter over Solver that runs every
 // scheduled job.
 //
@@ -284,7 +285,7 @@ class Solver {
   struct Bound;  // resolved instance: what to color + where to charge
 
   void solve_impl(const Problem& p, const Options& o, Outcome* out);
-  std::optional<Error> bind(const Problem& p, const Options& o, Bound* b);
+  std::optional<Error> bind(const Problem& p, Bound* b);
   void run_fast(color::State& st);
 
   net::Ledger ledger_{1};

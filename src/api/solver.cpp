@@ -6,7 +6,6 @@
 #include "color/primitives.hpp"
 #include "common/failpoint.hpp"
 #include "lowdeg/lowdeg.hpp"
-#include "lowdeg/virtual_color.hpp"
 #include "svc/service.hpp"
 
 namespace ccg {
@@ -167,9 +166,7 @@ void Solver::run_fast(color::State& st) {
   if (!s.empty()) color::fallback_finish(st, s);
 }
 
-std::optional<Error> Solver::bind(const Problem& p, const Options& o,
-                                  Bound* b) {
-  (void)o;
+std::optional<Error> Solver::bind(const Problem& p, Bound* b) {
   built_cg_.reset();
   built_vg_.reset();
   switch (p.kind()) {
@@ -297,15 +294,14 @@ void Solver::solve_impl(const Problem& p, const Options& o, Outcome* out) {
   fail::ScopedThreadCancel fp_cancel(&cancel_);
   CCG_FAILPOINT_ARG("solver.bind", o.seed);
   Bound b;
-  if (auto err = bind(p, o, &b)) {
+  if (auto err = bind(p, &b)) {
     out->error = std::move(*err);
     return;
   }
   const auto& h = b.cg->h();
 
-  // Exactly the parameter assembly of the pre-facade call sites (the
-  // CLIs, svc::job_params): defaults for this instance size, then the
-  // Options knobs — or the caller's full override, verbatim.
+  // Defaults for this instance size, then the Options knobs — or the
+  // caller's full override, verbatim.
   color::Params params =
       o.params ? *o.params : color::Params::defaults_for(h.n(), o.seed);
   if (!o.params) {
@@ -321,7 +317,7 @@ void Solver::solve_impl(const Problem& p, const Options& o, Outcome* out) {
 
   // Arena: reset-and-rebind, never reconstruct. A reset State is
   // bit-identical to a fresh one (color::State::reset contract), so this
-  // session is indistinguishable from the one-shot free functions.
+  // session is indistinguishable from a fresh State on a fresh Runtime.
   ledger_.reset(b.bandwidth);
   if (!rt_) {
     // ccg-lint: allow(zero-alloc): session arena built once, then reused
@@ -345,13 +341,7 @@ void Solver::solve_impl(const Problem& p, const Options& o, Outcome* out) {
     auto& st = *st_;
     switch (o.algo) {
       case Algo::kAuto:
-        if (b.vg) {
-          lowdeg::run_virtual(st, *b.vg);
-        } else if (rt_->delta() >= params.delta_low(h.n())) {
-          color::run_high_degree(st);
-        } else {
-          lowdeg::run_low_degree(st);
-        }
+        lowdeg::run_auto(st);
         break;
       case Algo::kHighDegree:
         color::run_high_degree(st);

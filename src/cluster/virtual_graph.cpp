@@ -159,45 +159,37 @@ VirtualGraph VirtualGraph::build(const graph::Graph& g,
   return vg;
 }
 
-VirtualGraph VirtualGraph::distance2(const graph::Graph& g) {
-  std::vector<std::vector<int>> supports(static_cast<std::size_t>(g.n()));
-  std::vector<int> roots(static_cast<std::size_t>(g.n()));
-  for (int v = 0; v < g.n(); ++v) {
-    auto& s = supports[static_cast<std::size_t>(v)];
-    const auto nb = g.neighbors(v);
-    s.assign(nb.begin(), nb.end());
-    s.push_back(v);
-    roots[static_cast<std::size_t>(v)] = v;  // star center -> c = 2
-  }
-  return from_supports(g, std::move(supports), std::move(roots));
-}
-
 VirtualGraph VirtualGraph::distance_k(const graph::Graph& g, int k) {
   CCG_CHECK(k >= 1);
   const int radius = (k + 1) / 2;
   std::vector<std::vector<int>> supports(static_cast<std::size_t>(g.n()));
   std::vector<int> roots(static_cast<std::size_t>(g.n()));
-  // Balls of radius ceil(k/2) by truncated BFS.
+  // Balls of radius ceil(k/2) by truncated BFS; each ball is its own BFS
+  // queue. One distance array serves every ball: a BFS resets only the
+  // entries of the ball it built.
+  std::vector<int> dist(static_cast<std::size_t>(g.n()), -1);
   for (int v = 0; v < g.n(); ++v) {
-    std::vector<int> dist(static_cast<std::size_t>(g.n()), -1);
-    std::queue<int> q;
-    q.push(v);
-    dist[static_cast<std::size_t>(v)] = 0;
     auto& s = supports[static_cast<std::size_t>(v)];
     s.push_back(v);
-    while (!q.empty()) {
-      const int u = q.front();
-      q.pop();
-      if (dist[static_cast<std::size_t>(u)] == radius) continue;
+    dist[static_cast<std::size_t>(v)] = 0;
+    for (std::size_t head = 0; head < s.size(); ++head) {
+      const int u = s[head];
+      const int du = dist[static_cast<std::size_t>(u)];
+      if (du == radius) continue;
       for (const int w : g.neighbors(u)) {
         if (dist[static_cast<std::size_t>(w)] >= 0) continue;
-        dist[static_cast<std::size_t>(w)] =
-            dist[static_cast<std::size_t>(u)] + 1;
+        dist[static_cast<std::size_t>(w)] = du + 1;
         s.push_back(w);
-        q.push(w);
       }
     }
+    for (const int u : s) dist[static_cast<std::size_t>(u)] = -1;
     roots[static_cast<std::size_t>(v)] = v;
+  }
+  // Balls of radius k/2 overlap exactly when dist <= k, so for even k the
+  // overlap graph is g^k. For odd k they also overlap at distance k + 1,
+  // and H is filtered down to g^k.
+  if (k % 2 == 0) {
+    return from_supports(g, std::move(supports), std::move(roots));
   }
   const auto h = graph::graph_power(g, k);
   return from_supports_with_h(g, h, std::move(supports), std::move(roots));

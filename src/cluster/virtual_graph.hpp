@@ -51,13 +51,11 @@ class VirtualGraph {
       const graph::Graph& g, const graph::Graph& h,
       std::vector<std::vector<int>> supports, std::vector<int> roots = {});
 
-  // Appendix A.2: supports = closed neighborhoods of g, so H = g^2.
-  static VirtualGraph distance2(const graph::Graph& g);
-
   // Distance-k coloring: H = g^k, supports = balls of radius ceil(k/2)
-  // centered at each vertex (any two vertices within distance k have
-  // intersecting balls). k = 1 degenerates to the CONGEST case; k = 2
-  // matches distance2().
+  // rooted at their centers (any two vertices within distance k have
+  // intersecting balls). k = 1 degenerates to the CONGEST case; k = 2 is
+  // Appendix A.2's encoding (supports = closed neighborhoods, congestion
+  // and dilation 2).
   static VirtualGraph distance_k(const graph::Graph& g, int k);
 
   // The virtual (conflict) graph H.

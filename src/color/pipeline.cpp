@@ -486,10 +486,4 @@ void run_high_degree(State& st) {
                               st.par.get());
 }
 
-Result color_high_degree(cluster::Runtime& rt, const Params& params) {
-  State st(rt, params);
-  run_high_degree(st);
-  return finalize_result(st);
-}
-
 }  // namespace ccg::color

@@ -2,7 +2,7 @@
 // Theorem 1.2): ComputeACD -> SlackGeneration (outside cabals) ->
 // ColoringSparse -> ColoringNonCabals (Algorithm 4) -> ColoringCabals
 // (Algorithm 5). Every phase is exposed individually for tests and the
-// per-phase benches; color_high_degree() assembles them and validates the
+// per-phase benches; run_high_degree() assembles them and validates the
 // result.
 //
 // Every randomized phase past ComputeACD runs on the parallel round
@@ -43,18 +43,12 @@ void coloring_sparse(State& st);
 void coloring_noncabals(State& st);
 void coloring_cabals(State& st);
 
-// Full Theorem 1.2 pipeline. Produces a proper (Delta+1)-coloring on any
-// input; the O(log* n)-round guarantee applies when
-// Delta >= params.delta_low(n).
-Result color_high_degree(cluster::Runtime& rt, const Params& params);
-
-// State-reuse form of color_high_degree: runs the same phase sequence
-// (incl. the safety net and the properness check) on a caller-provided
-// state. `st` must be freshly constructed or State::reset — this is the
-// serving path of the batch service (src/svc/), which keeps one State per
-// scheduler worker and resets it between jobs. Read results off st (phi,
-// fallback_count, the runtime's ledger) or via finalize_result(st);
-// color_high_degree(rt, params) is exactly State + run + finalize.
+// Full Theorem 1.2 pipeline, incl. the safety net and the properness
+// check. Produces a proper (Delta+1)-coloring on any input; the
+// O(log* n)-round guarantee applies when Delta >= params.delta_low(n).
+// `st` must be freshly constructed or State::reset (ccg::Solver keeps one
+// State per session and resets it between jobs). Read results off st
+// (phi, fallback_count, the runtime's ledger) or via finalize_result(st).
 void run_high_degree(State& st);
 
 // Collects ledger totals + structural counts from a finished state.

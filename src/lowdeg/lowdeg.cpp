@@ -584,19 +584,12 @@ void run_low_degree(State& st) {
                               st.par.get());
 }
 
-color::Result color_low_degree(cluster::Runtime& rt,
-                               const color::Params& params) {
-  State st(rt, params);
-  run_low_degree(st);
-  return color::finalize_result(st);
-}
-
-color::Result color_cluster_graph(cluster::Runtime& rt,
-                                  const color::Params& params) {
-  if (rt.delta() >= params.delta_low(rt.h().n())) {
-    return color::color_high_degree(rt, params);
+void run_auto(State& st) {
+  if (st.rt->delta() >= st.params.delta_low(st.h().n())) {
+    color::run_high_degree(st);
+  } else {
+    run_low_degree(st);
   }
-  return color_low_degree(rt, params);
 }
 
 }  // namespace ccg::lowdeg

@@ -23,23 +23,19 @@
 
 namespace ccg::lowdeg {
 
-// Theorem 1.1 path; proper (Delta+1)-coloring for any Delta.
-color::Result color_low_degree(cluster::Runtime& rt,
-                               const color::Params& params);
-
-// State-reuse form of color_low_degree: runs the same phase sequence
-// (incl. the safety net and the properness check) on a caller-provided
-// state, which must be freshly constructed or color::State::reset. This
-// is the warm serving path of ccg::Solver / the batch service: one State
-// per session, reset between jobs, so recurring low-degree jobs skip the
-// per-job arena construction entirely. Read results off st (phi, the
-// runtime's ledger) or via color::finalize_result(st);
-// color_low_degree(rt, params) is exactly State + run + finalize.
+// Theorem 1.1 path; proper (Delta+1)-coloring for any Delta. Runs the
+// whole phase sequence (incl. the safety net and the properness check) on
+// `st`, which must be freshly constructed or color::State::reset. Read
+// results off st (phi, the runtime's ledger) or via
+// color::finalize_result(st).
 void run_low_degree(color::State& st);
 
-// Entry point used by examples/benches: dispatches on Delta vs
-// params.delta_low(n) between the Theorem 1.2 and Theorem 1.1 pipelines.
-color::Result color_cluster_graph(cluster::Runtime& rt,
-                                  const color::Params& params);
+// The one regime switch: Delta >= params.delta_low(n) runs the Theorem 1.2
+// pipeline (color::run_high_degree), anything below it the Theorem 1.1
+// pipeline (run_low_degree). ccg::Solver's Algo::kAuto calls it for
+// cluster and virtual problems alike; a virtual graph runs on its
+// copy-machine representation unchanged (Appendix A), so the State must
+// be bound to vg.representation() and the caller applies the congestion.
+void run_auto(color::State& st);
 
 }  // namespace ccg::lowdeg

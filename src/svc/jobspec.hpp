@@ -40,8 +40,8 @@ namespace ccg::svc {
 using Algo = ccg::Algo;
 
 // Which graph mode the job's instance uses. Virtual modes build the
-// instance once in the instance cache (shared by repeats) and run
-// through lowdeg::run_virtual with the congestion overhead reported.
+// instance once in the instance cache (shared by repeats) and run on its
+// copy-machine representation, with the congestion overhead reported.
 enum class JobMode {
   kCluster,  // the recipe graph itself (plus an optional cluster layout)
   kEdge,     // edge coloring: the line graph as a virtual graph (c = 1)

@@ -190,7 +190,7 @@ Instance build_instance(const JobSpec& job) {
       }
       inst.vg.emplace(cluster::make_line_graph(g));
     } else if (job.mode == JobMode::kDist2) {
-      inst.vg.emplace(cluster::VirtualGraph::distance2(g));
+      inst.vg.emplace(cluster::VirtualGraph::distance_k(g, 2));
     } else {
       const auto shape = layout_shape(job.layout);
       if (job.layout == "singleton") {

@@ -1,6 +1,7 @@
-// Shared test fixtures: planted instances wired into pipeline state with
-// ground-truth dense context (bypassing the fingerprint ACD where the test
-// targets a later phase).
+// Shared test fixtures: a one-call Solver run with explicit Params, and
+// planted instances wired into pipeline state with ground-truth dense
+// context (bypassing the fingerprint ACD where the test targets a later
+// phase).
 #pragma once
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include <memory>
 
 #include "acd/acd.hpp"
+#include "ccg/solver.hpp"
 #include "cluster/cluster_graph.hpp"
 #include "cluster/runtime.hpp"
 #include "color/coloring.hpp"
@@ -16,6 +18,19 @@
 #include "graph/stats.hpp"
 
 namespace ccg::testing {
+
+// Colors `problem` on a fresh ccg::Solver with `params` used verbatim
+// (seed and threads included): the one end-to-end path. Tests that need
+// their own Runtime (a starved ledger, a fixture's State) run color::State
+// + run_high_degree / lowdeg::run_low_degree / lowdeg::run_auto instead.
+inline Outcome solve(const Problem& problem, Algo algo,
+                     const color::Params& params) {
+  Options opt;
+  opt.algo = algo;
+  opt.params = params;
+  Solver solver;
+  return solver.solve(problem, opt);
+}
 
 struct Fixture {
   graph::PlantedGraph planted;

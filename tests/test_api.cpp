@@ -1,6 +1,7 @@
 // The ccg::Solver facade contract (include/ccg/solver.hpp):
-//  * bit-identical to the pre-facade free functions for every algorithm,
-//    both virtual-graph modes and threads in {1, 2, 8};
+//  * a reused session is bit-identical to a fresh color::State on a fresh
+//    Runtime that runs the same pipeline, for every algorithm, both
+//    virtual-graph modes and threads in {1, 2, 8};
 //  * one session serves heterogeneous problems back to back with no
 //    cross-contamination (reset-and-rebind arena);
 //  * every boundary failure is a structured ccg::Error — no throws, no
@@ -18,7 +19,7 @@ namespace {
 
 // Matches the Options assembly of the facade for the oracle-ACD test
 // configuration (see pipeline_params in tests/test_pipeline.cpp).
-color::Params free_params(int n, std::uint64_t seed, int threads) {
+color::Params reference_params(int n, std::uint64_t seed, int threads) {
   auto p = color::Params::defaults_for(n, seed);
   p.eps = 0.2;
   p.use_fingerprint_acd = false;
@@ -35,6 +36,19 @@ Options solver_options(Algo algo, std::uint64_t seed, int threads) {
   o.eps = 0.2;
   o.oracle = true;
   return o;
+}
+
+// The reference a session is held to: a fresh Ledger, Runtime and State
+// on `cg` that run `run` (color::run_high_degree, lowdeg::run_low_degree
+// or lowdeg::run_auto) once.
+color::Result fresh_state_result(const cluster::ClusterGraph& cg,
+                                 int bandwidth, const color::Params& params,
+                                 void (*run)(color::State&)) {
+  net::Ledger ledger(bandwidth);
+  cluster::Runtime rt(cg, ledger);
+  color::State st(rt, params);
+  run(st);
+  return color::finalize_result(st);
 }
 
 graph::PlantedGraph high_degree_instance() {
@@ -68,7 +82,7 @@ void expect_same_result(const color::Result& a, const color::Result& b,
   EXPECT_EQ(a.dilation, b.dilation) << what;
 }
 
-TEST(SolverApi, BitIdenticalToFreeFunctionsAcrossThreads) {
+TEST(SolverApi, BitIdenticalToFreshStateAcrossThreads) {
   const auto planted = high_degree_instance();
   const auto high_cg = cluster::ClusterGraph::singleton(planted.g);
   const auto low_g = low_degree_instance();
@@ -79,10 +93,9 @@ TEST(SolverApi, BitIdenticalToFreeFunctionsAcrossThreads) {
   Solver solver;
   for (const int threads : {1, 2, 8}) {
     {  // Theorem 1.2 pipeline
-      net::Ledger ledger(high_cg.default_bandwidth());
-      cluster::Runtime rt(high_cg, ledger);
-      const auto expect = color::color_high_degree(
-          rt, free_params(planted.g.n(), 11, threads));
+      const auto expect = fresh_state_result(
+          high_cg, high_cg.default_bandwidth(),
+          reference_params(planted.g.n(), 11, threads), color::run_high_degree);
       const auto got = solver.solve(
           Problem::cluster(high_cg),
           solver_options(Algo::kHighDegree, 11, threads));
@@ -93,10 +106,9 @@ TEST(SolverApi, BitIdenticalToFreeFunctionsAcrossThreads) {
       EXPECT_EQ(got.g_rounds_with_congestion, got.result.g_rounds);
     }
     {  // Theorem 1.1 pipeline
-      net::Ledger ledger(low_cg.default_bandwidth());
-      cluster::Runtime rt(low_cg, ledger);
-      const auto expect =
-          lowdeg::color_low_degree(rt, free_params(low_g.n(), 23, threads));
+      const auto expect = fresh_state_result(
+          low_cg, low_cg.default_bandwidth(),
+          reference_params(low_g.n(), 23, threads), lowdeg::run_low_degree);
       const auto got =
           solver.solve(Problem::cluster(low_cg),
                        solver_options(Algo::kLowDegree, 23, threads));
@@ -104,19 +116,17 @@ TEST(SolverApi, BitIdenticalToFreeFunctionsAcrossThreads) {
       expect_same_result(expect, got.result, "low");
     }
     {  // auto dispatch, both regimes
-      net::Ledger ledger(high_cg.default_bandwidth());
-      cluster::Runtime rt(high_cg, ledger);
-      const auto expect = lowdeg::color_cluster_graph(
-          rt, free_params(planted.g.n(), 31, threads));
+      const auto expect = fresh_state_result(
+          high_cg, high_cg.default_bandwidth(),
+          reference_params(planted.g.n(), 31, threads), lowdeg::run_auto);
       const auto got = solver.solve(
           Problem::cluster(high_cg), solver_options(Algo::kAuto, 31, threads));
       ASSERT_TRUE(got.ok()) << got.error.message;
       expect_same_result(expect, got.result, "auto-high");
 
-      net::Ledger ledger2(low_cg.default_bandwidth());
-      cluster::Runtime rt2(low_cg, ledger2);
-      const auto expect2 = lowdeg::color_cluster_graph(
-          rt2, free_params(low_g.n(), 37, threads));
+      const auto expect2 = fresh_state_result(
+          low_cg, low_cg.default_bandwidth(),
+          reference_params(low_g.n(), 37, threads), lowdeg::run_auto);
       const auto got2 = solver.solve(
           Problem::cluster(low_cg), solver_options(Algo::kAuto, 37, threads));
       ASSERT_TRUE(got2.ok()) << got2.error.message;
@@ -125,7 +135,7 @@ TEST(SolverApi, BitIdenticalToFreeFunctionsAcrossThreads) {
   }
 }
 
-TEST(SolverApi, BitIdenticalToFreeFunctionsVirtualModes) {
+TEST(SolverApi, BitIdenticalToFreshStateVirtualModes) {
   const auto grid_g = graph::grid(9, 9);
   Rng rng(6);
   const auto base_g = graph::gnm(150, 450, rng);
@@ -134,30 +144,32 @@ TEST(SolverApi, BitIdenticalToFreeFunctionsVirtualModes) {
   for (const int threads : {1, 2, 8}) {
     {  // edge coloring: the line graph as a virtual graph (c = 1)
       const auto vg = cluster::make_line_graph(grid_g);
-      const auto expect = lowdeg::color_virtual_graph(
-          vg, free_params(vg.h().n(), 41, threads));
+      const auto expect = fresh_state_result(
+          vg.representation(), vg.default_bandwidth(),
+          reference_params(vg.h().n(), 41, threads), lowdeg::run_auto);
       const auto got = solver.solve(Problem::edge_coloring(grid_g),
                                     solver_options(Algo::kAuto, 41, threads));
       ASSERT_TRUE(got.ok()) << got.error.message;
-      expect_same_result(expect.base, got.result, "edge");
-      EXPECT_EQ(got.congestion, expect.congestion);
+      expect_same_result(expect, got.result, "edge");
+      EXPECT_EQ(got.congestion, vg.congestion());
       EXPECT_EQ(got.g_rounds_with_congestion,
-                expect.g_rounds_with_congestion);
+                expect.g_rounds * vg.congestion());
       // The H-vertex -> g-edge realization map is exposed for consumers.
       EXPECT_EQ(static_cast<std::int64_t>(solver.edge_map().size()),
                 grid_g.m());
     }
     {  // distance-2 coloring: H = G^2 (c = 2)
       const auto vg = cluster::VirtualGraph::distance_k(base_g, 2);
-      const auto expect = lowdeg::color_virtual_graph(
-          vg, free_params(vg.h().n(), 43, threads));
+      const auto expect = fresh_state_result(
+          vg.representation(), vg.default_bandwidth(),
+          reference_params(vg.h().n(), 43, threads), lowdeg::run_auto);
       const auto got = solver.solve(Problem::distance_k(base_g, 2),
                                     solver_options(Algo::kAuto, 43, threads));
       ASSERT_TRUE(got.ok()) << got.error.message;
-      expect_same_result(expect.base, got.result, "dist2");
-      EXPECT_EQ(got.congestion, expect.congestion);
+      expect_same_result(expect, got.result, "dist2");
+      EXPECT_EQ(got.congestion, vg.congestion());
       EXPECT_EQ(got.g_rounds_with_congestion,
-                expect.g_rounds_with_congestion);
+                expect.g_rounds * vg.congestion());
       // A prebuilt virtual graph routes identically (the serving path).
       const auto got2 = solver.solve(Problem::virtual_graph(vg),
                                      solver_options(Algo::kAuto, 43, threads));

@@ -149,8 +149,8 @@ TEST(ClusterGraphLinks, MatchThePerEdgeListReference) {
       ClusterGraph::from_partition(grid, random_partition(grid, 10, rng)),
       "from_partition");
   expect_links_match_reference(
-      VirtualGraph::distance2(graph::grid(6, 5)).representation(),
-      "distance2");
+      VirtualGraph::distance_k(graph::grid(6, 5), 2).representation(),
+      "distance_k 2");
 }
 
 TEST(ClusterGraphLinks, NonEdgeIsContractViolation) {

@@ -303,7 +303,11 @@ TEST(ColorSet, PipelineConsumersColorProperlyUnderTestThreads) {
   params.use_fingerprint_acd = false;
   params.measure_bits = false;
   auto f = testing::make_planted_fixture(spec, params, 5);
-  const auto res = color::color_high_degree(*f->rt, f->st->params);
+  // A fresh State on the fixture's Runtime, with the fixture's effective
+  // Params (its thread count honors CCG_TEST_THREADS).
+  color::State st(*f->rt, f->st->params);
+  color::run_high_degree(st);
+  const auto res = color::finalize_result(st);
   cluster::check_proper_total(f->planted.g, res.colors, res.num_colors);
   EXPECT_EQ(res.num_colors, f->planted.delta + 1);
 }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "ccg/ccg.hpp"
+#include "helpers.hpp"
 
 namespace ccg {
 namespace {
@@ -240,16 +241,12 @@ TEST(StreamRng, StateTrialRngMatchesCanonicalStreams) {
 
 // ---- determinism sweep: the acceptance bar of the parallel engine ----
 
-color::Result run_pipeline_with_threads(const graph::Graph& g,
-                                        std::uint64_t seed, int threads) {
+Outcome run_pipeline_with_threads(const graph::Graph& g, std::uint64_t seed,
+                                  int threads) {
   const auto cg = cluster::ClusterGraph::singleton(g);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
   auto params = color::Params::defaults_for(g.n(), seed);
   params.threads = threads;
-  auto res = color::color_high_degree(rt, params);
-  cluster::check_proper_total(g, res.colors, res.num_colors);
-  return res;
+  return testing::solve(Problem::cluster(cg), Algo::kHighDegree, params);
 }
 
 graph::Graph planted_instance(int delta, int cliques, int ext, int sparse,
@@ -281,9 +278,14 @@ TEST(ParallelDeterminism, BitIdenticalColoringsAcrossThreadCounts) {
 
   for (const auto& shape : shapes) {
     for (const std::uint64_t seed : {3ull, 11ull}) {
-      const auto base = run_pipeline_with_threads(shape.g, seed, 1);
+      const auto base_out = run_pipeline_with_threads(shape.g, seed, 1);
+      ASSERT_TRUE(base_out.ok()) << base_out.error.message;
+      const auto& base = base_out.result;
+      cluster::check_proper_total(shape.g, base.colors, base.num_colors);
       for (const int threads : {2, 8}) {
-        const auto res = run_pipeline_with_threads(shape.g, seed, threads);
+        const auto out = run_pipeline_with_threads(shape.g, seed, threads);
+        ASSERT_TRUE(out.ok()) << out.error.message;
+        const auto& res = out.result;
         ASSERT_EQ(res.colors, base.colors)
             << shape.name << " seed " << seed << " threads " << threads;
         EXPECT_EQ(res.num_colors, base.num_colors);
@@ -309,8 +311,10 @@ TEST(ParallelDeterminism, RepeatedParallelRunsAreStable) {
   const auto g = planted_instance(96, 3, 16, 150, 9);
   const auto a = run_pipeline_with_threads(g, 21, threads);
   const auto b = run_pipeline_with_threads(g, 21, threads);
-  EXPECT_EQ(a.colors, b.colors);
-  EXPECT_EQ(a.h_rounds, b.h_rounds);
+  ASSERT_TRUE(a.ok()) << a.error.message;
+  ASSERT_TRUE(b.ok()) << b.error.message;
+  EXPECT_EQ(a.result.colors, b.result.colors);
+  EXPECT_EQ(a.result.h_rounds, b.result.h_rounds);
 }
 
 }  // namespace

@@ -44,7 +44,8 @@ graph::PlantedGraph small_mixture(std::uint64_t seed) {
 
 TEST(FailureInjection, StarvedBandwidthStillCorrectJustSlower) {
   // B = 8 bits per link per round: every message must be chunked. The
-  // result must be identical in correctness, with G-rounds inflated.
+  // result must be identical in correctness, with G-rounds inflated. The
+  // ledger's bandwidth is the caller's, so this runs the phase-level form.
   const auto planted = small_mixture(5);
   std::int64_t g_starved = 0, g_normal = 0;
   for (const int bandwidth : {8, 0}) {
@@ -52,8 +53,9 @@ TEST(FailureInjection, StarvedBandwidthStillCorrectJustSlower) {
     net::Ledger ledger(bandwidth > 0 ? bandwidth
                                      : cg.default_bandwidth());
     cluster::Runtime rt(cg, ledger);
-    const auto res =
-        lowdeg::color_cluster_graph(rt, tough_params(planted.g.n(), 7));
+    color::State st(rt, tough_params(planted.g.n(), 7));
+    lowdeg::run_auto(st);
+    const auto res = color::finalize_result(st);
     cluster::check_proper_total(planted.g, res.colors, res.num_colors);
     EXPECT_LE(res.max_bits_per_link_round, ledger.bandwidth());
     if (bandwidth == 8) {
@@ -74,10 +76,10 @@ TEST(FailureInjection, BridgePathWorstCaseTopology) {
   es.shape = cluster::ClusterShape::kBridgePath;
   es.size = 10;
   const auto cg = cluster::ClusterGraph::expand(planted.g, es, rng);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
-  const auto res =
-      lowdeg::color_cluster_graph(rt, tough_params(planted.g.n(), 11));
+  const auto out = testing::solve(Problem::cluster(cg), Algo::kAuto,
+                                  tough_params(planted.g.n(), 11));
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
   cluster::check_proper_total(planted.g, res.colors, res.num_colors);
   EXPECT_EQ(res.dilation, 9);
   EXPECT_GE(res.g_rounds, res.h_rounds * 9);
@@ -96,11 +98,11 @@ TEST(FailureInjection, LabelPermutationInvariance) {
   }
   relabeled.finalize();
   const auto cg = cluster::ClusterGraph::singleton(relabeled);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
-  const auto res =
-      lowdeg::color_cluster_graph(rt, tough_params(relabeled.n(), 19));
-  cluster::check_proper_total(relabeled, res.colors, res.num_colors);
+  const auto out = testing::solve(Problem::cluster(cg), Algo::kAuto,
+                                  tough_params(relabeled.n(), 19));
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  cluster::check_proper_total(relabeled, out.result.colors,
+                              out.result.num_colors);
 }
 
 class SeedSweep : public ::testing::TestWithParam<int> {};
@@ -119,10 +121,11 @@ TEST_P(SeedSweep, HighDegreePipelineNeverProducesImproperColorings) {
   }
   const auto planted = graph::make_planted_acd(spec, rng);
   const auto cg = cluster::ClusterGraph::singleton(planted.g);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
-  const auto res = color::color_high_degree(
-      rt, tough_params(planted.g.n(), static_cast<std::uint64_t>(seed)));
+  const auto out = testing::solve(
+      Problem::cluster(cg), Algo::kHighDegree,
+      tough_params(planted.g.n(), static_cast<std::uint64_t>(seed)));
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
   cluster::check_proper_total(planted.g, res.colors, res.num_colors);
   // The safety net may fire occasionally but must stay marginal.
   EXPECT_LE(res.fallback_count, planted.g.n() / 10);
@@ -167,9 +170,10 @@ TEST(FailureInjection, ZeroEdgeAndSingletonGraphs) {
     graph::Graph g(n);
     g.finalize();
     const auto cg = cluster::ClusterGraph::singleton(g);
-    net::Ledger ledger(cg.default_bandwidth());
-    cluster::Runtime rt(cg, ledger);
-    const auto res = lowdeg::color_cluster_graph(rt, tough_params(n, 3));
+    const auto out =
+        testing::solve(Problem::cluster(cg), Algo::kAuto, tough_params(n, 3));
+    ASSERT_TRUE(out.ok()) << out.error.message;
+    const auto& res = out.result;
     cluster::check_proper_total(g, res.colors, res.num_colors);
     EXPECT_EQ(res.num_colors, 1);
   }
@@ -187,11 +191,11 @@ TEST(FailureInjection, DisconnectedConflictGraph) {
   EXPECT_NO_THROW({
     const auto planted = graph::make_planted_acd(spec, rng);
     const auto cg = cluster::ClusterGraph::singleton(planted.g);
-    net::Ledger ledger(cg.default_bandwidth());
-    cluster::Runtime rt(cg, ledger);
-    const auto res = lowdeg::color_cluster_graph(
-        rt, tough_params(planted.g.n(), 31));
-    cluster::check_proper_total(planted.g, res.colors, res.num_colors);
+    const auto out = testing::solve(Problem::cluster(cg), Algo::kAuto,
+                                    tough_params(planted.g.n(), 31));
+    ASSERT_TRUE(out.ok()) << out.error.message;
+    cluster::check_proper_total(planted.g, out.result.colors,
+                                out.result.num_colors);
   });
 }
 
@@ -205,7 +209,9 @@ TEST(FailureInjection, GkFinisherSurvivesStarvedBandwidth) {
   cluster::Runtime rt(cg, starved);
   auto params = tough_params(planted.g.n(), 303);
   params.finisher = color::Params::Finisher::kGhaffariKuhn;
-  const auto res = lowdeg::color_low_degree(rt, params);
+  color::State st(rt, params);
+  lowdeg::run_low_degree(st);
+  const auto res = color::finalize_result(st);
   cluster::check_proper_total(planted.g, res.colors, res.num_colors);
   EXPECT_GT(res.g_rounds, res.h_rounds);
 }
@@ -218,12 +224,13 @@ TEST(FailureInjection, GkFinisherOnBridgePathTopology) {
   es.shape = cluster::ClusterShape::kBridgePath;
   es.size = 4;
   const auto cg = cluster::ClusterGraph::expand(planted.g, es, rng);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
   auto params = tough_params(planted.g.n(), 313);
   params.finisher = color::Params::Finisher::kGhaffariKuhn;
-  const auto res = lowdeg::color_low_degree(rt, params);
-  cluster::check_proper_total(planted.g, res.colors, res.num_colors);
+  const auto out =
+      testing::solve(Problem::cluster(cg), Algo::kLowDegree, params);
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  cluster::check_proper_total(planted.g, out.result.colors,
+                              out.result.num_colors);
 }
 
 TEST(FailureInjection, RelaysUnderAdversarialSeedSweep) {
@@ -268,9 +275,9 @@ TEST(FailureInjection, PowerLawHubsAtTinyBandwidth) {
   const auto cg = cluster::ClusterGraph::singleton(g);
   net::Ledger starved(8);
   cluster::Runtime rt(cg, starved);
-  const auto res = lowdeg::color_cluster_graph(
-      rt, tough_params(g.n(), 337));
-  cluster::check_proper_total(g, res.colors, res.num_colors);
+  color::State st(rt, tough_params(g.n(), 337));
+  lowdeg::run_auto(st);
+  cluster::check_proper_total(g, st.phi.vec(), st.num_colors());
 }
 
 // ---- failpoint-driven fault tolerance (src/common/failpoint.hpp) ----

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,7 +13,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/stats.hpp"
-#include "lowdeg/lowdeg.hpp"
+#include "helpers.hpp"
 
 namespace ccg::graph {
 namespace {
@@ -243,6 +244,21 @@ TEST(Generators, GnmExact) {
   EXPECT_EQ(g.m(), 250);
 }
 
+TEST(Generators, ContractMessagesNameRepoRelativePaths) {
+  // CCG_CHECK embeds __FILE__; the build maps the checkout prefix away,
+  // so the message reads the same from every checkout of a commit.
+  Rng rng(1);
+  try {
+    (void)gnm(10, 80, rng);  // K_10 holds 45 edges
+    FAIL() << "gnm(10, 80) must violate its contract";
+  } catch (const ContractViolation& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("at src/graph/generators.cpp:"), std::string::npos)
+        << msg;
+    EXPECT_EQ(msg.find(CCG_SOURCE_DIR), std::string::npos) << msg;
+  }
+}
+
 TEST(Generators, GraphPowerOfPath) {
   const auto p2 = graph_power(path(6), 2);
   // Path 0-1-2-3-4-5 squared: edges at distance 1 and 2.
@@ -395,10 +411,10 @@ TEST(Generators, CavemanColorsAsPureCabals) {
   Rng rng(53);
   const auto g = caveman(5, 24, 2, rng);
   const auto cg = cluster::ClusterGraph::singleton(g);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
-  const auto res = lowdeg::color_cluster_graph(
-      rt, color::Params::defaults_for(g.n(), 59));
+  const auto out = testing::solve(Problem::cluster(cg), Algo::kAuto,
+                                  color::Params::defaults_for(g.n(), 59));
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
   cluster::check_proper_total(g, res.colors, res.num_colors);
 }
 

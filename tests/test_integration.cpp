@@ -8,7 +8,6 @@
 #include "cluster/validate.hpp"
 #include "graph/generators.hpp"
 #include "helpers.hpp"
-#include "lowdeg/lowdeg.hpp"
 
 namespace ccg {
 namespace {
@@ -45,20 +44,20 @@ TEST_P(PipelineSweep, ProperAndWithinBandwidth) {
   es.size = shape == cluster::ClusterShape::kSingleton ? 1 : 3;
   es.links_per_edge = 2;
   const auto cg = cluster::ClusterGraph::expand(planted.g, es, rng);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
 
   auto params = color::Params::defaults_for(planted.g.n(),
                                             static_cast<std::uint64_t>(seed));
   params.eps = 0.2;
   params.use_fingerprint_acd = false;
   params.measure_bits = false;
-  const auto res = lowdeg::color_cluster_graph(rt, params);
+  const auto out = testing::solve(Problem::cluster(cg), Algo::kAuto, params);
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
 
   cluster::check_proper_total(planted.g, res.colors, res.num_colors);
   EXPECT_EQ(res.num_colors, planted.delta + 1);
   // Bandwidth audit: after chunking, no link ever carries more than B.
-  EXPECT_LE(res.max_bits_per_link_round, ledger.bandwidth());
+  EXPECT_LE(res.max_bits_per_link_round, cg.default_bandwidth());
   // Cost sanity: G-rounds >= H-rounds, scaled by epoch depth when d > 0.
   EXPECT_GE(res.g_rounds, res.h_rounds);
 }
@@ -101,13 +100,13 @@ TEST_P(WorkloadSweep, ProperOnEveryTopologyAndFinisher) {
       break;
   }
   const auto cg = cluster::ClusterGraph::singleton(g);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
   auto params = color::Params::defaults_for(g.n(), 31 + kind);
   params.finisher = finisher;
-  const auto res = lowdeg::color_cluster_graph(rt, params);
+  const auto out = testing::solve(Problem::cluster(cg), Algo::kAuto, params);
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
   cluster::check_proper_total(g, res.colors, res.num_colors);
-  EXPECT_LE(res.max_bits_per_link_round, ledger.bandwidth());
+  EXPECT_LE(res.max_bits_per_link_round, cg.default_bandwidth());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -131,14 +130,15 @@ TEST(Integration, FingerprintAcdPipelineEndToEnd) {
   spec.sparse_avg_deg = 25.0;
   const auto planted = graph::make_planted_acd(spec, rng);
   const auto cg = cluster::ClusterGraph::singleton(planted.g);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
   auto params = color::Params::defaults_for(planted.g.n(), 7);
   params.eps = 0.2;
   params.fingerprint_t = 3000;  // near-exact estimates at this scale
-  const auto res = color::color_high_degree(rt, params);
+  const auto out =
+      testing::solve(Problem::cluster(cg), Algo::kHighDegree, params);
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
   cluster::check_proper_total(planted.g, res.colors, res.num_colors);
-  EXPECT_LE(res.max_bits_per_link_round, ledger.bandwidth());
+  EXPECT_LE(res.max_bits_per_link_round, cg.default_bandwidth());
 }
 
 TEST(Integration, PartitionLayoutEndToEnd) {
@@ -147,11 +147,11 @@ TEST(Integration, PartitionLayoutEndToEnd) {
   const auto g = graph::grid(24, 24);
   const auto assign = cluster::random_partition(g, 96, rng);
   const auto cg = cluster::ClusterGraph::from_partition(g, assign);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
   auto params = color::Params::defaults_for(cg.num_clusters(), 9);
   params.use_fingerprint_acd = false;
-  const auto res = lowdeg::color_cluster_graph(rt, params);
+  const auto out = testing::solve(Problem::cluster(cg), Algo::kAuto, params);
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
   cluster::check_proper_total(cg.h(), res.colors, res.num_colors);
 }
 
@@ -174,12 +174,12 @@ TEST(Integration, DilationScalesGRounds) {
                          : cluster::ClusterShape::kPath;
     es.size = size;
     const auto cg = cluster::ClusterGraph::expand(planted.g, es, local);
-    net::Ledger ledger(cg.default_bandwidth());
-    cluster::Runtime rt(cg, ledger);
     auto params = color::Params::defaults_for(planted.g.n(), 11);
     params.use_fingerprint_acd = false;
     params.measure_bits = false;
-    const auto res = lowdeg::color_cluster_graph(rt, params);
+    const auto out = testing::solve(Problem::cluster(cg), Algo::kAuto, params);
+    ASSERT_TRUE(out.ok()) << out.error.message;
+    const auto& res = out.result;
     cluster::check_proper_total(planted.g, res.colors, res.num_colors);
     g_rounds.push_back(res.g_rounds);
     h_rounds.push_back(res.h_rounds);
@@ -196,19 +196,19 @@ TEST(Integration, SeedsReproduce) {
   spec.anti_deg = 2;
   spec.external_deg = 14;
   const auto planted = graph::make_planted_acd(spec, rng);
+  const auto cg = cluster::ClusterGraph::singleton(planted.g);
   auto run = [&](std::uint64_t seed) {
-    const auto cg = cluster::ClusterGraph::singleton(planted.g);
-    net::Ledger ledger(cg.default_bandwidth());
-    cluster::Runtime rt(cg, ledger);
     auto params = color::Params::defaults_for(planted.g.n(), seed);
     params.use_fingerprint_acd = false;
     params.measure_bits = false;
-    return lowdeg::color_cluster_graph(rt, params);
+    return testing::solve(Problem::cluster(cg), Algo::kAuto, params);
   };
   const auto a = run(42);
   const auto b = run(42);
-  EXPECT_EQ(a.colors, b.colors);
-  EXPECT_EQ(a.h_rounds, b.h_rounds);
+  ASSERT_TRUE(a.ok()) << a.error.message;
+  ASSERT_TRUE(b.ok()) << b.error.message;
+  EXPECT_EQ(a.result.colors, b.result.colors);
+  EXPECT_EQ(a.result.h_rounds, b.result.h_rounds);
 }
 
 }  // namespace

@@ -32,9 +32,10 @@ TEST_P(LowDegRegimes, AlwaysProperAcrossDeltas) {
   const auto g =
       graph::gnm(n, static_cast<std::int64_t>(n) * avg_deg / 2, rng);
   const auto cg = cluster::ClusterGraph::singleton(g);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
-  const auto res = lowdeg::color_low_degree(rt, lowdeg_params(n, 7));
+  const auto out = testing::solve(Problem::cluster(cg), Algo::kLowDegree,
+                                  lowdeg_params(n, 7));
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
   cluster::check_proper_total(g, res.colors, res.num_colors);
   EXPECT_EQ(res.num_colors, g.max_degree() + 1);
 }
@@ -52,9 +53,10 @@ TEST(LowDeg, RoundsGrowSlowerThanLog2) {
     const auto g = graph::gnm(
         n, static_cast<std::int64_t>(n * lg * 0.7), rng);
     const auto cg = cluster::ClusterGraph::singleton(g);
-    net::Ledger ledger(cg.default_bandwidth());
-    cluster::Runtime rt(cg, ledger);
-    const auto res = lowdeg::color_low_degree(rt, lowdeg_params(n, 9));
+    const auto out = testing::solve(Problem::cluster(cg), Algo::kLowDegree,
+                                    lowdeg_params(n, 9));
+    ASSERT_TRUE(out.ok()) << out.error.message;
+    const auto& res = out.result;
     cluster::check_proper_total(g, res.colors, res.num_colors);
     rounds.push_back(res.h_rounds);
   }
@@ -124,9 +126,10 @@ TEST(LowDeg, LogRegimeUsedForTinyDelta) {
   const int n = 2000;
   const auto g = graph::gnm(n, 4000, rng);  // Delta ~ 10 << 4 log n
   const auto cg = cluster::ClusterGraph::singleton(g);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
-  const auto res = lowdeg::color_low_degree(rt, lowdeg_params(n, 13));
+  const auto out = testing::solve(Problem::cluster(cg), Algo::kLowDegree,
+                                  lowdeg_params(n, 13));
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
   cluster::check_proper_total(g, res.colors, res.num_colors);
   ASSERT_FALSE(res.phases.empty());
   EXPECT_EQ(res.phases.front().name, "lowdeg-logarithmic");
@@ -143,10 +146,10 @@ TEST(LowDeg, PolyRegimePhasesPresent) {
   spec.sparse_avg_deg = 25.0;
   const auto planted = graph::make_planted_acd(spec, rng);
   const auto cg = cluster::ClusterGraph::singleton(planted.g);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
-  const auto res =
-      lowdeg::color_low_degree(rt, lowdeg_params(planted.g.n(), 15));
+  const auto out = testing::solve(Problem::cluster(cg), Algo::kLowDegree,
+                                  lowdeg_params(planted.g.n(), 15));
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
   cluster::check_proper_total(planted.g, res.colors, res.num_colors);
   std::vector<std::string> names;
   for (const auto& pc : res.phases) names.push_back(pc.name);
@@ -163,9 +166,10 @@ TEST(LowDeg, CompleteGraphEdgeCase) {
   // not deadlock.
   const auto g = graph::complete(40);
   const auto cg = cluster::ClusterGraph::singleton(g);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
-  const auto res = lowdeg::color_low_degree(rt, lowdeg_params(40, 17));
+  const auto out = testing::solve(Problem::cluster(cg), Algo::kLowDegree,
+                                  lowdeg_params(40, 17));
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
   cluster::check_proper_total(g, res.colors, res.num_colors);
   EXPECT_EQ(res.num_colors, 40);
 }
@@ -179,11 +183,12 @@ TEST_P(FinisherAblation, EveryFinisherProducesProperColorings) {
   const int n = 1500;
   const auto g = graph::gnm(n, 9000, rng);
   const auto cg = cluster::ClusterGraph::singleton(g);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
   auto params = lowdeg_params(n, 21);
   params.finisher = finisher;
-  const auto res = lowdeg::color_low_degree(rt, params);
+  const auto out =
+      testing::solve(Problem::cluster(cg), Algo::kLowDegree, params);
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
   cluster::check_proper_total(g, res.colors, res.num_colors);
   if (finisher == color::Params::Finisher::kLinial) {
     // The Linial path never needs the safety net.
@@ -219,11 +224,12 @@ TEST(LowDeg, DeterministicFinisherOnDensePlanted) {
   spec.sparse_avg_deg = 20.0;
   const auto planted = graph::make_planted_acd(spec, rng);
   const auto cg = cluster::ClusterGraph::singleton(planted.g);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
   auto params = lowdeg_params(planted.g.n(), 23);
   params.finisher = color::Params::Finisher::kLinial;
-  const auto res = lowdeg::color_low_degree(rt, params);
+  const auto out =
+      testing::solve(Problem::cluster(cg), Algo::kLowDegree, params);
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
   cluster::check_proper_total(planted.g, res.colors, res.num_colors);
 }
 
@@ -231,9 +237,10 @@ TEST(LowDeg, PathAndCycleTrivialCases) {
   for (const bool cycle : {false, true}) {
     const auto g = cycle ? graph::cycle(101) : graph::path(100);
     const auto cg = cluster::ClusterGraph::singleton(g);
-    net::Ledger ledger(cg.default_bandwidth());
-    cluster::Runtime rt(cg, ledger);
-    const auto res = lowdeg::color_low_degree(rt, lowdeg_params(101, 19));
+    const auto out = testing::solve(Problem::cluster(cg), Algo::kLowDegree,
+                                    lowdeg_params(101, 19));
+    ASSERT_TRUE(out.ok()) << out.error.message;
+    const auto& res = out.result;
     cluster::check_proper_total(g, res.colors, res.num_colors);
     EXPECT_EQ(res.num_colors, 3);
   }

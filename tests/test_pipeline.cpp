@@ -10,7 +10,6 @@
 #include "cluster/validate.hpp"
 #include "graph/generators.hpp"
 #include "helpers.hpp"
-#include "lowdeg/lowdeg.hpp"
 #include "svc/service.hpp"
 
 namespace ccg {
@@ -42,10 +41,10 @@ TEST(PipelineHighDegree, MixedInstanceColorsProperly) {
   spec.external_to_sparse = 0.3;
   const auto planted = graph::make_planted_acd(spec, rng);
   const auto cg = cluster::ClusterGraph::singleton(planted.g);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
-  const auto res = color::color_high_degree(
-      rt, pipeline_params(planted.g.n(), 11));
+  const auto out = testing::solve(Problem::cluster(cg), Algo::kHighDegree,
+                                  pipeline_params(planted.g.n(), 11));
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
   cluster::check_proper_total(planted.g, res.colors, res.num_colors);
   EXPECT_EQ(res.num_colors, planted.delta + 1);
   EXPECT_EQ(res.num_cliques, 4);
@@ -64,10 +63,10 @@ TEST(PipelineHighDegree, CabalHeavyInstance) {
   spec.external_deg = 4;  // e_K < ell -> cabals
   const auto planted = graph::make_planted_acd(spec, rng);
   const auto cg = cluster::ClusterGraph::singleton(planted.g);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
-  const auto res = color::color_high_degree(
-      rt, pipeline_params(planted.g.n(), 13));
+  const auto out = testing::solve(Problem::cluster(cg), Algo::kHighDegree,
+                                  pipeline_params(planted.g.n(), 13));
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
   cluster::check_proper_total(planted.g, res.colors, res.num_colors);
   EXPECT_EQ(res.num_cabals, 4);
   EXPECT_LE(res.fallback_count, planted.g.n() / 20);
@@ -84,10 +83,10 @@ TEST(PipelineHighDegree, PureCliquesDeltaPlusOne) {
   spec.external_deg = 2;
   const auto planted = graph::make_planted_acd(spec, rng);
   const auto cg = cluster::ClusterGraph::singleton(planted.g);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
-  const auto res = color::color_high_degree(
-      rt, pipeline_params(planted.g.n(), 17));
+  const auto out = testing::solve(Problem::cluster(cg), Algo::kHighDegree,
+                                  pipeline_params(planted.g.n(), 17));
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
   cluster::check_proper_total(planted.g, res.colors, res.num_colors);
 }
 
@@ -106,10 +105,10 @@ TEST(PipelineHighDegree, RunsOnExpandedClusters) {
   es.size = 4;
   es.links_per_edge = 2;
   const auto cg = cluster::ClusterGraph::expand(planted.g, es, rng);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
-  const auto res = color::color_high_degree(
-      rt, pipeline_params(planted.g.n(), 19));
+  const auto out = testing::solve(Problem::cluster(cg), Algo::kHighDegree,
+                                  pipeline_params(planted.g.n(), 19));
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
   cluster::check_proper_total(planted.g, res.colors, res.num_colors);
   // d > 0: G-rounds must strictly exceed H-rounds.
   EXPECT_GT(res.g_rounds, res.h_rounds);
@@ -120,10 +119,10 @@ TEST(PipelineLowDegree, LogarithmicRegime) {
   Rng rng(5);
   const auto g = graph::gnm(500, 2000, rng);  // Delta ~ O(log n)
   const auto cg = cluster::ClusterGraph::singleton(g);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
-  const auto res =
-      lowdeg::color_low_degree(rt, pipeline_params(g.n(), 23));
+  const auto out = testing::solve(Problem::cluster(cg), Algo::kLowDegree,
+                                  pipeline_params(g.n(), 23));
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
   cluster::check_proper_total(g, res.colors, res.num_colors);
 }
 
@@ -138,10 +137,10 @@ TEST(PipelineLowDegree, PolylogRegimeWithStructure) {
   spec.sparse_avg_deg = 20.0;
   const auto planted = graph::make_planted_acd(spec, rng);
   const auto cg = cluster::ClusterGraph::singleton(planted.g);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
-  const auto res =
-      lowdeg::color_low_degree(rt, pipeline_params(planted.g.n(), 29));
+  const auto out = testing::solve(Problem::cluster(cg), Algo::kLowDegree,
+                                  pipeline_params(planted.g.n(), 29));
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
   cluster::check_proper_total(planted.g, res.colors, res.num_colors);
 }
 
@@ -284,19 +283,20 @@ TEST(PipelineDeterminism, FullPipelineBitIdenticalAcrossThreadCounts) {
   }
   for (const auto& shape : shapes) {
     const auto& g = shape.planted.g;
+    const auto cg = cluster::ClusterGraph::singleton(g);
     auto run = [&](int threads) {
-      const auto cg = cluster::ClusterGraph::singleton(g);
-      net::Ledger ledger(cg.default_bandwidth());
-      cluster::Runtime rt(cg, ledger);
       auto params = pipeline_params(g.n(), 137);
       params.threads = threads;
-      auto res = color::color_high_degree(rt, params);
-      cluster::check_proper_total(g, res.colors, res.num_colors);
-      return res;
+      return testing::solve(Problem::cluster(cg), Algo::kHighDegree, params);
     };
-    const auto base = run(1);
+    const auto base_out = run(1);
+    ASSERT_TRUE(base_out.ok()) << base_out.error.message;
+    const auto& base = base_out.result;
+    cluster::check_proper_total(g, base.colors, base.num_colors);
     for (const int threads : {2, 8}) {
-      const auto res = run(threads);
+      const auto out = run(threads);
+      ASSERT_TRUE(out.ok()) << out.error.message;
+      const auto& res = out.result;
       ASSERT_EQ(res.colors, base.colors)
           << shape.name << " threads " << threads;
       EXPECT_EQ(res.h_rounds, base.h_rounds) << shape.name;
@@ -330,19 +330,20 @@ TEST(PipelineDeterminism, LowDegreeBitIdenticalAcrossThreadCounts) {
     shapes.push_back({"planted", graph::make_planted_acd(spec, rng).g});
   }
   for (const auto& shape : shapes) {
+    const auto cg = cluster::ClusterGraph::singleton(shape.g);
     auto run = [&](int threads) {
-      const auto cg = cluster::ClusterGraph::singleton(shape.g);
-      net::Ledger ledger(cg.default_bandwidth());
-      cluster::Runtime rt(cg, ledger);
       auto params = pipeline_params(shape.g.n(), 139);
       params.threads = threads;
-      auto res = lowdeg::color_low_degree(rt, params);
-      cluster::check_proper_total(shape.g, res.colors, res.num_colors);
-      return res;
+      return testing::solve(Problem::cluster(cg), Algo::kLowDegree, params);
     };
-    const auto base = run(1);
+    const auto base_out = run(1);
+    ASSERT_TRUE(base_out.ok()) << base_out.error.message;
+    const auto& base = base_out.result;
+    cluster::check_proper_total(shape.g, base.colors, base.num_colors);
     for (const int threads : {2, 8}) {
-      const auto res = run(threads);
+      const auto out = run(threads);
+      ASSERT_TRUE(out.ok()) << out.error.message;
+      const auto& res = out.result;
       ASSERT_EQ(res.colors, base.colors)
           << shape.name << " threads " << threads;
       EXPECT_EQ(res.h_rounds, base.h_rounds) << shape.name;
@@ -358,11 +359,11 @@ TEST(Dispatcher, PicksPathByDelta) {
   const auto sparse_g = graph::gnm(400, 1200, rng);
   {
     const auto cg = cluster::ClusterGraph::singleton(sparse_g);
-    net::Ledger ledger(cg.default_bandwidth());
-    cluster::Runtime rt(cg, ledger);
-    EXPECT_LT(rt.delta(), params.delta_low(sparse_g.n()));
-    const auto res = lowdeg::color_cluster_graph(rt, params);
-    cluster::check_proper_total(sparse_g, res.colors, res.num_colors);
+    EXPECT_LT(sparse_g.max_degree(), params.delta_low(sparse_g.n()));
+    const auto out = testing::solve(Problem::cluster(cg), Algo::kAuto, params);
+    ASSERT_TRUE(out.ok()) << out.error.message;
+    cluster::check_proper_total(sparse_g, out.result.colors,
+                                out.result.num_colors);
   }
   // High-degree input.
   graph::PlantedSpec spec;
@@ -373,11 +374,11 @@ TEST(Dispatcher, PicksPathByDelta) {
   const auto planted = graph::make_planted_acd(spec, rng);
   {
     const auto cg = cluster::ClusterGraph::singleton(planted.g);
-    net::Ledger ledger(cg.default_bandwidth());
-    cluster::Runtime rt(cg, ledger);
-    EXPECT_GE(rt.delta(), params.delta_low(planted.g.n()));
-    const auto res = lowdeg::color_cluster_graph(rt, params);
-    cluster::check_proper_total(planted.g, res.colors, res.num_colors);
+    EXPECT_GE(planted.g.max_degree(), params.delta_low(planted.g.n()));
+    const auto out = testing::solve(Problem::cluster(cg), Algo::kAuto, params);
+    ASSERT_TRUE(out.ok()) << out.error.message;
+    cluster::check_proper_total(planted.g, out.result.colors,
+                                out.result.num_colors);
   }
 }
 
@@ -426,16 +427,16 @@ TEST(PipelineEverythingOn, AllFidelityFlagsSimultaneously) {
   spec.sparse_avg_deg = 28.0;
   const auto planted = graph::make_planted_acd(spec, rng);
   const auto cg = cluster::ClusterGraph::singleton(planted.g);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
   auto params = color::Params::defaults_for(planted.g.n(), 409);
   params.use_fingerprint_acd = true;
   params.measure_bits = true;
   params.use_representative_sets = true;
   params.finisher = color::Params::Finisher::kGhaffariKuhn;
-  const auto res = lowdeg::color_cluster_graph(rt, params);
+  const auto out = testing::solve(Problem::cluster(cg), Algo::kAuto, params);
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
   cluster::check_proper_total(planted.g, res.colors, res.num_colors);
-  EXPECT_LE(res.max_bits_per_link_round, ledger.bandwidth());
+  EXPECT_LE(res.max_bits_per_link_round, cg.default_bandwidth());
 }
 
 TEST(PipelineEverythingOn, EstimatedWeightsOnExpandedClusters) {
@@ -446,14 +447,13 @@ TEST(PipelineEverythingOn, EstimatedWeightsOnExpandedClusters) {
   es.shape = cluster::ClusterShape::kStar;
   es.size = 3;
   const auto cg = cluster::ClusterGraph::expand(g, es, rng);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
   auto params = color::Params::defaults_for(g.n(), 421);
   params.finisher = color::Params::Finisher::kGhaffariKuhn;
   params.gk_estimated_weights = true;
   params.fingerprint_t = 64;
-  const auto res = lowdeg::color_cluster_graph(rt, params);
-  cluster::check_proper_total(g, res.colors, res.num_colors);
+  const auto out = testing::solve(Problem::cluster(cg), Algo::kAuto, params);
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  cluster::check_proper_total(g, out.result.colors, out.result.num_colors);
 }
 
 }  // namespace

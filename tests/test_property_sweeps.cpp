@@ -17,7 +17,6 @@
 #include "color/primitives.hpp"
 #include "color/slack_generation.hpp"
 #include "helpers.hpp"
-#include "lowdeg/virtual_color.hpp"
 #include "sketch/approx_count.hpp"
 
 namespace ccg {
@@ -46,7 +45,7 @@ TEST_P(VirtualSweep, Distance2EncodingInvariants) {
       g = graph::cycle(120);
       break;
   }
-  const auto vg = cluster::VirtualGraph::distance2(g);
+  const auto vg = cluster::VirtualGraph::distance_k(g, 2);
   // H = G^2 exactly.
   const auto p2 = graph::graph_power(g, 2);
   EXPECT_EQ(vg.h().m(), p2.m());
@@ -86,8 +85,9 @@ TEST_P(DistanceKSweep, ExplicitHEncodingInvariants) {
       break;
   }
   const auto vg = cluster::VirtualGraph::distance_k(g, k);
-  // H = G^k exactly, even when the radius-ceil(k/2) balls overlap beyond
-  // distance k (the explicit-H filter must discard those pairs).
+  // H = G^k exactly. For odd k the radius-ceil(k/2) balls overlap beyond
+  // distance k, and the explicit-H filter must discard those pairs; for
+  // even k their overlap graph is G^k itself.
   const auto pk = graph::graph_power(g, k);
   ASSERT_EQ(vg.h().n(), pk.n());
   EXPECT_EQ(vg.h().edges(), pk.edges());
@@ -95,9 +95,11 @@ TEST_P(DistanceKSweep, ExplicitHEncodingInvariants) {
   // Coloring the encoding is proper on G^k with Delta_k + 1 colors.
   auto params = color::Params::defaults_for(vg.h().n(), 47 + k);
   params.measure_bits = false;
-  const auto res = lowdeg::color_virtual_graph(vg, params);
-  cluster::check_proper_total(pk, res.base.colors, res.base.num_colors);
-  EXPECT_EQ(res.base.num_colors, pk.max_degree() + 1);
+  const auto out =
+      testing::solve(Problem::virtual_graph(vg), Algo::kAuto, params);
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  cluster::check_proper_total(pk, out.result.colors, out.result.num_colors);
+  EXPECT_EQ(out.result.num_colors, pk.max_degree() + 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(

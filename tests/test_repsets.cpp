@@ -10,7 +10,6 @@
 #include "common/repsets.hpp"
 #include "graph/generators.hpp"
 #include "helpers.hpp"
-#include "lowdeg/lowdeg.hpp"
 
 namespace ccg {
 namespace {
@@ -166,11 +165,11 @@ TEST(RepSets, FullPipelineWithRepresentativeSets) {
   spec.sparse_avg_deg = 24.0;
   const auto planted = graph::make_planted_acd(spec, rng);
   const auto cg = cluster::ClusterGraph::singleton(planted.g);
-  net::Ledger ledger(cg.default_bandwidth());
-  cluster::Runtime rt(cg, ledger);
   auto params = color::Params::defaults_for(planted.g.n(), 29);
   params.use_representative_sets = true;
-  const auto res = lowdeg::color_cluster_graph(rt, params);
+  const auto out = testing::solve(Problem::cluster(cg), Algo::kAuto, params);
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
   cluster::check_proper_total(planted.g, res.colors, res.num_colors);
 }
 

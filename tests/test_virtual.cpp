@@ -6,7 +6,7 @@
 #include "cluster/validate.hpp"
 #include "cluster/virtual_graph.hpp"
 #include "graph/generators.hpp"
-#include "lowdeg/virtual_color.hpp"
+#include "helpers.hpp"
 
 namespace ccg::cluster {
 namespace {
@@ -14,7 +14,7 @@ namespace {
 TEST(VirtualGraph, Distance2MatchesGraphPower) {
   Rng rng(3);
   const auto g = graph::gnm(80, 200, rng);
-  const auto vg = VirtualGraph::distance2(g);
+  const auto vg = VirtualGraph::distance_k(g, 2);
   const auto p2 = graph::graph_power(g, 2);
   ASSERT_EQ(vg.h().n(), p2.n());
   EXPECT_EQ(vg.h().m(), p2.m());
@@ -27,14 +27,14 @@ TEST(VirtualGraph, Distance2CongestionAndDilationAreTwo) {
   // Appendix A.2: "congestion and dilation are both 2 for this particular
   // problem" (for graphs with at least one edge and a 2-path).
   const auto g = graph::grid(6, 6);
-  const auto vg = VirtualGraph::distance2(g);
+  const auto vg = VirtualGraph::distance_k(g, 2);
   EXPECT_EQ(vg.congestion(), 2);
   EXPECT_EQ(vg.dilation(), 2);
 }
 
 TEST(VirtualGraph, CopiesMapBackToBase) {
   const auto g = graph::path(5);
-  const auto vg = VirtualGraph::distance2(g);
+  const auto vg = VirtualGraph::distance_k(g, 2);
   // One copy machine per (support, base machine) incidence.
   const auto& rep = vg.representation();
   int copies = 0;
@@ -77,28 +77,31 @@ TEST(VirtualGraph, HeavyOverlapRaisesCongestion) {
 TEST(VirtualColor, Distance2ColoringProper) {
   Rng rng(7);
   const auto g = graph::gnm(150, 450, rng);
-  const auto vg = VirtualGraph::distance2(g);
+  const auto vg = VirtualGraph::distance_k(g, 2);
   auto params = color::Params::defaults_for(vg.h().n(), 11);
   params.use_fingerprint_acd = false;
   params.measure_bits = false;
-  const auto res = lowdeg::color_virtual_graph(vg, params);
+  const auto out =
+      testing::solve(Problem::virtual_graph(vg), Algo::kAuto, params);
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
   // Proper on H = G^2 implies distance-2 proper on G; validated inside
-  // color_virtual_graph, re-checked here against base distances.
+  // the pipeline, re-checked here against base distances.
   for (int v = 0; v < g.n(); ++v) {
     for (const int u : g.neighbors(v)) {
-      EXPECT_NE(res.base.colors[static_cast<std::size_t>(u)],
-                res.base.colors[static_cast<std::size_t>(v)]);
+      EXPECT_NE(res.colors[static_cast<std::size_t>(u)],
+                res.colors[static_cast<std::size_t>(v)]);
       for (const int w : g.neighbors(u)) {
         if (w != v) {
-          EXPECT_NE(res.base.colors[static_cast<std::size_t>(w)],
-                    res.base.colors[static_cast<std::size_t>(v)]);
+          EXPECT_NE(res.colors[static_cast<std::size_t>(w)],
+                    res.colors[static_cast<std::size_t>(v)]);
         }
       }
     }
   }
-  EXPECT_EQ(res.congestion, 2);
-  EXPECT_EQ(res.g_rounds_with_congestion, 2 * res.base.g_rounds);
-  EXPECT_EQ(res.base.num_colors, vg.h().max_degree() + 1);
+  EXPECT_EQ(out.congestion, 2);
+  EXPECT_EQ(out.g_rounds_with_congestion, 2 * res.g_rounds);
+  EXPECT_EQ(res.num_colors, vg.h().max_degree() + 1);
 }
 
 TEST(VirtualColor, OverlappingPartitionScenario) {
@@ -126,10 +129,12 @@ TEST(VirtualColor, OverlappingPartitionScenario) {
   const auto vg = VirtualGraph::from_supports(g, std::move(supports));
   auto params = color::Params::defaults_for(vg.h().n(), 17);
   params.use_fingerprint_acd = false;
-  const auto res = lowdeg::color_virtual_graph(vg, params);
-  EXPECT_GE(res.congestion, 1);
-  cluster::check_proper_total(vg.h(), res.base.colors,
-                              res.base.num_colors);
+  const auto out =
+      testing::solve(Problem::virtual_graph(vg), Algo::kAuto, params);
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  EXPECT_GE(out.congestion, 1);
+  cluster::check_proper_total(vg.h(), out.result.colors,
+                              out.result.num_colors);
 }
 
 
@@ -166,18 +171,21 @@ TEST(LineGraph, ProperEdgeColoringWithin2DeltaMinus1) {
   Rng rng(31);
   const auto g = graph::gnm(150, 450, rng);
   const auto vg = make_line_graph(g);
-  auto params = color::Params::defaults_for(vg.h().n(), 37);
-  const auto res = lowdeg::color_virtual_graph(vg, params);
+  const auto out =
+      testing::solve(Problem::virtual_graph(vg), Algo::kAuto,
+                     color::Params::defaults_for(vg.h().n(), 37));
+  ASSERT_TRUE(out.ok()) << out.error.message;
+  const auto& res = out.result;
   // Delta_H + 1 <= 2 Delta_g - 1 colors; properness on the line graph
   // means adjacent g-edges got distinct colors.
-  EXPECT_LE(res.base.num_colors, 2 * g.max_degree() - 1);
+  EXPECT_LE(res.num_colors, 2 * g.max_degree() - 1);
   const auto edges = vg.base().edges();
   for (std::size_t i = 0; i < edges.size(); ++i) {
     for (std::size_t j = i + 1; j < edges.size(); ++j) {
       const auto [a, b] = edges[i];
       const auto [c, d] = edges[j];
       if (a == c || a == d || b == c || b == d) {
-        EXPECT_NE(res.base.colors[i], res.base.colors[j]);
+        EXPECT_NE(res.colors[i], res.colors[j]);
       }
     }
   }
@@ -195,23 +203,18 @@ TEST(DistanceK, MatchesGraphPowerForKUpTo4) {
   }
 }
 
-TEST(DistanceK, K2AgreesWithDistance2Encoding) {
-  const auto g = graph::grid(6, 5);
-  const auto a = VirtualGraph::distance_k(g, 2);
-  const auto b = VirtualGraph::distance2(g);
-  EXPECT_EQ(a.h().edges(), b.h().edges());
-}
-
 TEST(DistanceK, Distance3ColoringIsProperOnGPower3) {
   const auto g = graph::grid(8, 6);
   const auto vg = VirtualGraph::distance_k(g, 3);
-  auto params = color::Params::defaults_for(vg.h().n(), 41);
-  const auto res = lowdeg::color_virtual_graph(vg, params);
+  const auto out =
+      testing::solve(Problem::virtual_graph(vg), Algo::kAuto,
+                     color::Params::defaults_for(vg.h().n(), 41));
+  ASSERT_TRUE(out.ok()) << out.error.message;
   const auto p3 = graph::graph_power(g, 3);
-  cluster::check_proper_total(p3, res.base.colors, res.base.num_colors);
+  cluster::check_proper_total(p3, out.result.colors, out.result.num_colors);
   // Odd k: the radius-2 balls overlap beyond distance 3, so congestion
   // exceeds the distance-2 figure but the color count stays Delta_3 + 1.
-  EXPECT_EQ(res.base.num_colors, p3.max_degree() + 1);
+  EXPECT_EQ(out.result.num_colors, p3.max_degree() + 1);
 }
 
 TEST(DistanceK, ExplicitHMustBeSubgraphOfOverlap) {
